@@ -87,6 +87,15 @@ def uniform(r, n, labels=None, name=""):
     return Matroid(RankTableRep(n, table), labels=labels, name=name or f"U({r},{n})")
 
 
+def tiny_six():
+    """The six 3-connected matroids on at most three elements, as GF(2)
+    matrices: U(0,0), U(0,1), U(1,1), U(1,2), U(1,3) and U(2,3)."""
+    shapes = {"U(0,0)": ((),), "U(0,1)": ((0,),), "U(1,1)": ((1,),),
+              "U(1,2)": ((1, 1),), "U(1,3)": ((1, 1, 1),),
+              "U(2,3)": ((1, 0, 1), (0, 1, 1))}
+    return [from_matrix(GFMatrix(2, rows), name=name) for name, rows in shapes.items()]
+
+
 def geometry(kind, dim, q=2):
     """PG(dim,2) on all nonzero GF(2) vectors of length dim+1, or AG(dim,2)
     on the vectors with last coordinate 1 (complement of a hyperplane)."""

@@ -13,15 +13,14 @@ import os
 import sys
 
 from . import catalog
-from .gf import GFError, format_matrix, parse_matrix
+from .gf import GFError, parse_matrix
 from .iso import (
     BudgetExhausted,
     are_isomorphic,
-    binary_representation,
+    export_text,
     has_minor,
 )
 from .matroid import (
-    Matroid,
     MatroidError,
     from_graph,
     from_matrix,
@@ -55,18 +54,6 @@ def load_matroid(source):
             return from_graph(nverts, edges)
         return graft_matroid(nverts, edges, gamma)
     return from_matrix(parse_matrix(text))
-
-
-def export_text(m):
-    """Text form of a matroid: its own backend format, or the binary matrix
-    when the backend is a rank table."""
-    try:
-        return m.export_text()
-    except MatroidError:
-        mat = binary_representation(m)
-        if mat is None:
-            raise
-        return format_matrix(mat)
 
 
 def _workers(value):

@@ -147,12 +147,6 @@ class GFMatrix:
             object.__setattr__(self, "_col_bits", cached)
         return cached
 
-    def column(self, j):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
-
-    def columns(self):
-        return tuple(self.column(j) for j in range(self.ncols))
-
     def point_values(self):
         """GF(2) only: columns as ints read with row 0 as the high bit.
 
@@ -166,9 +160,6 @@ class GFMatrix:
             for j in range(self.ncols)
         )
 
-    def transpose(self):
-        return GFMatrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
-
     def select_columns(self, cols):
         """New matrix keeping the columns listed in `cols` (in that order)."""
         return GFMatrix(
@@ -177,15 +168,6 @@ class GFMatrix:
 
     def stack_row(self, row):
         return GFMatrix(self.field, self.rows + (tuple(row),))
-
-    def append_column(self, col):
-        col = tuple(col)
-        if len(col) != self.nrows:
-            raise GFError("column length mismatch")
-        return GFMatrix(
-            self.field,
-            tuple(self.rows[i] + (col[i],) for i in range(self.nrows)),
-        )
 
     @staticmethod
     def identity(fld, r):
@@ -317,7 +299,8 @@ def projective_points(r: int, q: int = 2):
         lead = next((x for x in vec if x != 0), None)
         if lead == 1:
             pts.append(vec)
-    assert len(pts) == (q**r - 1) // (q - 1)
+    if len(pts) != (q**r - 1) // (q - 1):
+        raise GFError(f"internal error: PG({r - 1},{q}) point count mismatch")
     return tuple(pts)
 
 

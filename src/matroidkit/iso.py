@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from .gf import GFMatrix, field, rref
-from .matroid import LinearRep, Matroid, MatroidError, from_matrix, full_rank_table
+from .gf import GFMatrix, field, format_matrix, rref
+from .matroid import LinearRep, Matroid, MatroidError, _bits, from_matrix, full_rank_table
 
 __all__ = [
     "BudgetExhausted",
@@ -24,13 +24,13 @@ __all__ = [
     "is_canonical_point_set",
     "binary_canonical_form",
     "binary_representation",
+    "export_text",
     "is_binary",
     "iso_key",
     "fingerprint",
     "are_isomorphic",
     "has_minor",
     "element_orbits",
-    "mw4_free_check",
 ]
 
 DEFAULT_MINOR_BUDGET = 2_000_000
@@ -235,6 +235,18 @@ def binary_representation(m: Matroid):
     return None
 
 
+def export_text(m: Matroid):
+    """Text form of a matroid: its own backend format, or a GF(2) matrix when
+    the backend is a rank table.  Raises MatroidError when m has neither."""
+    try:
+        return m.export_text()
+    except MatroidError:
+        mat = binary_representation(m)
+        if mat is None:
+            raise
+        return format_matrix(mat)
+
+
 def is_binary(m: Matroid):
     return binary_representation(m) is not None
 
@@ -310,11 +322,8 @@ def fingerprint(m: Matroid):
     for c in circuits:
         s = c.bit_count()
         spectrum[s] = spectrum.get(s, 0) + 1
-        mask = c
-        while mask:
-            low = mask & -mask
-            degree[low.bit_length() - 1][s] += 1
-            mask ^= low
+        for i in _bits(c):
+            degree[i][s] += 1
     return (
         n,
         r,
@@ -362,11 +371,8 @@ def _generic_isomorphism(m1, m2):
         deg = [[0] * (top + 1) for _ in range(m.n)]
         for c in circuits:
             s = c.bit_count()
-            mask = c
-            while mask:
-                low = mask & -mask
-                deg[low.bit_length() - 1][s] += 1
-                mask ^= low
+            for i in _bits(c):
+                deg[i][s] += 1
         return [tuple(d) for d in deg]
 
     d1 = degrees(m1, c1)
@@ -460,24 +466,15 @@ def _binary_iso(m1, m2):
         return None
     inv2 = {img: p for p, img in map2.items()}
     mapping = {}
-    l1 = [a.labels[i] for i in _bit_positions(loops1)]
-    l2 = [bb.labels[i] for i in _bit_positions(loops2)]
+    l1 = [a.labels[i] for i in _bits(loops1)]
+    l2 = [bb.labels[i] for i in _bits(loops2)]
     mapping.update(zip(l1, l2))
     for p, img in map1.items():
         q = inv2[img]
-        e1 = [a.labels[i] for i in _bit_positions(classes1[p])]
-        e2 = [bb.labels[i] for i in _bit_positions(classes2[q])]
+        e1 = [a.labels[i] for i in _bits(classes1[p])]
+        e2 = [bb.labels[i] for i in _bits(classes2[q])]
         mapping.update(zip(e1, e2))
     return _verify_bijection(m1, m2, mapping)
-
-
-def _bit_positions(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 # ---- minors
@@ -517,7 +514,7 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     return None
 
 
-# ---- orbits and the wheel-free classification
+# ---- orbits
 
 
 def element_orbits(m: Matroid):
@@ -534,36 +531,3 @@ def element_orbits(m: Matroid):
         by_form.setdefault(form, []).append(m.labels[i])
     return sorted(tuple(v) for v in by_form.values())
 
-
-def mw4_free_check(m: Matroid):
-    """For a 3-connected binary matroid: (True, classification) when m has no
-    rank-4 wheel minor (classification = which spike relative or small uniform
-    matroid it is); (False, None) when the minor exists.  A minor-free matroid
-    matching no listed case raises, since that would contradict the catalog's
-    expected closure."""
-    from . import catalog
-
-    wheel = catalog.named("MW4")
-    if has_minor(m, wheel) is not None:
-        return False, None
-    key = iso_key(m)
-    cands = []
-    if m.n <= 3:
-        for name in ("U00", "U01", "U11", "U12", "U13", "U23"):
-            cands.append((name, catalog.uniform(*_uniform_params(name))))
-    r, n = m.rank(), m.n
-    if n == 2 * r + 1 and r >= 3:
-        cands.append((f"Z{r}", catalog.spike(r)))
-    if n == 2 * (r - 1) + 1 and r - 1 >= 3:
-        cands.append((f"Z{r - 1}*", catalog.spike(r - 1).dual()))
-    if n == 2 * r and r >= 3:
-        cands.append((f"Z{r}\\t", catalog.spike_minus_tip(r)))
-        cands.append((f"Z{r}\\y", catalog.spike_minus_y(r)))
-    for name, cand in cands:
-        if iso_key(cand) == key:
-            return True, name
-    raise MatroidError("wheel-free matroid outside the expected classification")
-
-
-def _uniform_params(name):
-    return int(name[1]), int(name[2])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gf import GFMatrix, field, format_matrix, gf2_rank, null_space, rank_of_columns, rref
+from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref
 
 __all__ = [
     "MatroidError",
@@ -50,6 +50,14 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def default_labels(n):
@@ -112,24 +120,17 @@ class GraphicRep:
         return len(self.edges)
 
     def _forest(self, mask, parent):
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         r = 0
         for j in _bits(mask):
             u, v = self.edges[j]
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 r += 1
-        return r, find
+        return r
 
     def rank(self, mask):
-        r, _ = self._forest(mask, list(range(self.nverts)))
-        return r
+        return self._forest(mask, list(range(self.nverts)))
 
 
 class GraftRep:
@@ -155,14 +156,13 @@ class GraftRep:
     def rank(self, mask):
         gbit = 1 << len(self.edges)
         parent = list(range(self.nverts))
-        r, find = self._graphic._forest(mask & ~gbit, parent)
+        r = self._graphic._forest(mask & ~gbit, parent)
         if mask & gbit:
             # gamma's vector lies in the span of the chosen edge columns iff
             # every component of (V, X) holds an even number of gamma vertices
             odd = set()
             for v in self.gamma:
-                root = find(v)
-                odd.symmetric_difference_update({root})
+                odd ^= {_find(parent, v)}
             if odd:
                 r += 1
         return r
@@ -292,7 +292,6 @@ class Matroid:
             sum(b << i for i, b in enumerate(vec))
             for vec in null_space(self.rep.matrix)
         ]
-        cycles = {0}
         vecs = [0]
         for b in basis:
             vecs += [v ^ b for v in vecs]
@@ -326,9 +325,6 @@ class Matroid:
                 if self.r(mask) < size:
                     found.append(mask)
         return tuple(sorted(found, key=lambda v: (v.bit_count(), v)))
-
-    def cocircuits(self, max_size=None):
-        return self.dual().circuits(max_size)
 
     # ---- loops, parallel and series structure
 
@@ -432,15 +428,20 @@ class Matroid:
                 LinearRep(_linear_minor(rep.matrix, sorted(_bits(con)), keep)), labels
             )
         if isinstance(rep, GraphicRep):
-            nv, edges = _graph_minor(rep.nverts, rep.edges, con, keep)
+            nv, edges, _ = _graph_minor(rep.nverts, rep.edges, con, keep)
             return Matroid(GraphicRep(nv, edges), labels)
         if isinstance(rep, GraftRep):
             gidx = len(rep.edges)
             if not (con | del_) >> gidx & 1:
-                nv, edges, gamma = _graft_minor(rep, con, keep[:-1])
+                nv, edges, vmap = _graph_minor(rep.nverts, rep.edges, con, keep[:-1])
+                # gamma contracts by parity: a merged vertex is in gamma' iff
+                # it absorbed an odd number of gamma vertices
+                gamma = set()
+                for v in rep.gamma:
+                    gamma ^= {vmap[v]}
                 return Matroid(GraftRep(nv, edges, gamma), labels)
             if del_ >> gidx & 1:
-                nv, edges = _graph_minor(
+                nv, edges, _ = _graph_minor(
                     rep.nverts, rep.edges, con & ~(1 << gidx), keep
                 )
                 return Matroid(GraphicRep(nv, edges), labels)
@@ -497,21 +498,14 @@ class Matroid:
         """Masks of the connected components (classes of 'lies on a common circuit';
         elements in no circuit are their own components)."""
         parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for c in self.circuits():
             ids = list(_bits(c))
             for other in ids[1:]:
-                parent[find(other)] = find(ids[0])
+                parent[_find(parent, other)] = _find(parent, ids[0])
         comps = {}
         for i in range(self.n):
-            comps.setdefault(find(i), 0)
-            comps[find(i)] |= 1 << i
+            root = _find(parent, i)
+            comps[root] = comps.get(root, 0) | 1 << i
         return sorted(comps.values())
 
     # ---- export
@@ -579,49 +573,17 @@ def _linear_minor(matrix, con_cols, keep_cols):
 
 
 def _graph_minor(nverts, edges, con, keep_edge_ids):
+    """Contract the edges in con and keep the edges keep_edge_ids.  Returns the
+    new vertex count, the kept edges, and the map old vertex -> new vertex."""
     parent = list(range(nverts))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for j in _bits(con):
         u, v = edges[j]
-        parent[find(u)] = find(v)
-    roots = sorted({find(v) for v in range(nverts)})
-    newid = {root: i for i, root in enumerate(roots)}
-    new_edges = [(newid[find(edges[j][0])], newid[find(edges[j][1])]) for j in keep_edge_ids]
-    return len(roots), new_edges
-
-
-def _graft_minor(rep, con, keep_edge_ids):
-    parent = list(range(rep.nverts))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j in _bits(con):
-        u, v = rep.edges[j]
-        parent[find(u)] = find(v)
-    roots = sorted({find(v) for v in range(rep.nverts)})
-    newid = {root: i for i, root in enumerate(roots)}
-    new_edges = [
-        (newid[find(rep.edges[j][0])], newid[find(rep.edges[j][1])])
-        for j in keep_edge_ids
-    ]
-    # gamma contracts by parity: a merged vertex is in gamma' iff it absorbed
-    # an odd number of gamma vertices
-    counts = {}
-    for v in rep.gamma:
-        root = find(v)
-        counts[root] = counts.get(root, 0) + 1
-    gamma = {newid[root] for root, c in counts.items() if c % 2 == 1}
-    return len(roots), new_edges, gamma
+        parent[_find(parent, u)] = _find(parent, v)
+    roots = [_find(parent, v) for v in range(nverts)]
+    newid = {root: i for i, root in enumerate(sorted(set(roots)))}
+    vmap = [newid[root] for root in roots]
+    new_edges = [(vmap[edges[j][0]], vmap[edges[j][1]]) for j in keep_edge_ids]
+    return len(newid), new_edges, vmap
 
 
 def incidence_matrix(nverts, edges, gamma=None):
@@ -795,7 +757,8 @@ def parallel_connection(m1: Matroid, p1, m2: Matroid, p2):
                     circuits.add((a | b) ^ pbit)
     table = _rank_table_from_circuits(n, circuits)
     out = Matroid(RankTableRep(n, table), labels)
-    assert out.rank() == m1.rank() + m2.rank() - 1
+    if out.rank() != m1.rank() + m2.rank() - 1:
+        raise MatroidError("internal error: parallel connection has the wrong rank")
     return out
 
 
@@ -877,7 +840,8 @@ def is_binary_affine(m: Matroid):
     _, r0, _ = rref(mat)
     _, r1, _ = rref(stacked)
     by_rows = r0 == r1
-    assert by_circuits == by_rows
+    if by_circuits != by_rows:
+        raise MatroidError("internal error: circuit and row-space affine tests disagree")
     return by_rows
 
 

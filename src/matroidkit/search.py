@@ -17,11 +17,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import catalog
-from .gf import GFMatrix, format_matrix, rref, subspace_masks
+from .gf import GFMatrix, rref, subspace_masks
 from .iso import (
     BudgetExhausted,
     binary_canonical_form,
     binary_representation,
+    export_text,
     has_minor,
     is_canonical_point_set,
     iso_key,
@@ -87,19 +88,11 @@ class SearchReport:
                 "budget": cfg.budget, "workers": cfg.workers,
             },
             "f_value": self.f_value,
-            "representatives": [_export_any(m) for m in self.representatives],
+            "representatives": [export_text(m) for m in self.representatives],
             "counts": [[r, n, c] for (r, n), c in sorted(self.counts.items())],
             "stats": dict(self.stats),
             "wall_time": round(self.wall_time, 3),
         }
-
-
-def _export_any(m):
-    try:
-        return m.export_text()
-    except MatroidError:
-        # rank-table matroid: recover a GF(2) matrix if one exists
-        return format_matrix(binary_representation(m))
 
 
 def kl_uniform_points(m, k, l):
@@ -117,28 +110,12 @@ def kl_uniform_points(m, k, l):
     nr = mat.nrows
     if nr > 6:
         raise MatroidError("subspace check supports rank <= 6")
-    weights = Counter()
-    loops = 0
-    pmask = 0
-    for j in range(mat.ncols):
-        v = 0
-        for i in range(nr):
-            v = v << 1 | mat.rows[i][j]
-        if v == 0:
-            loops += 1
-        else:
-            weights[v] += 1
-            pmask |= 1 << (v - 1)
-    d = t - k
-    need = d + l
-    subs = subspace_masks(max(nr, 1))[d]
+    weights = Counter(v for v in mat.point_values() if v)
+    loops = mat.ncols - sum(weights.values())
+    pmask = sum(1 << (v - 1) for v in weights)
     if loops == 0 and all(wt == 1 for wt in weights.values()):
-        return all((pmask & w).bit_count() < need for w in subs)
-    for w_mask in subs:
-        tot = loops + sum(wt for v, wt in weights.items() if w_mask >> (v - 1) & 1)
-        if tot >= need:
-            return False
-    return True
+        weights = None
+    return _passes_kl(pmask, t, k, l, subspace_masks(max(nr, 1)), weights, loops)
 
 
 def _as_predicate(pred):
@@ -166,13 +143,23 @@ def _span_values(span_mask):
     return out
 
 
-def _passes_kl(points_mask, t, k, l, subs):
+def _passes_kl(points_mask, t, k, l, subs, weights=None, loops=0):
+    """True iff no (t-k)-dimensional subspace carries weight at least
+    t - k + l: the (k,l) criterion for a rank-t point configuration.  Points
+    are the bits of points_mask (bit v - 1 for point value v), each of weight
+    one unless weights maps point values to multiplicities; loops lie in
+    every subspace.  subs is subspace_masks of the ambient dimension."""
     d = t - k
     if d < 0:
         return True
     need = d + l
+    if weights is None:
+        for w in subs[d]:
+            if (points_mask & w).bit_count() >= need:
+                return False
+        return True
     for w in subs[d]:
-        if (points_mask & w).bit_count() >= need:
+        if loops + sum(wt for v, wt in weights.items() if w >> (v - 1) & 1) >= need:
             return False
     return True
 
@@ -423,21 +410,6 @@ def coextensions(m: Matroid, predicate):
 
 # ---- census of 3-connected binary (2,2)-uniform matroids
 
-_TINY_ROWS = {
-    "U00": ((),),
-    "U01": ((0,),),
-    "U11": ((1,),),
-    "U12": ((1, 1),),
-    "U13": ((1, 1, 1),),
-    "U23": ((1, 0, 1), (0, 1, 1)),
-}
-
-
-def _tiny_six():
-    return {name: from_matrix(GFMatrix(2, rows), name=name)
-            for name, rows in _TINY_ROWS.items()}
-
-
 def census_seeds():
     """The four maximal members the census descends from."""
     ag42 = catalog.geometry("AG", 4)
@@ -478,8 +450,8 @@ def three_connected_census_22(budget=5_000_000, workers=1):
     t0 = time.time()
     seeds = census_seeds()
     census_a = _minor_closure_3connected(seeds)
-    tiny = _tiny_six()
-    for name, m in tiny.items():
+    tiny = catalog.tiny_six()
+    for m in tiny:
         if any(has_minor(s, m) is not None for s in seeds):
             census_a.setdefault(iso_key(m), m)
     cfg = SearchConfig(r=5, k=2, l=2, require_simple=True,
@@ -493,7 +465,7 @@ def three_connected_census_22(budget=5_000_000, workers=1):
         census_b.setdefault(iso_key(m), m)
         d = m.dual()
         census_b.setdefault(iso_key(d), d)
-    for name, m in tiny.items():
+    for m in tiny:
         census_b.setdefault(iso_key(m), m)
     if set(census_a) != set(census_b):
         only_a = [census_a[k].name or str(k) for k in set(census_a) - set(census_b)]

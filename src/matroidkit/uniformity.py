@@ -10,8 +10,9 @@ nullity less than l.  For k above the rank the condition is vacuous.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 
-from .matroid import Matroid, MatroidError, RankTableRep, parallel_connection
+from .matroid import Matroid, MatroidError, RankTableRep, _bits, parallel_connection
 
 __all__ = [
     "FlatWitness",
@@ -85,22 +86,14 @@ def is_kl_uniform_minor(m: Matroid, k: int, l: int):
         cl = m.closure(mask)
         if cl.bit_count() - t < l:
             continue
-        extra = cl ^ mask
-        loops = 0
-        for _ in range(l):
-            low = extra & -extra
-            loops |= low
-            extra ^= low
+        loops = sum(1 << i for i in islice(_bits(cl ^ mask), l))
         keep = mask
-        free = 0
-        probe = full ^ cl
-        while keep.bit_count() < t + k:
-            low = probe & -probe
-            probe ^= low
-            if m.r(keep | low) > m.r(keep):
-                keep |= low
-                free |= low
-        return False, MinorWitness(mask, full ^ mask ^ loops ^ free)
+        for i in _bits(full ^ cl):
+            if keep.bit_count() == t + k:
+                break
+            if m.r(keep | 1 << i) > m.r(keep):
+                keep |= 1 << i
+        return False, MinorWitness(mask, full ^ keep ^ loops)
     return True, None
 
 
@@ -227,10 +220,10 @@ def classify_connected_not3_22(m: Matroid):
 
 def _find_pair_reduction(m):
     pairs = []
-    for cls in m.parallel_classes():
-        pairs.extend(("parallel", a, b) for a, b in _two_subsets(cls))
-    for cls in m.series_classes():
-        pairs.extend(("series", a, b) for a, b in _two_subsets(cls))
+    for kind, classes in (("parallel", m.parallel_classes()),
+                          ("series", m.series_classes())):
+        for cls in classes:
+            pairs.extend((kind, 1 << i, 1 << j) for i, j in combinations(_bits(cls), 2))
     for kind, a, b in sorted(pairs, key=lambda t: (t[1] | t[2], t[0])):
         for p, q in ((a, b), (b, a)):
             if is_sparse_paving(m.minor(contract=q, delete=p)):
@@ -238,17 +231,6 @@ def _find_pair_reduction(m):
                     "C-iii", (kind, m.labels_of(p)[0], m.labels_of(q)[0])
                 )
     return None
-
-
-def _two_subsets(mask):
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low)
-        mask ^= low
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            yield bits[i], bits[j]
 
 
 def _u24_on(labels):

@@ -24,11 +24,11 @@ from .iso import (
     has_minor,
     iso_key,
 )
-from .matroid import Matroid, MatroidError, binary_three_sum, from_matrix
+from .matroid import MatroidError, binary_three_sum, from_matrix
 from .search import (
     SearchConfig,
     _node_state,
-    census_seeds,
+    _passes_kl,
     coextensions,
     compute_f,
     enumerate_kl_uniform,
@@ -256,11 +256,10 @@ def _check_census(cache):
 
 def _check_wheel4_free(cache):
     mw4 = catalog.named("MW4")
-    expected = [catalog.uniform(0, 0), catalog.uniform(0, 1), catalog.uniform(1, 1),
-                catalog.uniform(1, 2), catalog.uniform(1, 3), catalog.uniform(2, 3),
-                catalog.named("MW3"), catalog.named("F7"), catalog.named("F7*"),
-                catalog.named("AG32"), catalog.named("S8"), catalog.spike(4),
-                catalog.spike(4).dual(), catalog.spike_minus_tip(5)]
+    expected = catalog.tiny_six() + [
+        catalog.named("MW3"), catalog.named("F7"), catalog.named("F7*"),
+        catalog.named("AG32"), catalog.named("S8"), catalog.spike(4),
+        catalog.spike(4).dual(), catalog.spike_minus_tip(5)]
     want = {iso_key(m) for m in expected}
     got = {iso_key(m) for m in cache.census().representatives
            if has_minor(m, mw4) is None}
@@ -349,20 +348,6 @@ def _iter_weightings(p, n_max):
                 yield tuple(mults), loops
 
 
-def _weighted_fails_22(values, mults, loops, t, subs):
-    if t < 2:
-        return False
-    need = t
-    for w in subs[t - 2]:
-        tot = loops
-        for v, mult in zip(values, mults):
-            if v and w >> (v - 1) & 1:
-                tot += mult
-        if tot >= need:
-            return True
-    return False
-
-
 def _check_family_completeness(cache, n_max=9):
     """Exhaustive scan: every binary matroid with at most n_max elements that
     is (2,2)-uniform and not 3-connected appears in the generated family.
@@ -375,11 +360,11 @@ def _check_family_completeness(cache, n_max=9):
         SearchConfig(r=6, k=1, l=5, max_size=n_max, workers=cache.workers))
     for form in cores.forms:
         p = len(form)
-        t = _node_state(form)[2]
+        pmask, _, t = _node_state(form)
         subs = subspace_masks(max(t, 1))
         for mults, loops in _iter_weightings(p, n_max):
             candidates += 1
-            if _weighted_fails_22(form, mults, loops, t, subs):
+            if not _passes_kl(pmask, t, 2, 2, subs, dict(zip(form, mults)), loops):
                 continue
             hits += 1
             cols = [v for v, mult in zip(form, mults) for _ in range(mult)]

@@ -20,7 +20,6 @@ from matroidkit.search import (
     enumerate_kl_uniform,
     extensions,
     kl_uniform_points,
-    three_connected_census_22,
 )
 from matroidkit.uniformity import (
     is_22_uniform_circuits,
@@ -49,11 +48,6 @@ def corpus():
     ms += [catalog.resolve(u) for u in EXTRA_CATALOG]
     ms += random_linear_corpus(500, seed=4711)
     return ms
-
-
-@pytest.fixture(scope="module")
-def census():
-    return three_connected_census_22()
 
 
 def _iso(a, b):

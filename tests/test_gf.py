@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matroidkit import gf
 from matroidkit.gf import (
     GFError,
     GFMatrix,
@@ -123,6 +124,15 @@ def test_projective_points_lex_order_and_count():
     assert len(projective_points(3, 3)) == 13
     assert len(projective_points(2, 4)) == 5
     assert len(projective_points(5, 2)) == 31
+
+
+def test_projective_points_count_check_raises(monkeypatch):
+    # enumerating over the wrong field breaks the point count, which is
+    # caught, also under python -O
+    gf3 = field(3)
+    monkeypatch.setattr(gf, "field", lambda q: gf3)
+    with pytest.raises(GFError):
+        projective_points(3, 2)
 
 
 def test_subspace_mask_counts_are_gaussian_binomials():

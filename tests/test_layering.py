@@ -1,0 +1,36 @@
+"""Imports inside the package run one way: each module imports only from
+modules on a lower layer of gf -> matroid -> uniformity/iso -> catalog ->
+search -> verify -> cli.  The package __init__ re-exports from all of them
+and is not layered."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+LAYERS = {"gf": 0, "matroid": 1, "uniformity": 2, "iso": 2, "catalog": 3,
+          "search": 4, "verify": 5, "cli": 6}
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matroidkit"
+
+
+def relative_imports(path):
+    """(line, module) for every `from .x import` and `from . import x` in the
+    file, including imports inside functions."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                for alias in node.names:
+                    yield node.lineno, alias.name
+            else:
+                yield node.lineno, node.module.split(".")[0]
+
+
+def test_imports_run_down_the_layers():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert {p.stem for p in modules} == set(LAYERS)
+    upward = [f"{path.name}:{line} imports {target}"
+              for path in modules
+              for line, target in relative_imports(path)
+              if LAYERS[target] >= LAYERS[path.stem]]
+    assert upward == []

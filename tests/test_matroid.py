@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matroidkit import matroid
 from matroidkit.gf import GFMatrix, field, parse_matrix
 from matroidkit.matroid import (
     Matroid,
@@ -186,6 +187,15 @@ def test_parallel_connection():
         parallel_connection(u_matroid(1, 1), "1", u12, "1")  # coloop basepoint
 
 
+def test_parallel_connection_rank_check_raises(monkeypatch):
+    # a glued rank table of the wrong rank is caught, also under python -O
+    monkeypatch.setattr(matroid, "_rank_table_from_circuits",
+                        lambda n, circuits: bytes(1 << n))
+    u23 = u_matroid(2, 3)
+    with pytest.raises(MatroidError):
+        parallel_connection(u23, "1", u23, "1")
+
+
 def test_three_sum_shape(p9, f7):
     glue = {"1": "t1", "2": "t2", "5": "t3"}
     tri = f7.labels_of(next(c for c in f7.circuits() if c.bit_count() == 3))
@@ -317,6 +327,14 @@ def test_affine(f7):
     assert is_binary_affine(ag32)
     with pytest.raises(MatroidError):
         is_binary_affine(u_matroid(2, 4))
+
+
+def test_affine_cross_check_raises(f7, monkeypatch):
+    # F7 has odd circuits; hiding them makes the circuit test disagree with the
+    # row-space test, which is caught, also under python -O
+    monkeypatch.setattr(Matroid, "circuits", lambda self, max_size=None: ())
+    with pytest.raises(MatroidError):
+        is_binary_affine(f7)
 
 
 def test_graph_text_round_trip():

@@ -19,6 +19,7 @@ from matroidkit.iso import (
 from matroidkit.matroid import MatroidError, from_matrix, is_binary_affine
 from matroidkit.search import (
     SearchConfig,
+    SearchReport,
     _node_state,
     _passes_kl,
     census_seeds,
@@ -27,18 +28,12 @@ from matroidkit.search import (
     enumerate_kl_uniform,
     extensions,
     kl_uniform_points,
-    three_connected_census_22,
 )
 from matroidkit.uniformity import is_kl_uniform_flats
 
 
 def iso(a, b):
     return are_isomorphic(a, b) is not None
-
-
-@pytest.fixture(scope="module")
-def census():
-    return three_connected_census_22()
 
 
 def members_at(census, rank, size):
@@ -328,3 +323,12 @@ def test_report_json_round_trip(census):
     d = rep.to_json_dict()
     assert d["config"]["r"] == 3
     assert sum(c for _, _, c in d["counts"]) == len(rep.representatives)
+
+
+def test_report_json_rejects_a_member_without_text_form():
+    # U(2,4) is a rank table with no GF(2) representation
+    rep = SearchReport(config=None, representatives=[catalog.uniform(2, 4)],
+                       forms=None, counts={}, max_rank=2, f_value=None,
+                       stats={}, wall_time=0.0)
+    with pytest.raises(MatroidError):
+        rep.to_json_dict()
