@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, rref
-from .matroid import LinearRep, Matroid, MatroidError, _bits, from_matrix, full_rank_table
+from .matroid import Matroid, MatroidError, _bits, _gf2_matrix, from_matrix, is_isomorphism
 
 __all__ = [
     "BudgetExhausted",
@@ -199,16 +199,10 @@ def _rank_rows(matrix):
 
 def binary_representation(m: Matroid):
     """GF(2) matrix representing m (columns in element order), or None if m is
-    provably non-binary.  Certified by full rank-table comparison (n <= 16)."""
-    rep = m.rep
-    if isinstance(rep, LinearRep) and rep.matrix.field.q == 2:
-        return rep.matrix
-    try:
-        lin = m.to_linear()
-    except MatroidError:
-        lin = None
-    if lin is not None and lin.rep.matrix.field.q == 2:
-        return lin.rep.matrix
+    provably non-binary.  Certified against m on every subset (n <= 16)."""
+    mat = _gf2_matrix(m)
+    if mat is not None:
+        return mat
     if m.n > 16:
         raise MatroidError("cannot certify a binary representation beyond n = 16")
     r = m.rank()
@@ -230,7 +224,7 @@ def binary_representation(m: Matroid):
             if m.r((bmask ^ (1 << b)) | (1 << e)) == r:
                 rows[j][e] = 1
     mat = GFMatrix(field(2), rows)
-    if full_rank_table(m) == full_rank_table(from_matrix(mat)):
+    if is_isomorphism(m, from_matrix(mat, labels=m.labels), {lab: lab for lab in m.labels}):
         return mat
     return None
 
@@ -336,25 +330,8 @@ def fingerprint(m: Matroid):
 
 
 def _verify_bijection(m1, m2, mapping):
-    import random
-
-    idx = [m2._pos[mapping[lab]] for lab in m1.labels]
-
-    def translate(mask):
-        out = 0
-        for i in range(m1.n):
-            if mask >> i & 1:
-                out |= 1 << idx[i]
-        return out
-
-    if m1.n <= 12:
-        masks = range(1 << m1.n)
-    else:
-        rng = random.Random(0xC0FFEE)
-        masks = (rng.randrange(1 << m1.n) for _ in range(10_000))
-    for mask in masks:
-        if m1.r(mask) != m2.r(translate(mask)):
-            raise MatroidError("certificate failed rank verification")
+    if not is_isomorphism(m1, m2, mapping):
+        raise MatroidError("certificate failed rank verification")
     return mapping
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "incidence_matrix",
     "full_rank_table",
     "as_rank_table",
+    "is_isomorphism",
     "direct_sum",
     "parallel_connection",
     "binary_three_sum",
@@ -659,6 +660,42 @@ def full_rank_table(m: Matroid):
 
 def as_rank_table(m: Matroid):
     return Matroid(RankTableRep(m.n, full_rank_table(m)), m.labels, name=m.name)
+
+
+def _gf2_matrix(m: Matroid):
+    if isinstance(m.rep, RankTableRep):
+        return None
+    mat = m.to_linear().rep.matrix
+    return mat if mat.field.q == 2 else None
+
+
+def is_isomorphism(m1: Matroid, m2: Matroid, mapping):
+    """True iff mapping is a bijection from the labels of m1 onto those of m2
+    that preserves the rank of every subset.  Binary-backed sides compare
+    reduced row echelon forms (a binary matroid has one GF(2) representation
+    up to row operations); others compare rank tables (n <= TABLE_CAP)."""
+    try:
+        img = [m2._pos[mapping[lab]] for lab in m1.labels]
+    except KeyError:
+        return False
+    if not len(mapping) == len(set(img)) == m1.n == m2.n:
+        return False
+    a, b = _gf2_matrix(m1), _gf2_matrix(m2)
+    if a is not None and b is not None:
+        order = sorted(range(m1.n), key=img.__getitem__)
+        red_a, ra, _ = rref(a.select_columns(order))
+        red_b, rb, _ = rref(b)
+        return red_a.rows[:ra] == red_b.rows[:rb]
+    t1, t2 = full_rank_table(m1), full_rank_table(m2)
+    # Gray-code walk: each step flips one element and its image
+    mask = image = 0
+    for step in range(1, 1 << m1.n):
+        i = (step & -step).bit_length() - 1
+        mask ^= 1 << i
+        image ^= 1 << img[i]
+        if t1[mask] != t2[image]:
+            return False
+    return True
 
 
 def _fresh_labels(taken, labels):

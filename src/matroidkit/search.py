@@ -20,6 +20,7 @@ from . import catalog
 from .gf import GFMatrix, rref, subspace_masks
 from .iso import (
     BudgetExhausted,
+    NotBinary,
     binary_canonical_form,
     binary_representation,
     export_text,
@@ -104,6 +105,8 @@ def kl_uniform_points(m, k, l):
     if k > t:
         return True
     mat = binary_representation(m)
+    if mat is None:
+        raise NotBinary("subspace check needs a binary matroid")
     if mat.nrows > t:
         red, rk, _ = rref(mat)
         mat = GFMatrix(mat.field, red.rows[:rk])
@@ -386,6 +389,8 @@ def coextensions(m: Matroid, predicate):
     if r > 5:
         raise MatroidError("coextension search supports rank <= 5")
     mat = binary_representation(m)
+    if mat is None:
+        raise NotBinary("coextension search needs a binary matroid")
     red, rk, pivots = rref(mat)
     rows = [tuple(red.rows[i]) + (0,) for i in range(rk)]
     free = [j for j in range(n) if j not in set(pivots)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .matroid import Matroid, MatroidError, RankTableRep, _bits, parallel_connection
+from .matroid import Matroid, MatroidError, RankTableRep, _bits, is_isomorphism, parallel_connection
 
 __all__ = [
     "FlatWitness",
@@ -56,6 +56,18 @@ def _check_kl(k, l):
         raise MatroidError("k and l must be positive")
 
 
+def _t_subsets(n, t):
+    """Masks of the t-subsets of range(n) in increasing order (Gosper's hack)."""
+    mask = (1 << t) - 1
+    while not mask >> n:
+        yield mask
+        if not mask:
+            return
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
+
+
 def is_kl_uniform_flats(m: Matroid, k: int, l: int):
     """(True, None) or (False, FlatWitness) by scanning rank-(r-k) flats."""
     _check_kl(k, l)
@@ -80,8 +92,8 @@ def is_kl_uniform_minor(m: Matroid, k: int, l: int):
         return True, None
     t = r - k
     full = m.full_mask
-    for mask in range(1 << m.n):
-        if mask.bit_count() != t or m.r(mask) != t:
+    for mask in _t_subsets(m.n, t):
+        if m.r(mask) != t:
             continue
         cl = m.closure(mask)
         if cl.bit_count() - t < l:
@@ -282,28 +294,10 @@ def _parallel_pair(m, a, b):
 
 
 def _rebuild_matches(m, n, base, xl, zl):
-    import random
-
     tmp = base + "~"
     while tmp in m._pos or tmp in n._pos:
         tmp += "~"
     u = _u24_on((base, xl, tmp, zl))
     rebuilt = parallel_connection(n, base, u, base)
     rebuilt = rebuilt.delete(rebuilt.mask_of((base,))).relabel({tmp: base})
-    if sorted(rebuilt.labels) != sorted(m.labels):
-        return False
-    pos = [rebuilt._pos[lab] for lab in m.labels]
-
-    def translate(mask):
-        out = 0
-        for i in range(m.n):
-            if mask >> i & 1:
-                out |= 1 << pos[i]
-        return out
-
-    if m.n <= 16:
-        masks = range(1 << m.n)
-    else:
-        rng = random.Random(0x22)
-        masks = (rng.randrange(1 << m.n) for _ in range(10_000))
-    return all(m.r(mask) == rebuilt.r(translate(mask)) for mask in masks)
+    return is_isomorphism(m, rebuilt, {lab: lab for lab in m.labels})

@@ -34,3 +34,20 @@ def test_imports_run_down_the_layers():
               for line, target in relative_imports(path)
               if LAYERS[target] >= LAYERS[path.stem]]
     assert upward == []
+
+
+def imports_random(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "random" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "random":
+                return True
+    return False
+
+
+def test_only_verify_imports_random():
+    # verify needs random for its seeded corpus; anywhere else it would mean
+    # a sampled certificate in place of an exact one
+    assert [p.stem for p in sorted(PACKAGE.glob("*.py")) if imports_random(p)] == ["verify"]

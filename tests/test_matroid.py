@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matroidkit import matroid
+from matroidkit import catalog, matroid
 from matroidkit.gf import GFMatrix, field, parse_matrix
 from matroidkit.matroid import (
     Matroid,
@@ -18,9 +18,11 @@ from matroidkit.matroid import (
     graft_matroid,
     incidence_matrix,
     is_binary_affine,
+    is_isomorphism,
     parallel_connection,
     parse_graph_text,
 )
+from matroidkit.verify import random_linear_corpus
 
 P10_TEXT = """
 2 5 10
@@ -314,6 +316,61 @@ def test_rank_axioms_sampled(p10):
 def test_full_rank_table_routes_agree():
     w4 = from_graph(5, W4_EDGES)
     assert full_rank_table(w4) == full_rank_table(w4.to_linear())
+
+
+def _sampled_certificate_masks(n):
+    # the subsets a certificate check sampling 60 masks with seed 11 looked at
+    rng = random.Random(11)
+    masks = {0, (1 << n) - 1} | {1 << i for i in range(n)}
+    return masks | {rng.randrange(1 << n) for _ in range(60)}
+
+
+def test_isomorphism_rejects_a_table_wrong_on_one_unsampled_subset():
+    ag = catalog.geometry("AG", 4)
+    sampled = _sampled_certificate_masks(ag.n)
+    missed = next(mask for mask in range(1 << ag.n)
+                  if mask.bit_count() == 3 and mask not in sampled)
+    table = bytearray(full_rank_table(ag))
+    table[missed] = 2  # three points of AG(4,2) never lie on a line
+    tampered = Matroid(RankTableRep(ag.n, table), ag.labels)
+    same = {lab: lab for lab in ag.labels}
+    assert not is_isomorphism(ag, tampered, same)
+    assert not is_isomorphism(tampered, ag, same)
+    assert is_isomorphism(ag, as_rank_table(ag), same)
+    assert is_isomorphism(as_rank_table(ag), ag, same)
+
+
+def test_isomorphism_rejects_maps_that_are_not_bijections(f7):
+    same = {lab: lab for lab in f7.labels}
+    assert is_isomorphism(f7, f7, same)
+    assert not is_isomorphism(f7, f7, {**same, "1": "2"})
+    assert not is_isomorphism(f7, f7, {**same, "x": "1"})
+    assert not is_isomorphism(f7, f7.delete(1), same)
+
+
+def test_isomorphism_branches_agree_on_binary_corpus():
+    # the row echelon branch against the rank table branch, on the true map
+    # of a shuffled copy and on seeded permutations of it
+    rng = random.Random(60)
+    verdicts = []
+    for m in random_linear_corpus(60, seed=31):
+        if m.rep.matrix.field.q != 2:
+            continue
+        rows = [list(row) for row in m.rep.matrix.rows]
+        for row in rows[1:]:  # add every other row to the first: invertible
+            rows[0] = [a ^ b for a, b in zip(rows[0], row)]
+        cols = rng.sample(range(m.n), m.n)
+        copy = from_matrix(GFMatrix(field(2), rows).select_columns(cols),
+                           labels=[f"e{m.labels[c]}" for c in cols])
+        images = [f"e{lab}" for lab in m.labels]
+        for trial in range(4):
+            sigma = dict(zip(m.labels, images))
+            verdict = is_isomorphism(m, copy, sigma)
+            assert verdict == is_isomorphism(as_rank_table(m), as_rank_table(copy), sigma)
+            assert verdict or trial > 0  # the first map is the true one
+            verdicts.append(verdict)
+            rng.shuffle(images)
+    assert True in verdicts and False in verdicts
 
 
 def test_affine(f7):

@@ -12,6 +12,7 @@ from matroidkit import catalog
 from matroidkit.gf import GFMatrix, rref, subspace_masks
 from matroidkit.iso import (
     BudgetExhausted,
+    NotBinary,
     are_isomorphic,
     canonical_point_set,
     iso_key,
@@ -332,3 +333,11 @@ def test_report_json_rejects_a_member_without_text_form():
                        stats={}, wall_time=0.0)
     with pytest.raises(MatroidError):
         rep.to_json_dict()
+
+
+def test_subspace_searches_reject_a_non_binary_matroid():
+    u24 = catalog.uniform(2, 4)
+    with pytest.raises(NotBinary):
+        kl_uniform_points(u24, 2, 2)
+    with pytest.raises(NotBinary):
+        coextensions(u24, (2, 2))

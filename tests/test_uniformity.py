@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from matroidkit import catalog
 from matroidkit.gf import GFMatrix, parse_matrix
 from matroidkit.iso import are_isomorphic, has_minor
 from matroidkit.matroid import (
@@ -258,3 +259,10 @@ def test_classifier_preconditions(f7, p10):
         classify_connected_not3_22(p10)  # 3-connected
     with pytest.raises(MatroidError):
         classify_connected_not3_22(direct_sum(f7, f7))  # disconnected
+
+
+def test_minor_decider_walks_only_the_t_subsets_of_a_large_geometry():
+    # 2^31 masks would never finish; the t-subsets number at most C(31, 3)
+    pg42 = catalog.geometry("PG", 4)
+    for k, l in ((2, 5), (3, 2)):
+        assert is_kl_uniform_minor(pg42, k, l)[0] == is_kl_uniform_flats(pg42, k, l)[0]
