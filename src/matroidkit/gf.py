@@ -26,7 +26,6 @@ __all__ = [
     "projective_points",
     "point_to_vector",
     "vector_to_point",
-    "gf2_rank",
     "subspace_masks",
     "parse_matrix",
     "format_matrix",
@@ -194,23 +193,6 @@ class GFMatrix:
         """GF(2) matrix whose columns are the given point values (row 0 = high bit)."""
         cols = [point_to_vector(v, r) for v in values]
         return GFMatrix(field(2), tuple(tuple(c[i] for c in cols) for i in range(r)))
-
-
-def gf2_rank(vectors) -> int:
-    """Rank of a collection of GF(2) vectors packed as ints."""
-    piv = [0] * (MAX_DIM + 1)
-    rank = 0
-    for v in vectors:
-        while v:
-            b = v.bit_length()
-            w = piv[b]
-            if w:
-                v ^= w
-            else:
-                piv[b] = v
-                rank += 1
-                break
-    return rank
 
 
 def rref(m: GFMatrix):

@@ -205,24 +205,13 @@ def binary_representation(m: Matroid):
         return mat
     if m.n > 16:
         raise MatroidError("cannot certify a binary representation beyond n = 16")
-    r = m.rank()
-    basis = []
-    bmask = 0
-    for i in range(m.n):
-        if m.r(bmask | (1 << i)) > len(basis):
-            basis.append(i)
-            bmask |= 1 << i
-    rows = [[0] * m.n for _ in range(max(r, 1))]
-    for j, b in enumerate(basis):
+    # row j of [I | A] is basis element j; column e is its fundamental circuit
+    basis, circuits = m.fundamental_circuits()
+    rows = [[0] * m.n for _ in range(max(basis.bit_count(), 1))]
+    for j, b in enumerate(_bits(basis)):
         rows[j][b] = 1
-    for e in range(m.n):
-        if bmask >> e & 1:
-            continue
-        for j, b in enumerate(basis):
-            # b lies in the fundamental circuit of e iff swapping it for e
-            # keeps a basis
-            if m.r((bmask ^ (1 << b)) | (1 << e)) == r:
-                rows[j][e] = 1
+        for e, c in circuits.items():
+            rows[j][e] = c >> b & 1
     mat = GFMatrix(field(2), rows)
     if is_isomorphism(m, from_matrix(mat, labels=m.labels), {lab: lab for lab in m.labels}):
         return mat

@@ -472,37 +472,47 @@ class Matroid:
         mask = self._as_mask(X)
         return self.r(mask) + self.r(self.full_mask ^ mask) - self.rank()
 
-    def _has_separation(self, max_lambda, min_side):
-        n, full = self.n, self.full_mask
-        if n > TABLE_CAP:
-            raise MatroidError("connectivity brute force capped at n <= table cap")
-        if n < 2 * min_side:
-            return False
-        for half in range(1 << (n - 1)):  # element 0 stays on the X side
-            mask = (half << 1) | 1
-            k = mask.bit_count()
-            if k < min_side or n - k < min_side:
-                continue
-            if self.r(mask) + self.r(full ^ mask) - self.rank() <= max_lambda:
-                return True
-        return False
+    def fundamental_circuits(self):
+        """(B, {e: C(e, B)}) as masks, B the greedy basis in element order: b lies
+        in the circuit C(e, B) iff B - b + e is a basis.  n + (n - r) * r calls."""
+        basis = 0
+        for i in range(self.n):
+            if self.r(basis | 1 << i) > basis.bit_count():
+                basis |= 1 << i
+        rank = basis.bit_count()
+        circuits = {}
+        for e in range(self.n):
+            if not basis >> e & 1:
+                circuits[e] = 1 << e
+                for b in _bits(basis):
+                    if self.r((basis ^ 1 << b) | 1 << e) == rank:
+                        circuits[e] |= 1 << b
+        return basis, circuits
 
     def is_connected(self):
-        if self.n <= 1:
-            return True
-        return not self._has_separation(0, 1)
+        return len(self.components()) <= 1
 
     def is_3connected(self):
-        return self.is_connected() and not self._has_separation(1, 2)
+        """No split into two sides of at least two elements with lambda <= 1.
+        From n = 4 on, that also rules out 1-separations: adding an element
+        to a side raises lambda by at most one."""
+        n = self.n
+        if n < 4:
+            return self.is_connected()
+        table, full = full_rank_table(self), self.full_mask
+        limit = table[full] + 1  # lambda(X) <= 1
+        for mask in range(1 << (n - 1)):  # element n - 1 stays off the X side
+            if table[mask] + table[full ^ mask] <= limit and 2 <= mask.bit_count() <= n - 2:
+                return False
+        return True
 
     def components(self):
-        """Masks of the connected components (classes of 'lies on a common circuit';
-        elements in no circuit are their own components)."""
+        """Masks of the connected components: the classes of the fundamental-
+        circuit graph of one basis (Krogdahl 1977; Cunningham 1973)."""
         parent = list(range(self.n))
-        for c in self.circuits():
-            ids = list(_bits(c))
-            for other in ids[1:]:
-                parent[_find(parent, other)] = _find(parent, ids[0])
+        for e, c in self.fundamental_circuits()[1].items():
+            for b in _bits(c):
+                parent[_find(parent, b)] = _find(parent, e)
         comps = {}
         for i in range(self.n):
             root = _find(parent, i)

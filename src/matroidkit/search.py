@@ -29,6 +29,7 @@ from .iso import (
     iso_key,
 )
 from .matroid import Matroid, MatroidError, from_matrix
+from .uniformity import _check_kl
 
 _SPLIT_DEPTH = 4  # subtree roots handed to workers have this many points
 
@@ -53,8 +54,7 @@ class SearchConfig:
     def __post_init__(self):
         if not 1 <= self.r <= 6:
             raise MatroidError("full enumeration supports 1 <= r <= 6")
-        if self.k < 1 or self.l < 1:
-            raise MatroidError("k and l must be positive")
+        _check_kl(self.k, self.l)
         if self.budget < 1 or self.workers < 1:
             raise MatroidError("budget and workers must be positive")
         if self.max_size is not None and self.max_size < 0:
@@ -101,6 +101,7 @@ def kl_uniform_points(m, k, l):
     m fails iff some subspace W with dim W = r(m) - k holds total column
     weight (parallel multiplicities plus loops) at least dim W + l.  Agrees
     with the flats oracle; needs a representation of at most six rows."""
+    _check_kl(k, l)
     t = m.rank()
     if k > t:
         return True
@@ -125,6 +126,7 @@ def _as_predicate(pred):
     if callable(pred):
         return pred
     k, l = pred
+    _check_kl(k, l)
     return lambda m: kl_uniform_points(m, k, l)
 
 

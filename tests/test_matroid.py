@@ -260,6 +260,91 @@ def test_components():
     ]
 
 
+# ---- connectivity against reference oracles (n <= 12)
+
+
+def _components_from_circuits(m, circuits):
+    """Reference: union-find over every circuit."""
+    parent = list(range(m.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for c in circuits:
+        ids = [i for i in range(m.n) if c >> i & 1]
+        for i in ids[1:]:
+            parent[find(i)] = find(ids[0])
+    comps = {}
+    for i in range(m.n):
+        comps[find(i)] = comps.get(find(i), 0) | 1 << i
+    return sorted(comps.values())
+
+
+def _has_separation(m, max_lambda, min_side):
+    """Reference: a split with both sides >= min_side and lambda <= max_lambda
+    (element 0 stays on the X side)."""
+    n, full, rm = m.n, m.full_mask, m.rank()
+    return any(
+        min_side <= mask.bit_count() <= n - min_side
+        and m.r(mask) + m.r(full ^ mask) - rm <= max_lambda
+        for mask in range(1, 1 << n, 2)
+    )
+
+
+def _connectivity_corpus():
+    corpus = random_linear_corpus(160, seed=91, qs=(2, 3, 5), r_max=5, n_max=11)
+    rng = random.Random(92)
+    for i in range(60):
+        nverts = rng.randint(2, 6)
+        edges = [(rng.randrange(nverts), rng.randrange(nverts))
+                 for _ in range(rng.randint(1, 10))]
+        if i % 3:
+            corpus.append(from_graph(nverts, edges))
+        else:
+            gamma = [v for v in range(nverts) if rng.random() < 0.5]
+            corpus.append(graft_matroid(nverts, edges, gamma))
+    corpus += [as_rank_table(m) for m in corpus[::4]]
+    corpus += [m.dual() for m in corpus[::3]]
+    corpus += [e.matroid for e in catalog.cor33_family()]
+    corpus += [catalog.uniform(r, n) for n in range(7) for r in range(n + 1)]
+    loop, coloop = catalog.uniform(0, 1), catalog.uniform(1, 1)
+    corpus += [direct_sum(catalog.uniform(r, 3), extra)
+               for r in (1, 2) for extra in (loop, coloop)]
+    return corpus
+
+
+def test_connectivity_matches_reference_oracles():
+    corpus = _connectivity_corpus()
+    assert max(m.n for m in corpus) <= 12
+    seen = set()
+    for m in corpus:
+        basis, fundamental = m.fundamental_circuits()
+        assert basis.bit_count() == m.r(basis) == m.rank()
+        circuits = set(m.circuits())
+        assert all(fundamental[e] in circuits for e in range(m.n) if not basis >> e & 1)
+        assert m.components() == _components_from_circuits(m, circuits)
+        connected = not _has_separation(m, 0, 1)
+        three = connected and not _has_separation(m, 1, 2)
+        assert (m.is_connected(), m.is_3connected()) == (connected, three), m
+        seen.add((m.n == 4, connected, three))
+    assert seen >= {(True, False, False), (False, True, False), (False, True, True)}
+
+
+def test_connectivity_never_enumerates_circuits(monkeypatch):
+    def refuse(self, max_size=None):
+        raise AssertionError("connectivity enumerated circuits")
+
+    monkeypatch.setattr(Matroid, "circuits", refuse)
+    p10 = catalog.named("P10")
+    assert p10.is_connected() and p10.components() == [p10.full_mask]
+    pg = catalog.geometry("PG", 4)
+    assert pg.n == 31 and pg.is_connected()
+    both = direct_sum(pg, catalog.named("F7"))
+    assert [c.bit_count() for c in both.components()] == [31, 7]
+
+
 def test_graphic_backend():
     w4 = from_graph(5, W4_EDGES)
     assert (w4.n, w4.rank()) == (8, 4)

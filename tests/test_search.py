@@ -166,6 +166,16 @@ def test_point_count_uniformity_matches_flats_oracle():
     assert non_uniform > 40
 
 
+def test_point_count_rejects_nonpositive_k_and_l():
+    f7 = catalog.named("F7")
+    for k, l in ((0, 1), (1, 0), (2, -1), (-1, 2)):
+        with pytest.raises(MatroidError, match="k and l must be positive"):
+            kl_uniform_points(f7, k, l)
+    # F7 fills PG(2,2), so no candidate would ever reach the predicate
+    with pytest.raises(MatroidError, match="k and l must be positive"):
+        extensions(f7, (0, 2))
+
+
 def test_extensions_of_mk33():
     mk33 = catalog.named("MK33")
     kept = extensions(mk33, (2, 2))
