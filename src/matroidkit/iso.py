@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, rref
-from .matroid import Matroid, MatroidError, _bits, _gf2_matrix, from_matrix, is_isomorphism
+from .matroid import Matroid, MatroidError, _bits, _find, _gf2_matrix, from_matrix
+from .matroid import is_isomorphism
 
 __all__ = [
     "BudgetExhausted",
@@ -51,21 +52,17 @@ class _Smaller(Exception):
 # ---- point-set canonicalization
 
 
-def _reduce(vec, img, rows):
-    # rows are (v, i) pairs with distinct high bits, sorted by v descending
-    for v, i in rows:
-        nv = vec ^ v
-        if nv < vec:
-            vec, img = nv, img ^ i
-    return vec, img
-
-
 def _canon_search(points, weights, target=None):
     """Minimize the sorted (image, weight) list over injective linear maps.
 
     Returns (best_pairs, best_map, autos).  With a target, raises _Smaller
-    the moment any map provably beats it and otherwise confirms the target
-    (autos collect the weight-preserving linear symmetries found on ties).
+    the moment any map provably beats it and otherwise confirms the target.
+    autos collect the weight-preserving linear symmetries, as point maps,
+    found on ties.  Without a target they generate the whole symmetry group:
+    at each node on the path to the first best leaf, every candidate in the
+    orbit of the path's next point is either skipped by an orbit prune or
+    reaches a tie, so the orbits of the autos fixing the node's prefix are
+    the full stabilizer's orbits (the argument of McKay's nauty).
     """
     n = len(points)
     wt = dict(zip(points, weights))
@@ -76,7 +73,9 @@ def _canon_search(points, weights, target=None):
     best_map = {p: p for p, _ in target} if testing else None
     autos = []
 
-    def rec(prefix, rows, forced, img_of, outside):
+    def rec(prefix, span, forced, img_of, outside):
+        # span maps every vector spanned by prefix[:-1] to its image; the
+        # node adds prefix[-1] only once it passes the bounds and expands
         nonlocal best, best_map
         j = len(prefix)
         if best is not None:
@@ -106,15 +105,19 @@ def _canon_search(points, weights, target=None):
                 autos.append({p: inv[v] for p, v in img_of.items()})
             return
         lim = 1 << j
+        if prefix:
+            last, top = prefix[-1], lim >> 1
+            span = {**span, **{x ^ last: i ^ top for x, i in span.items()}}
         cands = sorted(outside, key=lambda p: (wt[p], p))
         done = []
+        fixing = []  # the autos that fix the prefix pointwise, in found order
+        seen = 0
         for p in cands:
-            if autos:
-                fixing = [g for g in autos if all(g[q] == q for q in prefix)]
-                if fixing and _orbit_hits(p, fixing, done):
-                    continue
-            v, i = _reduce(p, lim, rows)
-            newrows = sorted(rows + [(v, i)], reverse=True)
+            if seen < len(autos):
+                fixing += [g for g in autos[seen:] if all(g[q] == q for q in prefix)]
+                seen = len(autos)
+            if fixing and _orbit_hits(p, fixing, done):
+                continue
             new_img = dict(img_of)
             new_img[p] = lim
             new_pairs = [(lim, wt[p])]
@@ -122,17 +125,17 @@ def _canon_search(points, weights, target=None):
             for x in outside:
                 if x == p:
                     continue
-                xv, xi = _reduce(x, 0, newrows)
-                if xv == 0:
-                    new_img[x] = xi
-                    new_pairs.append((xi, wt[x]))
-                else:
+                xi = span.get(x ^ p)  # x is in the new span iff x ^ p is in the old
+                if xi is None:
                     new_out.append(x)
+                else:
+                    new_img[x] = xi ^ lim
+                    new_pairs.append((xi ^ lim, wt[x]))
             new_pairs.sort()
-            rec(prefix + [p], newrows, forced + new_pairs, new_img, new_out)
+            rec(prefix + [p], span, forced + new_pairs, new_img, new_out)
             done.append(p)
 
-    rec([], [], [], {}, list(points))
+    rec([], {0: 0}, [], {}, list(points))
     return tuple(best), best_map, autos
 
 
@@ -251,31 +254,17 @@ def binary_canonical_form(m: Matroid):
     return tuple(v - 1 for v in canonical_point_set(values))
 
 
-def _binary_profile(m: Matroid):
-    """Complete invariant data for a binary matroid of rank <= 6: loop count
-    plus the weighted canonical form of its simple core (weights = parallel
-    class sizes).  Returns (key_part, details for certificate building)."""
-    mat = binary_representation(m)
-    if mat is None:
-        raise NotBinary("profile needs a binary matroid")
-    loops = m.loops()
-    classes = m.parallel_classes()
-    values = _rank_rows(mat).point_values()
-    pairs = []
-    class_of_point = {}
-    for cls in classes:
-        first = (cls & -cls).bit_length() - 1
-        p = values[first]
-        pairs.append((p, cls.bit_count()))
-        class_of_point[p] = cls
-    pairs.sort()
-    form, mapping = weighted_canonical_form(tuple(pairs))
-    return form, mapping, class_of_point, loops
-
-
-def iso_key(m: Matroid):
-    """Hashable complete isomorphism invariant for binary matroids with
-    min(rank, corank) <= 6; works through the dual when the rank is large."""
+def _canonical(m: Matroid):
+    """(key, mapping, class_of_point, autos) of a binary matroid with rank or
+    corank at most 6, computed once and kept on m.  The side of rank <= 6
+    (m, else m*) is canonicalized as GF(2) points weighted by parallel class
+    size: `key` is what iso_key returns, `mapping` sends each point to its
+    image, `class_of_point` maps it to its class as an element mask (0 to
+    the loops), and `autos` are element permutations (perm[i] the image of
+    i) that generate Aut(m): the search's symmetries lifted to elements, and
+    the swaps of neighbours inside each class."""
+    if m._canon is not None:
+        return m._canon
     r, n = m.rank(), m.n
     if r <= 6:
         side, mm = "p", m
@@ -283,8 +272,37 @@ def iso_key(m: Matroid):
         side, mm = "d", m.dual()
     else:
         raise MatroidError("iso_key needs rank or corank at most 6")
-    form, _, _, loops = _binary_profile(mm)
-    return (n, r, side, loops.bit_count(), form)
+    mat = binary_representation(mm)
+    if mat is None:
+        raise NotBinary("canonical form needs a binary matroid")
+    class_of_point = {}
+    for e, p in enumerate(_rank_rows(mat).point_values()):
+        class_of_point[p] = class_of_point.get(p, 0) | 1 << e
+    pairs = sorted((p, c.bit_count()) for p, c in class_of_point.items() if p)
+    form, mapping, point_autos = _canon_search(
+        tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
+    autos = []
+    for g in point_autos:
+        perm = list(range(n))
+        for p, q in g.items():
+            for i, j in zip(_bits(class_of_point[p]), _bits(class_of_point[q])):
+                perm[i] = j
+        autos.append(tuple(perm))
+    for cls in class_of_point.values():
+        members = list(_bits(cls))
+        for i, j in zip(members, members[1:]):
+            perm = list(range(n))
+            perm[i], perm[j] = j, i
+            autos.append(tuple(perm))
+    key = (n, r, side, class_of_point.get(0, 0).bit_count(), form)
+    m._canon = (key, mapping, class_of_point, autos)
+    return m._canon
+
+
+def iso_key(m: Matroid):
+    """Hashable complete isomorphism invariant for binary matroids with
+    min(rank, corank) <= 6; works through the dual when the rank is large."""
+    return _canonical(m)[0]
 
 
 # ---- fingerprints and generic isomorphism
@@ -421,25 +439,16 @@ def are_isomorphic(m1: Matroid, m2: Matroid):
 
 
 def _binary_iso(m1, m2):
-    r = m1.rank()
-    if r <= 6:
-        a, bb = m1, m2
-    else:
-        a, bb = m1.dual(), m2.dual()
-    form1, map1, classes1, loops1 = _binary_profile(a)
-    form2, map2, classes2, loops2 = _binary_profile(bb)
-    if form1 != form2 or loops1.bit_count() != loops2.bit_count():
+    key1, map1, classes1, _ = _canonical(m1)
+    key2, map2, classes2, _ = _canonical(m2)
+    if key1 != key2:
         return None
     inv2 = {img: p for p, img in map2.items()}
+    inv2[0] = 0  # loops to loops
     mapping = {}
-    l1 = [a.labels[i] for i in _bits(loops1)]
-    l2 = [bb.labels[i] for i in _bits(loops2)]
-    mapping.update(zip(l1, l2))
-    for p, img in map1.items():
-        q = inv2[img]
-        e1 = [a.labels[i] for i in _bits(classes1[p])]
-        e2 = [bb.labels[i] for i in _bits(classes2[q])]
-        mapping.update(zip(e1, e2))
+    for p, cls in classes1.items():
+        q = inv2[map1.get(p, 0)]
+        mapping.update(zip(m1.labels_of(cls), m2.labels_of(classes2[q])))
     return _verify_bijection(m1, m2, mapping)
 
 
@@ -484,16 +493,13 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
 
 
 def element_orbits(m: Matroid):
-    """Automorphism orbits of a simple binary matroid (rank <= 6), via the
-    canonical form of the configuration with one marked point."""
-    mat = binary_representation(m)
-    if mat is None or not m.is_simple():
-        raise MatroidError("orbits are computed for simple binary matroids")
-    values = _rank_rows(mat).point_values()
-    by_form = {}
-    for i, p in enumerate(values):
-        pairs = tuple(sorted((q, 1 if q == p else 0) for q in values))
-        form, _ = weighted_canonical_form(pairs)
-        by_form.setdefault(form, []).append(m.labels[i])
-    return sorted(tuple(v) for v in by_form.values())
-
+    """Automorphism orbits of a binary matroid with rank or corank at most 6,
+    as label tuples: union-find over the generators _canonical keeps."""
+    parent = list(range(m.n))
+    for perm in _canonical(m)[3]:
+        for i, j in enumerate(perm):
+            parent[_find(parent, i)] = _find(parent, j)
+    orbits = {}
+    for i in range(m.n):
+        orbits.setdefault(_find(parent, i), []).append(m.labels[i])
+    return sorted(tuple(v) for v in orbits.values())

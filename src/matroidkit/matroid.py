@@ -173,7 +173,7 @@ class Matroid:
     """Labeled ground set + rank backend.  Subsets are int masks over label
     positions; helpers translate label collections to masks and back."""
 
-    __slots__ = ("labels", "n", "rep", "name", "_pos", "_memo", "_full")
+    __slots__ = ("labels", "n", "rep", "name", "_pos", "_memo", "_full", "_canon")
 
     def __init__(self, rep, labels=None, name=""):
         n = rep.n
@@ -191,6 +191,7 @@ class Matroid:
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._memo = {}
         self._full = None
+        self._canon = None  # iso._canonical's data, computed on first use
 
     def __repr__(self):
         tag = self.name or type(self.rep).__name__
@@ -464,6 +465,7 @@ class Matroid:
     def with_name(self, name):
         m = Matroid(self.rep, self.labels, name=name)
         m._memo = self._memo
+        m._canon = self._canon
         return m
 
     # ---- connectivity
@@ -497,8 +499,10 @@ class Matroid:
         From n = 4 on, that also rules out 1-separations: adding an element
         to a side raises lambda by at most one."""
         n = self.n
+        if not self.is_connected():
+            return False
         if n < 4:
-            return self.is_connected()
+            return True
         table, full = full_rank_table(self), self.full_mask
         limit = table[full] + 1  # lambda(X) <= 1
         for mask in range(1 << (n - 1)):  # element n - 1 stays off the X side
@@ -663,8 +667,11 @@ def full_rank_table(m: Matroid):
                 bases[mask] = b
                 table[mask] = table[prev]
         return bytes(table)
+    # read the memo, but leave no 2^n entries behind in it
+    memo, rank = m._memo, rep.rank
     for mask in range(1 << n):
-        table[mask] = m.r(mask)
+        val = memo.get(mask)
+        table[mask] = rank(mask) if val is None else val
     return bytes(table)
 
 

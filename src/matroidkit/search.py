@@ -23,6 +23,7 @@ from .iso import (
     NotBinary,
     binary_canonical_form,
     binary_representation,
+    element_orbits,
     export_text,
     has_minor,
     is_canonical_point_set,
@@ -429,22 +430,27 @@ def _minor_closure_3connected(seeds):
     followed by simplification/cosimplification.  Every 3-connected minor
     with at least four elements survives that reduction, so filtering the
     visited set to 3-connected matroids yields them all; matroids on at
-    most three elements are handled separately."""
+    most three elements are handled separately.  Elements in one
+    automorphism orbit give isomorphic children, so one element per orbit
+    is deleted and contracted.  Returns (minors by key, children keyed)."""
     queue = [m.reduced() for m in seeds]
     visited = {}
     for m in queue:
         visited.setdefault(iso_key(m), m)
     queue = list(visited.values())
+    children = 0
     while queue:
         m = queue.pop()
-        for e in range(m.n):
-            for child in (m.delete(1 << e).reduced(), m.contract(1 << e).reduced()):
+        for orbit in element_orbits(m):
+            e = m.mask_of(orbit[:1])
+            for child in (m.delete(e).reduced(), m.contract(e).reduced()):
+                children += 1
                 key = iso_key(child)
                 if key not in visited:
                     visited[key] = child
                     queue.append(child)
     return {key: m for key, m in visited.items()
-            if m.n >= 4 and m.is_3connected()}
+            if m.n >= 4 and m.is_3connected()}, children
 
 
 def three_connected_census_22(budget=5_000_000, workers=1):
@@ -456,7 +462,7 @@ def three_connected_census_22(budget=5_000_000, workers=1):
     Raises when the two routes disagree."""
     t0 = time.time()
     seeds = census_seeds()
-    census_a = _minor_closure_3connected(seeds)
+    census_a, closure_children = _minor_closure_3connected(seeds)
     tiny = catalog.tiny_six()
     for m in tiny:
         if any(has_minor(s, m) is not None for s in seeds):
@@ -485,6 +491,7 @@ def three_connected_census_22(budget=5_000_000, workers=1):
     f_value = max(m.rank() for m in members if m.is_simple() and m.is_cosimple())
     stats = dict(report.stats)
     stats["census_size"] = len(members)
+    stats["closure_children"] = closure_children
     return SearchReport(
         config=cfg,
         representatives=members,

@@ -5,11 +5,14 @@ import random
 
 import pytest
 
+from matroidkit import catalog
 from matroidkit.gf import parse_matrix
 from matroidkit.iso import (
     BudgetExhausted,
+    _canonical,
     are_isomorphic,
     binary_canonical_form,
+    binary_representation,
     canonical_point_set,
     element_orbits,
     fingerprint,
@@ -25,7 +28,10 @@ from matroidkit.matroid import (
     binary_three_sum,
     from_graph,
     from_matrix,
+    is_isomorphism,
 )
+from matroidkit.search import census_seeds
+from matroidkit.verify import random_linear_corpus
 
 P10_TEXT = """2 5 10
 1 0 0 0 0 1 0 0 1 1
@@ -104,10 +110,9 @@ def brute_min_rank3(points):
 
 
 def test_canonical_point_set_matches_brute_force_rank3():
-    rng = random.Random(7)
-    for _ in range(60):
-        k = rng.randint(1, 7)
-        pts = tuple(sorted(rng.sample(range(1, 8), k)))
+    # every subset of PG(2,2) against the least image over all of GL(3,2)
+    for mask in range(1 << 7):
+        pts = tuple(v for v in range(1, 8) if mask >> (v - 1) & 1)
         want = brute_min_rank3(pts)
         assert canonical_point_set(pts) == want
         assert is_canonical_point_set(pts) == (pts == want)
@@ -242,6 +247,40 @@ def test_element_orbits(f7, z4):
         ("x1", "x2", "x3", "y1", "y2", "y3"),
         ("x4",),
     ]
+
+
+def orbits_by_marked_forms(m):
+    """Reference orbits of a simple binary matroid: elements whose one-point
+    markings have the same weighted canonical form."""
+    values = binary_representation(m).point_values()
+    by_form = {}
+    for i, p in enumerate(values):
+        pairs = tuple(sorted((q, 1 if q == p else 0) for q in values))
+        by_form.setdefault(weighted_canonical_form(pairs)[0], []).append(m.labels[i])
+    return sorted(tuple(v) for v in by_form.values())
+
+
+def automorphism_corpus():
+    corpus = census_seeds() + [e.matroid for e in catalog.entries()]
+    corpus += random_linear_corpus(150, seed=23, qs=(2,), r_max=5, n_max=12)
+    return [m for m in corpus if min(m.rank(), m.n - m.rank()) <= 6 and is_binary(m)]
+
+
+def test_element_orbits_match_marked_canonical_forms():
+    simple = [m.si() for m in automorphism_corpus()]
+    assert len(simple) > 150
+    for m in simple:
+        if m.rank() <= 6:
+            assert element_orbits(m) == orbits_by_marked_forms(m), m
+
+
+def test_cached_automorphisms_are_automorphisms():
+    for m in automorphism_corpus():
+        autos = _canonical(m)[3]
+        assert _canonical(m) is m._canon
+        for perm in autos:
+            mapping = {m.labels[i]: m.labels[j] for i, j in enumerate(perm)}
+            assert is_isomorphism(m, m, mapping), m
 
 
 def test_is_binary(f7):

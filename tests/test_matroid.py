@@ -343,6 +343,8 @@ def test_connectivity_never_enumerates_circuits(monkeypatch):
     assert pg.n == 31 and pg.is_connected()
     both = direct_sum(pg, catalog.named("F7"))
     assert [c.bit_count() for c in both.components()] == [31, 7]
+    # n = 38 is past the rank-table cap; the split into components decides
+    assert not both.is_3connected()
 
 
 def test_graphic_backend():
@@ -401,6 +403,18 @@ def test_rank_axioms_sampled(p10):
 def test_full_rank_table_routes_agree():
     w4 = from_graph(5, W4_EDGES)
     assert full_rank_table(w4) == full_rank_table(w4.to_linear())
+
+
+def test_full_rank_table_leaves_the_memo_alone():
+    rng = random.Random(12)
+    rows = [[rng.randrange(3) for _ in range(12)] for _ in range(5)]
+    m = from_matrix(GFMatrix(field(3), rows))
+    ref = from_matrix(GFMatrix(field(3), rows))
+    assert full_rank_table(m) == bytes(ref.r(mask) for mask in range(1 << 12))
+    m.is_connected()  # fills the few entries the component test reads
+    before = len(m._memo)
+    m.is_3connected()
+    assert len(m._memo) == before < 1 << 12
 
 
 def _sampled_certificate_masks(n):

@@ -21,6 +21,7 @@ from matroidkit.matroid import MatroidError, from_matrix, is_binary_affine
 from matroidkit.search import (
     SearchConfig,
     SearchReport,
+    _minor_closure_3connected,
     _node_state,
     _passes_kl,
     census_seeds,
@@ -31,6 +32,7 @@ from matroidkit.search import (
     kl_uniform_points,
 )
 from matroidkit.uniformity import is_kl_uniform_flats
+from matroidkit.verify import random_linear_corpus
 
 
 def iso(a, b):
@@ -304,6 +306,46 @@ def test_census_closed_under_duality(census):
     keys = {iso_key(m) for m in census.representatives}
     for m in census.representatives:
         assert iso_key(m.dual()) in keys
+
+
+def full_minor_closure(seeds):
+    """Reference closure: every element deleted and contracted, no orbit
+    pruning.  Returns (keys of the 3-connected members with n >= 4, children
+    keyed)."""
+    visited = {}
+    for m in seeds:
+        visited.setdefault(iso_key(m.reduced()), m.reduced())
+    queue = list(visited.values())
+    children = 0
+    while queue:
+        m = queue.pop()
+        for e in range(m.n):
+            for child in (m.delete(1 << e).reduced(), m.contract(1 << e).reduced()):
+                children += 1
+                key = iso_key(child)
+                if key not in visited:
+                    visited[key] = child
+                    queue.append(child)
+    return {key for key, m in visited.items() if m.n >= 4 and m.is_3connected()}, children
+
+
+def test_orbit_pruned_closure_matches_full_closure_on_seeds(census):
+    keys, children = _minor_closure_3connected(census_seeds())
+    full_keys, full_children = full_minor_closure(census_seeds())
+    assert set(keys) == full_keys
+    assert (children, full_children) == (220, 1304)
+    assert census.stats["closure_children"] == children
+    assert census.stats["census_size"] == 65
+
+
+def test_orbit_pruned_closure_matches_full_closure_on_corpus():
+    corpus = [m.reduced() for m in random_linear_corpus(200, seed=57, qs=(2,), n_max=14)]
+    seeds = list({iso_key(m): m for m in corpus if m.n >= 4 and m.is_3connected()}.values())
+    assert len(seeds) >= 10
+    keys, children = _minor_closure_3connected(seeds)
+    full_keys, full_children = full_minor_closure(seeds)
+    assert set(keys) == full_keys
+    assert children < full_children
 
 
 def test_census_members_are_uniform_and_3connected(census):
