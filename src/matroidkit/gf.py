@@ -2,9 +2,12 @@
 
 Matrices are immutable and small (at most 64 rows and 64 columns), so a
 set of columns always fits in a machine-word bit mask.  GF(2) gets a fast
-path: columns are packed into ints and rank is word-level Gaussian
-elimination.  GF(4) is not a prime field; its tables are built from
-w^2 = w + 1 with elements encoded 0, 1, 2 = w, 3 = w + 1.
+path: columns are packed into ints and eliminated word by word.  Rank
+and span share one echelon kernel (`_echelon`, `_reduce`): columns are
+reduced against rows keyed by their leading position, through the field
+tables on plain lists for q != 2, with no matrix built per call.  GF(4) is
+not a prime field; its tables are built from w^2 = w + 1 with elements
+encoded 0, 1, 2 = w, 3 = w + 1.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "GFMatrix",
     "rref",
     "rank_of_columns",
+    "span_of_columns",
     "null_space",
     "projective_points",
     "point_to_vector",
@@ -90,11 +94,11 @@ def field(q: int) -> FieldSpec:
 class GFMatrix:
     """Immutable r x n matrix over GF(q).
 
-    `rows` is a tuple of row tuples.  For q = 2 the columns are also
-    cached as ints with bit i = row i (`col_bits`).
+    `rows` is a tuple of row tuples.  The columns are cached as tuples
+    (`columns`) and, for q = 2, as ints with bit i = row i (`col_bits`).
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits", "_columns")
 
     def __init__(self, fld: FieldSpec, rows):
         if isinstance(fld, int):
@@ -115,6 +119,7 @@ class GFMatrix:
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_col_bits", None)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GFMatrix is immutable")
@@ -144,6 +149,15 @@ class GFMatrix:
                 for j in range(self.ncols)
             )
             object.__setattr__(self, "_col_bits", cached)
+        return cached
+
+    @property
+    def columns(self):
+        """Tuple of column tuples."""
+        cached = object.__getattribute__(self, "_columns")
+        if cached is None:
+            cached = tuple(zip(*self.rows))
+            object.__setattr__(self, "_columns", cached)
         return cached
 
     def point_values(self):
@@ -223,32 +237,74 @@ def rref(m: GFMatrix):
     return GFMatrix(fld, rows), r, tuple(pivots)
 
 
-def rank_of_columns(m: GFMatrix, mask: int) -> int:
-    """Rank of the set of columns selected by `mask` (bit j = column j)."""
+def _reduce(fld: FieldSpec, piv, v, insert=True):
+    """Reduce column v against the echelon rows in piv.  Returns True when v
+    lies in their span; otherwise returns False and, with `insert`, keeps
+    its remainder as a new row.  GF(2) columns are packed ints and piv[b]
+    is the row whose top bit is bit b - 1; for q != 2 columns are sequences
+    and piv[i] is the row with leading entry 1 at position i."""
+    if fld.q == 2:
+        while v:
+            b = v.bit_length()
+            w = piv[b]
+            if not w:
+                if insert:
+                    piv[b] = v
+                return False
+            v ^= w
+        return True
+    add, mul, neg = fld.add, fld.mul, fld.neg
+    for i in range(len(v)):
+        x = v[i]
+        if not x:
+            continue
+        row = piv[i]
+        if row is None:
+            if insert:
+                s = mul[fld.inv[x]]
+                piv[i] = [s[y] for y in v]
+            return False
+        c = mul[neg[x]]
+        v = [add[a][c[b]] for a, b in zip(v, row)]
+    return True
+
+
+def _echelon(m: GFMatrix, mask: int):
+    """(columns, piv, rank): m's columns as _reduce takes them, an echelon
+    basis of those selected by `mask`, and its size."""
     if mask < 0 or mask >> m.ncols:
         raise GFError(f"column mask {mask:#x} out of range for {m.ncols} columns")
-    if m.field.q == 2:
-        cols = m.col_bits
-        piv = [0] * (MAX_DIM + 1)
-        rank = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            v = cols[low.bit_length() - 1]
-            while v:
-                b = v.bit_length()
-                w = piv[b]
-                if w:
-                    v ^= w
-                else:
-                    piv[b] = v
-                    rank += 1
-                    break
-        return rank
-    cols = [j for j in range(m.ncols) if (mask >> j) & 1]
-    _, rank, _ = rref(m.select_columns(cols))
-    return rank
+    fld = m.field
+    if fld.q == 2:
+        cols, piv = m.col_bits, [0] * (m.nrows + 1)
+    else:
+        cols, piv = m.columns, [None] * m.nrows
+    rank = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        if not _reduce(fld, piv, cols[low.bit_length() - 1]):
+            rank += 1
+    return cols, piv, rank
+
+
+def rank_of_columns(m: GFMatrix, mask: int) -> int:
+    """Rank of the set of columns selected by `mask` (bit j = column j)."""
+    return _echelon(m, mask)[2]
+
+
+def span_of_columns(m: GFMatrix, mask: int) -> int:
+    """Mask of the columns lying in the span of those selected by `mask`: one
+    echelon basis of the selection, then each other column reduced once."""
+    cols, piv, _ = _echelon(m, mask)
+    span = mask
+    rest = ((1 << m.ncols) - 1) ^ mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _reduce(m.field, piv, cols[low.bit_length() - 1], insert=False):
+            span |= low
+    return span
 
 
 def null_space(m: GFMatrix):

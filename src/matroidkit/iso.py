@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, rref
-from .matroid import Matroid, MatroidError, _bits, _find, _gf2_matrix, from_matrix
+from .matroid import GraftRep, Matroid, MatroidError, _bits, _find, _gf2_matrix, from_matrix
 from .matroid import is_isomorphism
 
 __all__ = [
@@ -109,7 +109,7 @@ def _canon_search(points, weights, target=None):
             last, top = prefix[-1], lim >> 1
             span = {**span, **{x ^ last: i ^ top for x, i in span.items()}}
         cands = sorted(outside, key=lambda p: (wt[p], p))
-        done = []
+        done = 0  # the candidates already expanded, as a bit mask
         fixing = []  # the autos that fix the prefix pointwise, in found order
         seen = 0
         for p in cands:
@@ -133,7 +133,7 @@ def _canon_search(points, weights, target=None):
                     new_pairs.append((xi ^ lim, wt[x]))
             new_pairs.sort()
             rec(prefix + [p], span, forced + new_pairs, new_img, new_out)
-            done.append(p)
+            done |= 1 << p
 
     rec([], {0: 0}, [], {}, list(points))
     return tuple(best), best_map, autos
@@ -142,14 +142,13 @@ def _canon_search(points, weights, target=None):
 def _orbit_hits(p, gens, done):
     if not done:
         return False
-    doneset = set(done)
     orbit = {p}
     frontier = [p]
     while frontier:
         x = frontier.pop()
         for g in gens:
             y = g[x]
-            if y in doneset:
+            if done >> y & 1:
                 return True
             if y not in orbit:
                 orbit.add(y)
@@ -458,11 +457,19 @@ def _binary_iso(m1, m2):
 def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     """(contract_mask, delete_mask) with m/C\\D isomorphic to target, or None.
     C runs over independent sets of size r(m) - r(target) in mask order, so C
-    is independent and D is forced coindependent.  Raises BudgetExhausted."""
+    is independent and D is forced coindependent.  Candidates are filtered by
+    iso_key (exact) when both sides are binary-backed (so are m's minors: a
+    graft minor may be a rank table) and the target has rank or corank at
+    most 6, else by fingerprint.  Raises BudgetExhausted."""
     dr = m.rank() - target.rank()
     if dr < 0 or m.n < target.n:
         return None
-    target_fp = fingerprint(target)
+    invariant = fingerprint
+    if (not isinstance(m.rep, GraftRep) and _gf2_matrix(m) is not None
+            and _gf2_matrix(target) is not None
+            and min(target.rank(), target.n - target.rank()) <= 6):
+        invariant = iso_key
+    target_inv = invariant(target)
     spent = 0
     for combo in itertools.combinations(range(m.n), dr):
         cmask = 0
@@ -481,7 +488,7 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
             restr = mc.delete(mc.full_mask ^ kmask)
             if restr.rank() != target.rank():
                 continue
-            if fingerprint(restr) != target_fp:
+            if invariant(restr) != target_inv:
                 continue
             if are_isomorphic(restr, target) is not None:
                 dmask = m.full_mask ^ cmask ^ m.mask_of(restr.labels)

@@ -3,8 +3,9 @@
 Four backends: Linear (matrix columns), RankTable (dense table over all
 subsets, n <= 25), Graphic (graph edges, spanning-forest rank), Graft
 (graph plus a vertex set gamma; rank in the incidence matroid with
-gamma's incidence vector adjoined as one extra element).  Minors and
-duals stay in-backend where that is natural and materialize as
+gamma's incidence vector adjoined as one extra element).  Linear and
+Graphic backends also answer closures directly (`rep.closure`).  Minors
+and duals stay in-backend where that is natural and materialize as
 RankTable otherwise.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref
+from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref, span_of_columns
 
 __all__ = [
     "MatroidError",
@@ -80,6 +81,9 @@ class LinearRep:
     def rank(self, mask):
         return rank_of_columns(self.matrix, mask)
 
+    def closure(self, mask):
+        return span_of_columns(self.matrix, mask)
+
 
 class RankTableRep:
     """Dense rank table; table[mask] = rank of the subset mask."""
@@ -133,6 +137,16 @@ class GraphicRep:
     def rank(self, mask):
         return self._forest(mask, list(range(self.nverts)))
 
+    def closure(self, mask):
+        """An edge is spanned by X iff its ends lie in one component of X."""
+        parent = list(range(self.nverts))
+        self._forest(mask, parent)
+        cl = mask
+        for j, (u, v) in enumerate(self.edges):
+            if _find(parent, u) == _find(parent, v):
+                cl |= 1 << j
+        return cl
+
 
 class GraftRep:
     """Graph plus gamma <= V; ground set = edges + one extra element (last index)
@@ -173,7 +187,7 @@ class Matroid:
     """Labeled ground set + rank backend.  Subsets are int masks over label
     positions; helpers translate label collections to masks and back."""
 
-    __slots__ = ("labels", "n", "rep", "name", "_pos", "_memo", "_full", "_canon")
+    __slots__ = ("labels", "n", "rep", "name", "_pos", "_memo", "_full", "_canon", "_span")
 
     def __init__(self, rep, labels=None, name=""):
         n = rep.n
@@ -192,6 +206,7 @@ class Matroid:
         self._memo = {}
         self._full = None
         self._canon = None  # iso._canonical's data, computed on first use
+        self._span = ({}, {})  # closures by mask, flats (tuples) by rank
 
     def __repr__(self):
         tag = self.name or type(self.rep).__name__
@@ -248,34 +263,42 @@ class Matroid:
         return mask.bit_count() - self.r(mask)
 
     def closure(self, X):
+        """Mask of cl(X), kept per mask.  Linear and Graphic backends span X
+        directly; the others test r(X + e) = r(X) for each e."""
         mask = self._as_mask(X)
-        rm = self.r(mask)
-        cl = mask
-        for i in range(self.n):
-            bit = 1 << i
-            if not mask & bit and self.r(mask | bit) == rm:
-                cl |= bit
+        closures = self._span[0]
+        cl = closures.get(mask)
+        if cl is None:
+            rep = self.rep
+            if isinstance(rep, (LinearRep, GraphicRep)):
+                cl = rep.closure(mask)
+            else:
+                rm = self.r(mask)
+                cl = mask
+                for i in range(self.n):
+                    bit = 1 << i
+                    if not mask & bit and self.r(mask | bit) == rm:
+                        cl |= bit
+            closures[mask] = cl
         return cl
 
     def flats_of_rank(self, k):
-        """Every flat of rank exactly k, as closures of independent k-sets."""
+        """Every flat of rank exactly k, as closures of independent k-sets in
+        combination order.  Computed once per rank; each call gets a new list."""
         if not 0 <= k <= self.rank():
             raise MatroidError(f"flat rank {k} out of range")
-        if k == 0:
-            return [self.closure(0)]
-        seen = set()
-        out = []
-        for combo in itertools.combinations(range(self.n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if self.r(mask) != k:
-                continue
-            fl = self.closure(mask)
-            if fl not in seen:
-                seen.add(fl)
-                out.append(fl)
-        return out
+        flats = self._span[1]
+        out = flats.get(k)
+        if out is None:
+            found = {}  # insertion-ordered set
+            for combo in itertools.combinations(range(self.n), k):
+                mask = 0
+                for i in combo:
+                    mask |= 1 << i
+                if self.r(mask) == k:
+                    found.setdefault(self.closure(mask))
+            out = flats[k] = tuple(found)
+        return list(out)
 
     # ---- circuits
 
@@ -466,6 +489,7 @@ class Matroid:
         m = Matroid(self.rep, self.labels, name=name)
         m._memo = self._memo
         m._canon = self._canon
+        m._span = self._span
         return m
 
     # ---- connectivity

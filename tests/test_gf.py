@@ -78,13 +78,20 @@ def test_rref_and_rank():
     assert rank_of_columns(m, 0b100011 | (1 << 4)) == 3
 
 
-def test_rank_of_columns_matches_rref_over_gf3():
+def test_rank_of_columns_matches_rref_over_gfq():
     rng = random.Random(7)
-    m = GFMatrix(field(3), [[rng.randrange(3) for _ in range(6)] for _ in range(4)])
-    for mask in range(1 << 6):
-        cols = [j for j in range(6) if (mask >> j) & 1]
-        _, rk, _ = rref(m.select_columns(cols)) if cols else (None, 0, ())
-        assert rank_of_columns(m, mask) == rk
+    for q in (3, 4, 5, 7):
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 8)
+            cols = [[rng.randrange(q) for _ in range(nrows)] for _ in range(ncols)]
+            if rng.random() < 0.5:  # a zero column and a scaled copy
+                cols[rng.randrange(ncols)] = [0] * nrows
+                cols[rng.randrange(ncols)] = [field(q).mul[2 % q][x] for x in cols[0]]
+            m = GFMatrix.from_columns(q, cols)
+            for mask in range(1 << ncols):
+                picked = [j for j in range(ncols) if mask >> j & 1]
+                rk = rref(m.select_columns(picked))[1] if picked else 0
+                assert rank_of_columns(m, mask) == rk
 
 
 def test_null_space_is_a_kernel_basis():

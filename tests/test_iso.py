@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from matroidkit import catalog
-from matroidkit.gf import parse_matrix
+from matroidkit import catalog, iso
+from matroidkit.gf import GFMatrix, parse_matrix
 from matroidkit.iso import (
     BudgetExhausted,
     _canonical,
@@ -23,6 +23,7 @@ from matroidkit.iso import (
     weighted_canonical_form,
 )
 from matroidkit.matroid import (
+    GraftRep,
     Matroid,
     RankTableRep,
     binary_three_sum,
@@ -233,6 +234,44 @@ def test_has_minor_negative_and_budget(f7):
 
 def test_has_minor_self(f7):
     assert has_minor(f7, f7) == (0, 0)
+
+
+def _has_minor_by_fingerprint(m, target):
+    """has_minor's scan with the fingerprint filter on every candidate."""
+    dr = m.rank() - target.rank()
+    target_fp = fingerprint(target)
+    for combo in itertools.combinations(range(m.n), dr):
+        cmask = sum(1 << i for i in combo)
+        if m.r(cmask) != dr:
+            continue
+        mc = m.contract(cmask)
+        for keep in itertools.combinations(range(mc.n), target.n):
+            restr = mc.delete(mc.full_mask ^ sum(1 << i for i in keep))
+            if restr.rank() == target.rank() and fingerprint(restr) == target_fp:
+                if are_isomorphic(restr, target) is not None:
+                    return cmask, m.full_mask ^ cmask ^ m.mask_of(restr.labels)
+    return None
+
+
+def test_has_minor_key_filter_keeps_the_fingerprint_witness(monkeypatch):
+    mw4 = catalog.named("MW4")
+    rng = random.Random(57)
+    corpus = [e.matroid for e in catalog.entries() if e.matroid.n >= 8 and e.matroid.rank() >= 4]
+    for _ in range(24):
+        r, n = rng.randint(4, 5), rng.randint(8, 10)
+        corpus.append(from_matrix(GFMatrix(2, [[rng.randrange(2) for _ in range(n)]
+                                               for _ in range(r)])))
+    expected = [_has_minor_by_fingerprint(m, mw4) for m in corpus]
+    calls = []
+    monkeypatch.setattr(iso, "fingerprint", lambda m: calls.append(m) or fingerprint(m))
+    got = []
+    for m in corpus:
+        calls.clear()
+        got.append(has_minor(m, mw4))
+        # a graft's minors may be rank tables, so R10 keeps the fingerprint filter
+        assert bool(calls) == isinstance(m.rep, GraftRep), m
+    assert got == expected
+    assert sum(w is not None for w in got) >= 8 and None in got
 
 
 def test_element_orbits(f7, z4):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from matroidkit import catalog, matroid
 from matroidkit.gf import GFMatrix, field, parse_matrix
 from matroidkit.matroid import (
+    GraphicRep,
+    LinearRep,
     Matroid,
     MatroidError,
     RankTableRep,
@@ -105,6 +108,99 @@ def test_flats(f7):
     assert len(u34.flats_of_rank(2)) == 6
     with pytest.raises(MatroidError):
         f7.flats_of_rank(4)
+
+
+def _closure_by_rank_loop(m, mask):
+    rm = m.r(mask)
+    return mask | sum(1 << i for i in range(m.n) if m.r(mask | 1 << i) == rm)
+
+
+def _flats_by_scan(m, k):
+    """The uncached combination scan: closures of independent k-sets, first
+    occurrence kept."""
+    out = []
+    for combo in itertools.combinations(range(m.n), k):
+        mask = sum(1 << i for i in combo)
+        if m.r(mask) == k and _closure_by_rank_loop(m, mask) not in out:
+            out.append(_closure_by_rank_loop(m, mask))
+    return out
+
+
+def _span_corpus():
+    """Seeded matroids on every backend, with loops, parallel elements and
+    zero columns."""
+    rng = random.Random(41)
+    corpus = []
+    for q in (2, 3, 4, 5, 7):
+        for _ in range(24):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 9)
+            cols = [[rng.randrange(q) for _ in range(nrows)] for _ in range(ncols)]
+            cols[rng.randrange(ncols)] = [0] * nrows
+            cols.append(list(cols[rng.randrange(ncols)]))
+            corpus.append(from_matrix(GFMatrix.from_columns(q, cols)))
+    for i in range(60):
+        nverts = rng.randint(1, 6)
+        edges = [(rng.randrange(nverts), rng.randrange(nverts))
+                 for _ in range(rng.randint(1, 9))]
+        edges.append(edges[0])  # a parallel edge, or a second loop
+        if i % 2:
+            corpus.append(from_graph(nverts, edges))
+        else:
+            gamma = [v for v in range(nverts) if rng.random() < 0.5]
+            corpus.append(graft_matroid(nverts, edges, gamma))
+    corpus += [as_rank_table(m) for m in corpus[::3]]
+    return corpus
+
+
+def test_closure_matches_rank_loop_on_every_backend():
+    corpus = _span_corpus()
+    kinds = set()
+    pairs = 0
+    for m in corpus:
+        rep = m.rep
+        kinds.add(f"gf{rep.matrix.field.q}" if isinstance(rep, LinearRep)
+                  else type(rep).__name__)
+        for mask in range(1 << m.n):
+            assert m.closure(mask) == _closure_by_rank_loop(m, mask), (m, mask)
+            pairs += 1
+    assert kinds == {"gf2", "gf3", "gf4", "gf5", "gf7",
+                     "GraphicRep", "GraftRep", "RankTableRep"}
+    assert pairs > 60000
+
+
+def test_flats_of_rank_matches_the_uncached_scan():
+    corpus = random_linear_corpus(120, seed=43) + [e.matroid for e in catalog.entries()]
+    for m in corpus:
+        for k in range(m.rank() + 1):
+            assert m.flats_of_rank(k) == _flats_by_scan(m, k), (m, k)
+
+
+def test_flats_cache_hands_out_fresh_lists(p10):
+    m = from_matrix(p10.rep.matrix)
+    first = m.flats_of_rank(2)
+    got = m.flats_of_rank(2)
+    got.sort(reverse=True)
+    got.append(0)
+    assert m.flats_of_rank(2) == first == _flats_by_scan(p10, 2)
+    named = m.with_name("P10 again")
+    assert named.flats_of_rank(2) == first
+    named.closure(0b11)
+    assert m._span is named._span and 0b11 in m._span[0]
+
+
+def test_span_oracles_make_no_rank_calls(monkeypatch, p10):
+    calls = []
+
+    def counting(orig):
+        return lambda rep, mask: calls.append(mask) or orig(rep, mask)
+
+    for cls in (LinearRep, GraphicRep):
+        monkeypatch.setattr(cls, "rank", counting(cls.rank))
+    for m in (from_matrix(p10.rep.matrix), from_graph(5, W4_EDGES + [(1, 1)])):
+        for mask in range(0, 1 << m.n, 7):
+            m.closure(mask)
+    assert calls == []
+    assert from_graph(5, W4_EDGES).rank() == 4 and calls  # the patch is live
 
 
 def test_circuits(f7, p9, p10):
