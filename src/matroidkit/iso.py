@@ -458,9 +458,9 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     """(contract_mask, delete_mask) with m/C\\D isomorphic to target, or None.
     C runs over independent sets of size r(m) - r(target) in mask order, so C
     is independent and D is forced coindependent.  Candidates are filtered by
-    iso_key (exact) when both sides are binary-backed (so are m's minors: a
-    graft minor may be a rank table) and the target has rank or corank at
-    most 6, else by fingerprint.  Raises BudgetExhausted."""
+    the exact iso_key when m is binary-backed and not a graft (whose minors
+    may be rank tables) and the target is binary-backed with rank or corank
+    at most 6, and by fingerprint otherwise.  Raises BudgetExhausted."""
     dr = m.rank() - target.rank()
     if dr < 0 or m.n < target.n:
         return None
