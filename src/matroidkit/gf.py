@@ -2,10 +2,11 @@
 
 Matrices are immutable and small (at most 64 rows and 64 columns), so a
 set of columns always fits in a machine-word bit mask.  GF(2) gets a fast
-path: columns are packed into ints and eliminated word by word.  Rank
-and span share one echelon kernel (`_echelon`, `_reduce`): columns are
-reduced against rows keyed by their leading position, through the field
-tables on plain lists for q != 2, with no matrix built per call.  GF(4) is
+path: columns are packed into ints and eliminated word by word.  Rank,
+span and the flat walk (`_flats`) share one echelon kernel (`_echelon`,
+`_reduce`): columns are reduced against rows keyed by their leading
+position, through the field tables on plain lists for q != 2, with no
+matrix built per call.  GF(4) is
 not a prime field; its tables are built from w^2 = w + 1 with elements
 encoded 0, 1, 2 = w, 3 = w + 1.
 """
@@ -91,6 +92,15 @@ def field(q: int) -> FieldSpec:
     return FieldSpec(q=q, char=char, add=add, mul=mul, neg=neg, inv=inv)
 
 
+def _fill(m, fld, rows):
+    object.__setattr__(m, "field", fld)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "nrows", len(rows))
+    object.__setattr__(m, "ncols", len(rows[0]) if rows else 0)
+    object.__setattr__(m, "_col_bits", None)
+    object.__setattr__(m, "_columns", None)
+
+
 class GFMatrix:
     """Immutable r x n matrix over GF(q).
 
@@ -114,12 +124,15 @@ class GFMatrix:
             for x in row:
                 if not 0 <= x < fld.q:
                     raise GFError(f"entry {x} not in GF({fld.q})")
-        object.__setattr__(self, "field", fld)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_col_bits", None)
-        object.__setattr__(self, "_columns", None)
+        _fill(self, fld, rows)
+
+    @classmethod
+    def _trusted(cls, fld: FieldSpec, rows):
+        """Matrix of rows that are already valid: a tuple of equal-length
+        tuples of elements of fld, within the MAX_DIM cap.  Nothing is checked."""
+        m = object.__new__(cls)
+        _fill(m, fld, rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("GFMatrix is immutable")
@@ -175,20 +188,15 @@ class GFMatrix:
 
     def select_columns(self, cols):
         """New matrix keeping the columns listed in `cols` (in that order)."""
-        return GFMatrix(
+        cols = tuple(cols)
+        if len(cols) > MAX_DIM:
+            raise GFError(f"{len(cols)} columns exceed the {MAX_DIM} cap")
+        return GFMatrix._trusted(
             self.field, tuple(tuple(row[j] for j in cols) for row in self.rows)
         )
 
     def stack_row(self, row):
         return GFMatrix(self.field, self.rows + (tuple(row),))
-
-    @staticmethod
-    def identity(fld, r):
-        if isinstance(fld, int):
-            fld = field(fld)
-        return GFMatrix(
-            fld, tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        )
 
     @staticmethod
     def from_columns(fld, cols, nrows=None):
@@ -234,15 +242,16 @@ def rref(m: GFMatrix):
         r += 1
         if r == nrows:
             break
-    return GFMatrix(fld, rows), r, tuple(pivots)
+    return GFMatrix._trusted(fld, tuple(map(tuple, rows))), r, tuple(pivots)
 
 
 def _reduce(fld: FieldSpec, piv, v, insert=True):
-    """Reduce column v against the echelon rows in piv.  Returns True when v
-    lies in their span; otherwise returns False and, with `insert`, keeps
-    its remainder as a new row.  GF(2) columns are packed ints and piv[b]
-    is the row whose top bit is bit b - 1; for q != 2 columns are sequences
-    and piv[i] is the row with leading entry 1 at position i."""
+    """Reduce column v against the echelon rows in piv.  Returns None when v
+    lies in their span; otherwise returns the slot of piv its remainder
+    belongs in and, with `insert`, keeps the remainder there as a new row.
+    GF(2) columns are packed ints and piv[b] is the row whose top bit is bit
+    b - 1; for q != 2 columns are sequences and piv[i] is the row with
+    leading entry 1 at position i."""
     if fld.q == 2:
         while v:
             b = v.bit_length()
@@ -250,9 +259,9 @@ def _reduce(fld: FieldSpec, piv, v, insert=True):
             if not w:
                 if insert:
                     piv[b] = v
-                return False
+                return b
             v ^= w
-        return True
+        return None
     add, mul, neg = fld.add, fld.mul, fld.neg
     for i in range(len(v)):
         x = v[i]
@@ -263,10 +272,10 @@ def _reduce(fld: FieldSpec, piv, v, insert=True):
             if insert:
                 s = mul[fld.inv[x]]
                 piv[i] = [s[y] for y in v]
-            return False
+            return i
         c = mul[neg[x]]
         v = [add[a][c[b]] for a, b in zip(v, row)]
-    return True
+    return None
 
 
 def _echelon(m: GFMatrix, mask: int):
@@ -283,7 +292,7 @@ def _echelon(m: GFMatrix, mask: int):
     while mask:
         low = mask & -mask
         mask ^= low
-        if not _reduce(fld, piv, cols[low.bit_length() - 1]):
+        if _reduce(fld, piv, cols[low.bit_length() - 1]) is not None:
             rank += 1
     return cols, piv, rank
 
@@ -302,9 +311,79 @@ def span_of_columns(m: GFMatrix, mask: int) -> int:
     while rest:
         low = rest & -rest
         rest ^= low
-        if _reduce(m.field, piv, cols[low.bit_length() - 1], insert=False):
+        if _reduce(m.field, piv, cols[low.bit_length() - 1], insert=False) is None:
             span |= low
     return span
+
+
+def _flats(m: GFMatrix, k: int):
+    """Flats of rank k of m's column matroid, as a tuple of masks in the order
+    a scan of the k-subsets in combination order first meets them as
+    closures of independent sets; empty when k exceeds the rank.
+
+    One depth-first walk over the (k-1)-subsets in combination order grows
+    one echelon basis by a column per level and undoes it on the way back; a
+    dependent prefix cuts its subtree.  At each independent (k-1)-prefix P
+    every column is reduced once to its canonical remainder modulo span(P),
+    zero at every pivot position and, for q != 2, with leading entry 1.
+    The zero remainders make cl(P), and for each later column e with a
+    nonzero remainder, cl(P + e) is cl(P) plus e's remainder class."""
+    fld, n = m.field, m.ncols
+    if k > _echelon(m, (1 << n) - 1)[2]:
+        return ()
+    cols, piv, _ = _echelon(m, 0)
+    two, add, mul, neg, inv = fld.q == 2, fld.add, fld.mul, fld.neg, fld.inv
+    found = {}  # insertion-ordered set
+
+    def group(start):
+        cl, classes, rem, bit = 0, {}, [], 1
+        if two:
+            rows = [w for w in reversed(piv) if w]
+        else:
+            rows = [(i, row) for i, row in enumerate(piv) if row is not None]
+        for v in cols:
+            if two:
+                for w in rows:  # top bits descending
+                    vw = v ^ w
+                    if vw < v:
+                        v = vw
+            else:
+                for i, row in rows:
+                    x = v[i]
+                    if x:
+                        c = mul[neg[x]]
+                        v = [add[a][c[b]] for a, b in zip(v, row)]
+                for x in v:
+                    if x:
+                        v = tuple(map(mul[inv[x]].__getitem__, v))
+                        break
+                else:
+                    v = 0
+            if v:
+                classes[v] = classes.get(v, 0) | bit
+            else:
+                cl |= bit
+            rem.append(v)
+            bit <<= 1
+        for v in rem[start:]:
+            if v:
+                found.setdefault(cl | classes[v])
+        return cl
+
+    def walk(start, need):
+        if not need:
+            group(start)
+            return
+        for e in range(start, n - need):
+            slot = _reduce(fld, piv, cols[e])
+            if slot is not None:
+                walk(e + 1, need - 1)
+                piv[slot] = 0 if two else None
+
+    if k == 0:
+        return (group(n),)
+    walk(0, k - 1)
+    return tuple(found)
 
 
 def null_space(m: GFMatrix):

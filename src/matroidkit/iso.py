@@ -15,7 +15,7 @@ import itertools
 
 from .gf import GFMatrix, field, format_matrix, rref
 from .matroid import GraftRep, Matroid, MatroidError, _bits, _find, _gf2_matrix, from_matrix
-from .matroid import is_isomorphism
+from .matroid import RankTableRep, is_isomorphism
 
 __all__ = [
     "BudgetExhausted",
@@ -268,7 +268,8 @@ def _canonical(m: Matroid):
     if r <= 6:
         side, mm = "p", m
     elif n - r <= 6:
-        side, mm = "d", m.dual()
+        # a graph's dual as a rank table stops at n = 25; its matrix's does not
+        side, mm = "d", (m if isinstance(m.rep, RankTableRep) else m.to_linear()).dual()
     else:
         raise MatroidError("iso_key needs rank or corank at most 6")
     mat = binary_representation(mm)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref, span_of_columns
+from .gf import _flats, _reduce
 
 __all__ = [
     "MatroidError",
@@ -283,21 +284,28 @@ class Matroid:
         return cl
 
     def flats_of_rank(self, k):
-        """Every flat of rank exactly k, as closures of independent k-sets in
-        combination order.  Computed once per rank; each call gets a new list."""
-        if not 0 <= k <= self.rank():
-            raise MatroidError(f"flat rank {k} out of range")
+        """Every flat of rank exactly k, in the order a scan of the k-subsets
+        in combination order first meets them as closures of independent
+        sets.  Linear backends take gf's echelon walk, the others that scan.
+        Computed once per rank; each call gets a new list."""
         flats = self._span[1]
         out = flats.get(k)
         if out is None:
-            found = {}  # insertion-ordered set
-            for combo in itertools.combinations(range(self.n), k):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if self.r(mask) == k:
-                    found.setdefault(self.closure(mask))
-            out = flats[k] = tuple(found)
+            rep = self.rep
+            if isinstance(rep, LinearRep) and k >= 0:
+                out = _flats(rep.matrix, k)  # empty when k exceeds the rank
+            elif 0 <= k <= self.rank():
+                found = {}  # insertion-ordered set
+                for combo in itertools.combinations(range(self.n), k):
+                    mask = 0
+                    for i in combo:
+                        mask |= 1 << i
+                    if self.r(mask) == k:
+                        found.setdefault(self.closure(mask))
+                out = tuple(found)
+            if not out:
+                raise MatroidError(f"flat rank {k} out of range")
+            flats[k] = out
         return list(out)
 
     # ---- circuits
@@ -587,28 +595,26 @@ def _linear_dual(matrix):
     nonpivots = [j for j in range(n) if j not in pivset]
     fld = matrix.field
     if not nonpivots:
-        return GFMatrix(fld, ((0,) * n,))  # rank n, dual rank 0
+        return GFMatrix._trusted(fld, ((0,) * n,))  # rank n, dual rank 0
     rows = []
     for i, nj in enumerate(nonpivots):
         row = [0] * n
         row[nj] = 1
         for t, pj in enumerate(pivots):
             row[pj] = fld.neg[red.rows[t][nj]]
-        rows.append(row)
-    return GFMatrix(fld, rows)
+        rows.append(tuple(row))
+    return GFMatrix._trusted(fld, tuple(rows))
 
 
 def _linear_minor(matrix, con_cols, keep_cols):
     if not con_cols:
         sub = matrix.select_columns(keep_cols)
-        return sub if sub.nrows else GFMatrix(matrix.field, ((0,) * len(keep_cols),))
+        return sub if sub.nrows else GFMatrix._trusted(matrix.field, ((0,) * len(keep_cols),))
     arranged = matrix.select_columns(list(con_cols) + list(keep_cols))
     red, _, pivots = rref(arranged)
     t = sum(1 for p in pivots if p < len(con_cols))
-    rows = [row[len(con_cols):] for row in red.rows[t:]]
-    if not rows:
-        rows = [(0,) * len(keep_cols)]
-    return GFMatrix(matrix.field, rows)
+    rows = tuple(row[len(con_cols):] for row in red.rows[t:])
+    return GFMatrix._trusted(matrix.field, rows or ((0,) * len(keep_cols),))
 
 
 def _graph_minor(nverts, edges, con, keep_edge_ids):
@@ -626,21 +632,23 @@ def _graph_minor(nverts, edges, con, keep_edge_ids):
 
 
 def incidence_matrix(nverts, edges, gamma=None):
-    """GF(2) vertex-edge incidence matrix, with gamma's vector as a final column."""
-    cols = []
-    for u, v in edges:
-        vec = [0] * nverts
-        vec[u] ^= 1
-        vec[v] ^= 1
-        cols.append(vec)
-    if gamma is not None:
-        vec = [0] * nverts
-        for v in gamma:
-            vec[v] ^= 1
-        cols.append(vec)
-    if not cols:
-        return GFMatrix(field(2), ((),))
-    return GFMatrix(field(2), list(zip(*cols)))
+    """GF(2) matrix with the column matroid of the vertex-edge incidence
+    matrix, gamma's vector as a final column: the vertex rows independent of
+    the rows before them, so at most r(M) rows for any number of vertices."""
+    ncols = len(edges) + (gamma is not None)
+    vertex_rows = [0] * nverts  # bit j = column j
+    for j, (u, v) in enumerate(edges):
+        vertex_rows[u] ^= 1 << j
+        vertex_rows[v] ^= 1 << j
+    for v in gamma or ():
+        vertex_rows[v] ^= 1 << len(edges)
+    piv = [0] * (ncols + 1)
+    rows = [
+        tuple(w >> j & 1 for j in range(ncols))
+        for w in vertex_rows
+        if _reduce(field(2), piv, w) is not None
+    ]
+    return GFMatrix(field(2), rows or [(0,) * ncols])
 
 
 # ---- constructors

@@ -70,7 +70,13 @@ def test_rref_and_rank():
     red, rank, pivots = rref(m)
     assert rank == 5
     assert pivots == (0, 1, 2, 3, 4)
-    assert red.select_columns(range(5)) == GFMatrix.identity(2, 5)
+    assert red.select_columns(range(5)) == GFMatrix(2, [
+        [1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1],
+    ])
     assert rank_of_columns(m, (1 << 10) - 1) == 5
     assert rank_of_columns(m, 0b111) == 3
     # columns 0,1,5 are dependent: col5 = col0 + col1 + col4... check a real one
@@ -92,6 +98,29 @@ def test_rank_of_columns_matches_rref_over_gfq():
                 picked = [j for j in range(ncols) if mask >> j & 1]
                 rk = rref(m.select_columns(picked))[1] if picked else 0
                 assert rank_of_columns(m, mask) == rk
+
+
+def test_trusted_matrices_equal_validated_ones():
+    from matroidkit.matroid import _linear_dual, _linear_minor
+
+    rng = random.Random(17)
+    for q in (2, 3, 4, 5, 7):
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 8)
+            m = GFMatrix(q, [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)])
+            order = rng.sample(range(ncols), ncols)
+            con = sorted(rng.sample(range(ncols), rng.randint(0, ncols)))
+            keep = [j for j in order if j not in con]
+            built = (rref(m)[0], m.select_columns(order), _linear_dual(m),
+                     _linear_minor(m, con, keep))
+            for out in built:
+                ref = GFMatrix(q, out.rows)
+                assert out == ref and hash(out) == hash(ref) and out.field is ref.field
+                assert (out.nrows, out.ncols, out.columns) == (ref.nrows, ref.ncols, ref.columns)
+                if q == 2:
+                    assert out.col_bits == ref.col_bits
+    with pytest.raises(GFError):
+        m.select_columns([0] * (gf.MAX_DIM + 1))
 
 
 def test_null_space_is_a_kernel_basis():
@@ -160,6 +189,6 @@ def test_subspace_masks_are_closed_under_xor():
 
 
 def test_matrix_immutability():
-    m = GFMatrix.identity(2, 3)
+    m = GFMatrix(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(AttributeError):
         m.rows = ()

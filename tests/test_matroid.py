@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidkit import catalog, matroid
 from matroidkit.gf import GFMatrix, field, parse_matrix
@@ -25,6 +27,8 @@ from matroidkit.matroid import (
     parallel_connection,
     parse_graph_text,
 )
+from matroidkit.iso import are_isomorphic
+from matroidkit.uniformity import is_kl_uniform_flats, is_kl_uniform_minor
 from matroidkit.verify import random_linear_corpus
 
 P10_TEXT = """
@@ -170,9 +174,34 @@ def test_closure_matches_rank_loop_on_every_backend():
 
 def test_flats_of_rank_matches_the_uncached_scan():
     corpus = random_linear_corpus(120, seed=43) + [e.matroid for e in catalog.entries()]
+    corpus += _span_corpus()
     for m in corpus:
         for k in range(m.rank() + 1):
             assert m.flats_of_rank(k) == _flats_by_scan(m, k), (m, k)
+
+
+@st.composite
+def _gfq_matroids(draw):
+    """Random GF(q) matrices with r <= 5 rows and n <= 9 columns, drawn from a
+    pool that holds a zero column, so columns repeat and vanish."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7)))
+    r = draw(st.integers(1, 5))
+    column = st.lists(st.integers(0, q - 1), min_size=r, max_size=r)
+    pool = draw(st.lists(column, min_size=1, max_size=9)) + [[0] * r]
+    cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    return from_matrix(GFMatrix.from_columns(q, cols))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_gfq_matroids())
+def test_flats_and_deciders_agree_on_random_gfq_matrices(m):
+    for k in range(m.rank() + 1):
+        assert m.flats_of_rank(k) == _flats_by_scan(m, k)
+    dual = m.dual()
+    for k in range(1, 5):
+        for l in range(1, 6 - k):
+            flats = is_kl_uniform_flats(m, k, l)[0]
+            assert flats == is_kl_uniform_minor(m, k, l)[0] == is_kl_uniform_flats(dual, l, k)[0]
 
 
 def test_flats_cache_hands_out_fresh_lists(p10):
@@ -201,6 +230,30 @@ def test_span_oracles_make_no_rank_calls(monkeypatch, p10):
             m.closure(mask)
     assert calls == []
     assert from_graph(5, W4_EDGES).rank() == 4 and calls  # the patch is live
+
+
+def test_linear_flats_make_no_rank_or_closure_calls(monkeypatch, p10):
+    calls = []
+
+    def counting(orig):
+        return lambda rep, mask: calls.append(mask) or orig(rep, mask)
+
+    for name in ("rank", "closure"):
+        monkeypatch.setattr(LinearRep, name, counting(getattr(LinearRep, name)))
+    gf3 = GFMatrix(3, [[1, 0, 2, 0, 1], [0, 1, 1, 0, 2]])
+    for m, r in ((from_matrix(p10.rep.matrix), 5), (from_matrix(gf3), 2)):
+        for k in range(r + 1):
+            assert m.flats_of_rank(k)
+        with pytest.raises(MatroidError):
+            m.flats_of_rank(r + 1)
+        assert calls == [] and m._memo == {} and m._span[0] == {}
+        assert m.rank() == r and calls  # the patch is live
+        calls.clear()
+    # out of range fails at once, without walking the C(64, 30) independent sets
+    rng = random.Random(3)
+    wide = from_matrix(GFMatrix(2, [[rng.randrange(2) for _ in range(64)] for _ in range(30)]))
+    with pytest.raises(MatroidError):
+        wide.flats_of_rank(31)
 
 
 def test_circuits(f7, p9, p10):
@@ -480,7 +533,31 @@ def test_graft_backend():
 
 def test_incidence_matrix_gamma_column():
     m = incidence_matrix(3, [(0, 1), (1, 2)], gamma=[0, 2])
-    assert m.rows == ((1, 0, 1), (1, 1, 0), (0, 1, 1))
+    # vertex rows (1,0,1), (1,1,0), (0,1,1); the third is the sum of the first two
+    assert m.rows == ((1, 0, 1), (1, 1, 0))
+    # gamma odd on one component: that component's last vertex row is kept
+    m = incidence_matrix(4, [(0, 1), (2, 3)], gamma=[0])
+    assert m.rows == ((1, 0, 1), (1, 0, 0), (0, 1, 0))
+
+
+def test_graphs_past_64_vertices_keep_at_most_rank_rows():
+    m = from_graph(80, [(2 * i, 2 * i + 1) for i in range(40)])
+    lin = m.to_linear()
+    assert (lin.rep.matrix.nrows, lin.rank()) == (40, 40)
+    assert is_isomorphism(m, m, {lab: lab for lab in m.labels})
+    assert are_isomorphic(m, m) is not None
+    # a 70-vertex graft on the paths 0-1-2, 3-4-5, ...: gamma raises the rank
+    # by one iff some component holds an odd number of gamma vertices
+    edges = [e for i in range(0, 66, 3) for e in ((i, i + 1), (i + 1, i + 2))]
+    for gamma, rank in (([0], 45), ([0, 2], 44), ([0, 5, 69], 45)):
+        g = graft_matroid(70, edges, gamma)
+        lin = g.to_linear()
+        assert g.rank() == rank and lin.rep.matrix.nrows == rank
+        rng = random.Random(rank)
+        for mask in [g.full_mask, 1 << 44] + [rng.getrandbits(g.n) for _ in range(200)]:
+            assert lin.r(mask) == g.r(mask)
+        assert is_isomorphism(g, lin, {lab: lab for lab in g.labels})
+        assert are_isomorphic(g, g) is not None
 
 
 def test_rank_axioms_sampled(p10):
