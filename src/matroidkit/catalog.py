@@ -71,12 +71,6 @@ K5E_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2,
 K33_EDGES = ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
 
 
-def graft(nverts, edges, gamma, labels=None, name=""):
-    """Graft matroid: columns of the vertex-edge incidence matrix over GF(2)
-    plus the incidence vector of the marked vertex set gamma."""
-    return graft_matroid(nverts, edges, gamma, labels=labels, name=name)
-
-
 def uniform(r, n, labels=None, name=""):
     """U_{r,n}: rank function min(|X|, r), as a rank table."""
     if not 0 <= r <= n:
@@ -151,7 +145,7 @@ def _named_builders():
         "P9": lambda: from_matrix(parse_matrix(P9_MATRIX), name="P9"),
         "P10": lambda: from_matrix(parse_matrix(P10_MATRIX), name="P10"),
         "L10": lambda: from_matrix(parse_matrix(L10_MATRIX), name="L10"),
-        "R10": lambda: graft(6, K33_EDGES, (0, 1, 2, 3, 4, 5), name="R10"),
+        "R10": lambda: graft_matroid(6, K33_EDGES, (0, 1, 2, 3, 4, 5), name="R10"),
         "MK5e": lambda: from_graph(5, K5E_EDGES, name="MK5e"),
         "MK33": lambda: from_matrix(parse_matrix(MK33_MATRIX), name="MK33"),
         "MK33*": lambda: from_matrix(parse_matrix(MK33_MATRIX)).dual().with_name("MK33*"),
@@ -175,41 +169,6 @@ def named(name):
     except KeyError:
         raise MatroidError(f"unknown catalog name {name!r}") from None
     return builder()
-
-
-def matrix_a(alpha):
-    """The 4x9 matrix on e1..e9 with one free entry: the cycle matroid of
-    K5 minus an edge when alpha = 0 and P9 when alpha = 1."""
-    if alpha not in (0, 1):
-        raise MatroidError("alpha must be 0 or 1")
-    rows = (
-        (1, 0, 0, 0, 1, 0, 0, 1, 1),
-        (0, 1, 0, 0, 1, 1, 0, 0, alpha),
-        (0, 0, 1, 0, 0, 1, 1, 0, 1),
-        (0, 0, 0, 1, 0, 0, 1, 1, 0),
-    )
-    labels = tuple(f"e{i + 1}" for i in range(9))
-    return from_matrix(GFMatrix(2, rows), labels=labels, name=f"A[alpha={alpha}]")
-
-
-def matrix_b(alpha, betas):
-    """The 5x10 coextension shape on e1..e9, x: matrix A with a zero column
-    appended for x, plus the row (0,0,0,0,b5,...,b9,1)."""
-    if alpha not in (0, 1):
-        raise MatroidError("alpha must be 0 or 1")
-    b5, b6, b7, b8, b9 = betas
-    if any(b not in (0, 1) for b in (b5, b6, b7, b8, b9)):
-        raise MatroidError("betas must be 0 or 1")
-    rows = (
-        (1, 0, 0, 0, 1, 0, 0, 1, 1, 0),
-        (0, 1, 0, 0, 1, 1, 0, 0, alpha, 0),
-        (0, 0, 1, 0, 0, 1, 1, 0, 1, 0),
-        (0, 0, 0, 1, 0, 0, 1, 1, 0, 0),
-        (0, 0, 0, 0, b5, b6, b7, b8, b9, 1),
-    )
-    labels = tuple(f"e{i + 1}" for i in range(9)) + ("x",)
-    name = f"B[alpha={alpha},betas={b5}{b6}{b7}{b8}{b9}]"
-    return from_matrix(GFMatrix(2, rows), labels=labels, name=name)
 
 
 class CatalogEntry:
@@ -273,14 +232,9 @@ def entries():
 # ---- the family of binary (2,2)-uniform matroids that are not 3-connected
 
 
-def _triangle_on(p, q1, q2):
-    return uniform(2, 3, labels=(p, q1, q2))
-
-
 def _pc(m, base):
     """Parallel connection of m with a triangle at the given basepoint label."""
-    tri = _triangle_on("p0", "q1", "q2")
-    return parallel_connection(m, base, tri, "p0")
+    return parallel_connection(m, base, uniform(2, 3, labels=("p0", "q1", "q2")), "p0")
 
 
 def _pc_delete(m, base):
@@ -434,26 +388,6 @@ def cor33_family(max_n=10):
     if max_n == 10:
         _COR33_CACHE = list(entries_out)
     return entries_out
-
-
-def s8_basepoint_variants():
-    """Triangle glued at each automorphism-orbit representative of S8, the
-    basepoint deleted; returns (basepoint, matroid, is_22_uniform) triples.
-    S8 has three element orbits, so the glued result depends on the choice."""
-    from .uniformity import is_kl_uniform_flats
-    s8 = named("S8")
-    reps = []
-    seen = set()
-    for orbit in element_orbits(s8):
-        if orbit[0] not in seen:
-            reps.append(orbit[0])
-            seen.update(orbit)
-    out = []
-    for b in reps:
-        m = _pc_delete(s8, b)
-        ok = is_kl_uniform_flats(m, 2, 2)[0]
-        out.append((b, m, ok))
-    return out
 
 
 # ---- CLI name resolution

@@ -77,7 +77,7 @@ def _run_method(m, k, l, method):
             return ok, None, None
         flat = wit.flat
         text = (f"flat {_format_mask(m, flat)} has rank {m.r(flat)} "
-                f"and nullity {flat.bit_count() - m.r(flat)}")
+                f"and nullity {m.nullity(flat)}")
         return ok, text, {"flat": list(m.labels_of(flat))}
     if method == "minor":
         ok, wit = is_kl_uniform_minor(m, k, l)
@@ -156,7 +156,7 @@ def cmd_verify(args):
             tally[r.status] += 1
         print(f"{tally['pass']} passed, {tally['fail']} failed, "
               f"{tally['skipped']} skipped")
-    return EXIT_TRUE if all(r.status != "fail" for r in results) else EXIT_FALSE
+    return EXIT_TRUE if all(r.ok for r in results) else EXIT_FALSE
 
 
 # ---- iso / minor / dual

@@ -28,9 +28,7 @@ __all__ = [
     "rank_of_columns",
     "span_of_columns",
     "null_space",
-    "projective_points",
     "point_to_vector",
-    "vector_to_point",
     "subspace_masks",
     "parse_matrix",
     "format_matrix",
@@ -174,10 +172,8 @@ class GFMatrix:
         return cached
 
     def point_values(self):
-        """GF(2) only: columns as ints read with row 0 as the high bit.
-
-        Point value v corresponds to index v - 1 in projective_points(r, 2).
-        """
+        """GF(2) only: columns as ints read with row 0 as the high bit, the
+        point values that from_point_values and subspace_masks take."""
         if self.field.q != 2:
             raise GFError("point values are a GF(2) notion here")
         r = self.nrows
@@ -403,37 +399,11 @@ def null_space(m: GFMatrix):
     return tuple(basis)
 
 
-def projective_points(r: int, q: int = 2):
-    """Points of PG(r-1, q): normalized vectors (leading nonzero entry 1),
-    in lexicographic order.  len = (q**r - 1) // (q - 1)."""
-    if r < 1:
-        raise GFError("projective dimension needs r >= 1")
-    if r > MAX_DIM:
-        raise GFError(f"r exceeds the {MAX_DIM} cap")
-    fld = field(q)
-    pts = []
-    for vec in itertools.product(range(fld.q), repeat=r):
-        lead = next((x for x in vec if x != 0), None)
-        if lead == 1:
-            pts.append(vec)
-    if len(pts) != (q**r - 1) // (q - 1):
-        raise GFError(f"internal error: PG({r - 1},{q}) point count mismatch")
-    return tuple(pts)
-
-
 def point_to_vector(v: int, r: int):
-    """Inverse of vector_to_point: GF(2) point value -> coordinate tuple."""
+    """GF(2) point value -> coordinate tuple, coordinate 0 the high bit."""
     if not 0 < v < (1 << r):
         raise GFError(f"point value {v} out of range for r={r}")
     return tuple((v >> (r - 1 - i)) & 1 for i in range(r))
-
-
-def vector_to_point(vec) -> int:
-    """GF(2) coordinate tuple -> point value (coordinate 0 is the high bit)."""
-    v = 0
-    for x in vec:
-        v = (v << 1) | (x & 1)
-    return v
 
 
 @lru_cache(maxsize=None)

@@ -268,7 +268,7 @@ def _canonical(m: Matroid):
     if r <= 6:
         side, mm = "p", m
     elif n - r <= 6:
-        # a graph's dual as a rank table stops at n = 25; its matrix's does not
+        # dualize a graph through its matrix, so the dual is a matrix too
         side, mm = "d", (m if isinstance(m.rep, RankTableRep) else m.to_linear()).dual()
     else:
         raise MatroidError("iso_key needs rank or corank at most 6")

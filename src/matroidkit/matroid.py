@@ -6,7 +6,8 @@ subsets, n <= 25), Graphic (graph edges, spanning-forest rank), Graft
 gamma's incidence vector adjoined as one extra element).  Linear and
 Graphic backends also answer closures directly (`rep.closure`).  Minors
 and duals stay in-backend where that is natural and materialize as
-RankTable otherwise.
+RankTable otherwise; past the table cap a graph or graft dualizes through
+its matrix.
 """
 
 from __future__ import annotations
@@ -434,7 +435,7 @@ class Matroid:
             return Matroid(LinearRep(_linear_dual(rep.matrix)), self.labels)
         n, full, rm = self.n, self.full_mask, self.rank()
         if n > TABLE_CAP:
-            raise MatroidError("dual of a non-linear backend needs n <= table cap")
+            return self.to_linear().dual()
         table = bytearray(1 << n)
         for mask in range(1 << n):
             table[mask] = mask.bit_count() + self.r(full ^ mask) - rm
@@ -501,10 +502,6 @@ class Matroid:
         return m
 
     # ---- connectivity
-
-    def lambda_of(self, X):
-        mask = self._as_mask(X)
-        return self.r(mask) + self.r(self.full_mask ^ mask) - self.rank()
 
     def fundamental_circuits(self):
         """(B, {e: C(e, B)}) as masks, B the greedy basis in element order: b lies
@@ -663,6 +660,8 @@ def from_graph(nverts, edges, labels=None, name=""):
 
 
 def graft_matroid(nverts, edges, gamma, labels=None, name=""):
+    """Graft matroid: columns of the vertex-edge incidence matrix over GF(2)
+    plus the incidence vector of the marked vertex set gamma."""
     if labels is None:
         labels = default_labels(len(edges)) + ("g",)
     return Matroid(GraftRep(nverts, edges, gamma), labels, name=name)
@@ -888,19 +887,11 @@ def binary_three_sum(m1: Matroid, m2: Matroid, t_labels):
                 out |= 1 << pos[matroid.labels[i]]
         return out
 
-    vectors = [embed(a, v) for v in null_space(a.rep.matrix)]
-    vectors += [embed(b, v) for v in null_space(b.rep.matrix)]
-    echelon = []
-    for v in vectors:
-        for w in echelon:
-            vw = v ^ w
-            if vw < v:
-                v = vw
-        if v:
-            echelon.append(v)
-            echelon.sort(reverse=True)
-    lowmask = (1 << m) - 1
-    cycle_rows = [v for v in echelon if v <= lowmask]
+    piv = [0] * (m + 4)  # piv[b]: the echelon row whose top bit is bit b - 1
+    for side in (a, b):
+        for v in null_space(side.rep.matrix):
+            _reduce(field(2), piv, embed(side, v))
+    cycle_rows = [v for v in piv[1:m + 1] if v]
     if cycle_rows:
         k = GFMatrix(
             field(2),

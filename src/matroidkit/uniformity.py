@@ -23,8 +23,6 @@ __all__ = [
     "is_22_uniform_circuits",
     "is_paving",
     "is_sparse_paving",
-    "simple_iff_uniform_check",
-    "minimal_kl_frontier",
     "classify_disconnected_22",
     "classify_connected_not3_22",
 ]
@@ -126,40 +124,6 @@ def is_paving(m: Matroid):
 
 def is_sparse_paving(m: Matroid):
     return is_kl_uniform_flats(m, 2, 1)[0] and is_kl_uniform_flats(m, 1, 2)[0]
-
-
-def simple_iff_uniform_check(m: Matroid):
-    """is_simple(m), asserted equal to (r-1,1)-uniformity.  Below rank 2 the
-    pair (r-1, 1) is out of range and the simplicity answer stands alone."""
-    r = m.rank()
-    simple = m.is_simple()
-    if r < 2:
-        return simple
-    uniform = is_kl_uniform_flats(m, r - 1, 1)[0]
-    if simple != uniform:
-        raise MatroidError("internal error: simplicity disagrees with (r-1,1)-uniformity")
-    return simple
-
-
-def minimal_kl_frontier(m: Matroid, k_max: int, l_max: int):
-    """Minimal (k,l) pairs within the box for which m is (k,l)-uniform."""
-    if k_max < 1 or l_max < 1:
-        raise MatroidError("bounds must be positive")
-    table = {}
-    for k in range(1, k_max + 1):
-        for l in range(1, l_max + 1):
-            table[k, l] = is_kl_uniform_flats(m, k, l)[0]
-    for (k, l), ok in table.items():
-        if ok:
-            if k + 1 <= k_max and not table[k + 1, l]:
-                raise MatroidError("internal error: uniformity not upward closed")
-            if l + 1 <= l_max and not table[k, l + 1]:
-                raise MatroidError("internal error: uniformity not upward closed")
-    out = []
-    for (k, l), ok in sorted(table.items()):
-        if ok and not (k > 1 and table[k - 1, l]) and not (l > 1 and table[k, l - 1]):
-            out.append((k, l))
-    return out
 
 
 # ---- structure of (2,2)-uniform matroids below 3-connectivity

@@ -24,7 +24,7 @@ from .iso import (
     has_minor,
     iso_key,
 )
-from .matroid import MatroidError, binary_three_sum, from_matrix, is_isomorphism
+from .matroid import MatroidError, binary_three_sum, from_matrix, graft_matroid, is_isomorphism
 from .search import (
     SearchConfig,
     _node_state,
@@ -406,11 +406,11 @@ def _check_series_pair_classes(cache):
 def _check_grafts(cache):
     pairs = [
         ("P9", catalog.named("P9"),
-         catalog.graft(5, catalog.W4_EDGES, (0, 1, 2, 3))),
+         graft_matroid(5, catalog.W4_EDGES, (0, 1, 2, 3))),
         ("R10", catalog.named("R10"),
-         catalog.graft(6, catalog.K33_EDGES, (0, 1, 2, 3, 4, 5))),
+         graft_matroid(6, catalog.K33_EDGES, (0, 1, 2, 3, 4, 5))),
         ("L10", catalog.named("L10"),
-         catalog.graft(6, catalog.K33_EDGES, (0, 1, 2, 3))),
+         graft_matroid(6, catalog.K33_EDGES, (0, 1, 2, 3))),
     ]
     bad = [nm for nm, a, b in pairs if iso_key(a) != iso_key(b)]
     return not bad, f"graft constructions match matrices by canonical form, mismatches: {bad or 'none'}"

@@ -8,7 +8,7 @@ import pytest
 from matroidkit import catalog
 from matroidkit.gf import GFMatrix, parse_matrix
 from matroidkit.iso import are_isomorphic, binary_canonical_form, iso_key
-from matroidkit.matroid import MatroidError, from_graph, from_matrix
+from matroidkit.matroid import MatroidError, from_graph, from_matrix, graft_matroid
 from matroidkit.uniformity import is_kl_uniform_flats
 
 
@@ -53,12 +53,12 @@ def test_s8_is_any_nontip_deletion_but_not_the_tipless_spike():
 
 
 def test_p9_matrix_equals_graft_of_wheel():
-    g = catalog.graft(5, catalog.W4_EDGES, (0, 1, 2, 3))
+    g = graft_matroid(5, catalog.W4_EDGES, (0, 1, 2, 3))
     assert iso(catalog.named("P9"), g)
 
 
 def test_l10_matrix_equals_graft_of_k33():
-    g = catalog.graft(6, catalog.K33_EDGES, (0, 1, 2, 3))
+    g = graft_matroid(6, catalog.K33_EDGES, (0, 1, 2, 3))
     assert iso(catalog.named("L10"), g)
 
 
@@ -79,7 +79,6 @@ def test_l10_matrix_is_p10_rows_with_all_ones_last_row():
 
 def test_mk33_matrix_is_graphic():
     assert iso(catalog.named("MK33"), from_graph(6, catalog.K33_EDGES))
-    assert iso(catalog.named("MK5e"), catalog.matrix_a(0))
 
 
 def test_wheel_is_self_dual():
@@ -103,29 +102,6 @@ def test_mw4_simple_extensions_are_exactly_three():
     assert iso(by_points[(6, 9)], catalog.named("MK5e"))
     assert iso(by_points[(7, 11, 13, 14)], catalog.named("P9"))
     assert iso(by_points[(15,)], catalog.named("MK33*"))
-
-
-def test_matrix_a_both_settings():
-    a1 = catalog.matrix_a(1)
-    assert a1.labels == tuple(f"e{i}" for i in range(1, 10))
-    assert iso(a1, catalog.named("P9"))
-    assert iso(catalog.matrix_a(0), catalog.named("MK5e"))
-    # bit-exact agreement with the fixed P9 matrix
-    assert a1.to_linear().rep.matrix.rows == parse_matrix(catalog.P9_MATRIX).rows
-    cl = a1.closure(a1.mask_of(("e1", "e3", "e4")))
-    assert sorted(a1.labels_of(cl)) == ["e1", "e3", "e4", "e7", "e8"]
-    with pytest.raises(MatroidError):
-        catalog.matrix_a(2)
-
-
-def test_matrix_b_contracts_to_matrix_a():
-    for alpha, betas in ((0, (1, 1, 1, 1, 1)), (1, (1, 1, 0, 1, 0))):
-        b = catalog.matrix_b(alpha, betas)
-        assert b.labels[-1] == "x"
-        bx = b.contract(b.mask_of(("x",)))
-        assert iso(bx, catalog.matrix_a(alpha))
-    with pytest.raises(MatroidError):
-        catalog.matrix_b(0, (1, 1, 1, 1, 2))
 
 
 def test_geometry_sizes_and_identities():
@@ -216,12 +192,3 @@ def test_cor33_family_covers_free_matroids_via_duals():
     assert any(iso(e.matroid, catalog.uniform(3, 3)) for e in fam)
     assert any(e.name == "P(Z4,U23)\\t" for e in fam)
     assert any(e.name == "P(F7,U23)\\p" for e in fam)
-
-
-def test_s8_basepoint_variants():
-    got = {b: ok for b, _, ok in catalog.s8_basepoint_variants()}
-    assert len(got) == 3
-    assert got["t"] is True
-    assert got["x4"] is False
-    # the third representative is some x/y leg; only the tip gluing works
-    assert sum(got.values()) == 1

@@ -11,11 +11,9 @@ from matroidkit.gf import (
     null_space,
     parse_matrix,
     point_to_vector,
-    projective_points,
     rank_of_columns,
     rref,
     subspace_masks,
-    vector_to_point,
 )
 
 P10_TEXT = """
@@ -146,28 +144,9 @@ def test_point_values():
 
 
 def test_point_vector_round_trip():
-    assert vector_to_point((1, 0, 1, 1, 0)) == 22
     assert point_to_vector(22, 5) == (1, 0, 1, 1, 0)
-    for v in range(1, 32):
-        assert vector_to_point(point_to_vector(v, 5)) == v
-
-
-def test_projective_points_lex_order_and_count():
-    pts = projective_points(3, 2)
-    assert len(pts) == 7
-    assert pts == tuple(point_to_vector(v, 3) for v in range(1, 8))
-    assert len(projective_points(3, 3)) == 13
-    assert len(projective_points(2, 4)) == 5
-    assert len(projective_points(5, 2)) == 31
-
-
-def test_projective_points_count_check_raises(monkeypatch):
-    # enumerating over the wrong field breaks the point count, which is
-    # caught, also under python -O
-    gf3 = field(3)
-    monkeypatch.setattr(gf, "field", lambda q: gf3)
-    with pytest.raises(GFError):
-        projective_points(3, 2)
+    every = tuple(range(1, 32))
+    assert GFMatrix.from_point_values(every, 5).point_values() == every
 
 
 def test_subspace_mask_counts_are_gaussian_binomials():

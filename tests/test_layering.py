@@ -51,3 +51,36 @@ def test_only_verify_imports_random():
     # verify needs random for its seeded corpus; anywhere else it would mean
     # a sampled certificate in place of an exact one
     assert [p.stem for p in sorted(PACKAGE.glob("*.py")) if imports_random(p)] == ["verify"]
+
+
+# Public names kept for callers outside the package: tests swap in a
+# rank-table backend with as_rank_table.
+UNCALLED_OK = {"as_rank_table"}
+
+
+def test_every_public_name_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    uses = {}  # name -> ids of the Name/Attribute nodes that use it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, set()).add(id(node))
+    defs = []  # (where, definition node)
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{stem}.{node.name}.{item.name}", item) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+    uncalled = []
+    for where, node in defs:
+        name = node.name
+        if name.startswith("_") or name in UNCALLED_OK:
+            continue
+        inside = {id(sub) for sub in ast.walk(node)}
+        if not uses.get(name, set()) - inside:
+            uncalled.append(where)
+    assert uncalled == []

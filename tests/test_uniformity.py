@@ -26,8 +26,6 @@ from matroidkit.uniformity import (
     is_kl_uniform_minor,
     is_paving,
     is_sparse_paving,
-    minimal_kl_frontier,
-    simple_iff_uniform_check,
 )
 
 P10_TEXT = """2 5 10
@@ -201,18 +199,25 @@ def test_paving_family_facts():
 
 
 def test_simple_iff_uniform(f7):
-    assert simple_iff_uniform_check(f7)
-    assert not simple_iff_uniform_check(u_matroid(1, 2))
+    # from rank 2 on, simple is the same as (r-1, 1)-uniform
+    assert f7.is_simple() and is_kl_uniform_flats(f7, 2, 1)[0]
+    assert not u_matroid(1, 2).is_simple()
     for m in random_corpus(20, seed=23):
         if m.rank() >= 2:
-            assert simple_iff_uniform_check(m) == m.is_simple()
+            assert is_kl_uniform_flats(m, m.rank() - 1, 1)[0] == m.is_simple()
 
 
 def test_frontier(p10):
-    assert minimal_kl_frontier(u_matroid(3, 6), 3, 3) == [(1, 1)]
-    assert minimal_kl_frontier(p10, 3, 3) == [(2, 2)]
+    # the (k,l) pairs of the 3x3 box for which m is (k,l)-uniform, an up-set
+    box = [(k, l) for k in range(1, 4) for l in range(1, 4)]
+
+    def uniform_pairs(m):
+        return {(k, l) for k, l in box if is_kl_uniform_flats(m, k, l)[0]}
+
+    assert uniform_pairs(u_matroid(3, 6)) == set(box)
+    assert uniform_pairs(p10) == {(2, 2), (2, 3), (3, 2), (3, 3)}
     m = direct_sum(u_matroid(2, 2), u_matroid(0, 2))
-    assert minimal_kl_frontier(m, 3, 3) == [(1, 3), (3, 1)]
+    assert uniform_pairs(m) == {(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)}
 
 
 def test_classify_disconnected(f7):
