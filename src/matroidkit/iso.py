@@ -52,17 +52,19 @@ class _Smaller(Exception):
 # ---- point-set canonicalization
 
 
-def _canon_search(points, weights, target=None):
+def _canon_search(points, weights, target=None, autos=None):
     """Minimize the sorted (image, weight) list over injective linear maps.
 
     Returns (best_pairs, best_map, autos).  With a target, raises _Smaller
     the moment any map provably beats it and otherwise confirms the target.
     autos collect the weight-preserving linear symmetries, as point maps,
-    found on ties.  Without a target they generate the whole symmetry group:
-    at each node on the path to the first best leaf, every candidate in the
-    orbit of the path's next point is either skipped by an orbit prune or
-    reaches a tie, so the orbits of the autos fixing the node's prefix are
-    the full stabilizer's orbits (the argument of McKay's nauty).
+    found on ties; a given autos list seeds the orbit prunes with symmetries
+    already known (each indexable by every point) and is extended in place.
+    Without a target they generate the whole symmetry group: at each node on
+    the path to the first best leaf, every candidate in the orbit of the
+    path's next point is either skipped by an orbit prune or reaches a tie,
+    so the orbits of the autos fixing the node's prefix are the full
+    stabilizer's orbits (the argument of McKay's nauty).
     """
     n = len(points)
     wt = dict(zip(points, weights))
@@ -71,7 +73,8 @@ def _canon_search(points, weights, target=None):
     testing = target is not None
     best = [tuple(pair) for pair in target] if testing else None
     best_map = {p: p for p, _ in target} if testing else None
-    autos = []
+    if autos is None:
+        autos = []
 
     def rec(prefix, span, forced, img_of, outside):
         # span maps every vector spanned by prefix[:-1] to its image; the
@@ -172,8 +175,13 @@ def canonical_point_set(points):
     return tuple(v for v, _ in form)
 
 
-def is_canonical_point_set(points, weights=None):
-    """True iff sorted(points) is its own canonical form (orbit representative)."""
+def is_canonical_point_set(points, weights=None, autos=None):
+    """True iff sorted(points) is its own canonical form (orbit representative).
+
+    autos, when given, is a list of known weight-preserving linear symmetries
+    of the points, each indexable by every point (p -> image of p).  The test
+    uses them as orbit prunes from its first node and appends, as dicts, the
+    symmetries its own search finds."""
     pts = tuple(sorted(points))
     if weights is None:
         pairs = tuple((p, 0) for p in pts)
@@ -183,7 +191,8 @@ def is_canonical_point_set(points, weights=None):
         if list(pairs) != sorted(pairs):
             return False
     try:
-        _canon_search(tuple(p for p, _ in pairs), tuple(w for _, w in pairs), target=pairs)
+        _canon_search(tuple(p for p, _ in pairs), tuple(w for _, w in pairs),
+                      target=pairs, autos=autos)
     except _Smaller:
         return False
     return True

@@ -668,7 +668,9 @@ def graft_matroid(nverts, edges, gamma, labels=None, name=""):
 
 
 def full_rank_table(m: Matroid):
-    """Dense rank table of m as bytes; fast echelon walk for binary matrices."""
+    """Dense rank table of m as bytes.  For a matrix, one depth-first walk:
+    the echelon basis of each mask extends that of the mask without its low
+    bit by one _reduce call, and is undone on the way back."""
     n = m.n
     if n > TABLE_CAP:
         raise MatroidError(f"rank table capped at n <= {TABLE_CAP}")
@@ -676,27 +678,30 @@ def full_rank_table(m: Matroid):
     if isinstance(rep, RankTableRep):
         return rep.table
     table = bytearray(1 << n)
-    if isinstance(rep, LinearRep) and rep.matrix.field.q == 2:
-        cols = rep.matrix.col_bits
-        bases = [()] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            prev = mask ^ low
-            v = cols[low.bit_length() - 1]
-            b = bases[prev]
-            for w in b:  # kept sorted descending, so this fully reduces v
-                vw = v ^ w
-                if vw < v:
-                    v = vw
-            if v:
-                i = 0
-                while i < len(b) and b[i] > v:
-                    i += 1
-                bases[mask] = b[:i] + (v,) + b[i:]
-                table[mask] = table[prev] + 1
-            else:
-                bases[mask] = b
-                table[mask] = table[prev]
+    if isinstance(rep, LinearRep):
+        mat = rep.matrix
+        fld = mat.field
+        if fld.q == 2:
+            cols, piv, blank = mat.col_bits, [0] * (mat.nrows + 1), 0
+        else:
+            cols, piv, blank = mat.columns, [None] * mat.nrows, None
+
+        def walk(mask, rank, top):
+            # the children of mask add one element below its low bit
+            for j in range(top):
+                child = mask | 1 << j
+                slot = _reduce(fld, piv, cols[j])
+                if slot is None:
+                    table[child] = rank
+                    if j:
+                        walk(child, rank, j)
+                else:
+                    table[child] = rank + 1
+                    if j:
+                        walk(child, rank + 1, j)
+                    piv[slot] = blank
+
+        walk(0, 0, n)
         return bytes(table)
     # read the memo, but leave no 2^n entries behind in it
     memo, rank = m._memo, rep.rank

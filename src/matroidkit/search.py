@@ -15,6 +15,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import catalog
 from .gf import GFMatrix, rref, subspace_masks
@@ -29,7 +30,7 @@ from .iso import (
     is_canonical_point_set,
     iso_key,
 )
-from .matroid import Matroid, MatroidError, from_matrix
+from .matroid import Matroid, MatroidError, _bits, _find, from_matrix
 from .uniformity import _check_kl
 
 _SPLIT_DEPTH = 4  # subtree roots handed to workers have this many points
@@ -154,7 +155,8 @@ def _passes_kl(points_mask, t, k, l, subs, weights=None, loops=0):
     t - k + l: the (k,l) criterion for a rank-t point configuration.  Points
     are the bits of points_mask (bit v - 1 for point value v), each of weight
     one unless weights maps point values to multiplicities; loops lie in
-    every subspace.  subs is subspace_masks of the ambient dimension."""
+    every subspace.  subs is subspace_masks of the ambient dimension, or the
+    part of it that can fail, keyed the same way."""
     d = t - k
     if d < 0:
         return True
@@ -200,28 +202,72 @@ def _node_state(points):
     return pmask, span, rank
 
 
+@lru_cache(maxsize=None)
+def _subspaces_through(r):
+    """For each point value v of GF(2)^r, the subspaces of subspace_masks(r)
+    that contain v, indexed by dimension as _passes_kl reads them; index 0
+    is unused."""
+    out = [[[] for _ in range(r + 1)] for _ in range(1 << r)]
+    for d, masks in subspace_masks(r).items():
+        for w in masks:
+            for b in _bits(w):
+                out[b + 1][d].append(w)
+    return tuple(tuple(map(tuple, by_dim)) for by_dim in out)
+
+
+def _linear_extension(g, points, size):
+    """The linear map that agrees with g on points, as bytes indexed by every
+    vector of span(points) (0 outside the span)."""
+    img = bytearray(size)
+    span = [0]
+    for p in points:
+        if img[p]:  # already in the span: g is injective there
+            continue
+        gp = g[p]
+        for s in list(span):
+            img[s ^ p] = img[s] ^ gp
+            span.append(s ^ p)
+    return bytes(img)
+
+
 def _serial_search(cfg, stack, forms, counts, stats, defer_depth=None, frontier=None):
     """Depth-first expansion of canonical (k,l)-uniform point sets.  Nodes on
     the stack are point tuples already known canonical and uniform.  When
     defer_depth is set, nodes of that size are moved to the frontier instead
-    of being expanded (used to split work across processes)."""
+    of being expanded (used to split work across processes).
+
+    A child P + v is kept iff it passes the (k,l) count and the lex-min
+    canonicity test, as in a plain orderly search; every shortcut below
+    gives that verdict exactly.  Children with v outside span(P) are all
+    isomorphic, so they share one count and only the least vector outside
+    the span can be canonical.  For v in span(P) the rank stays and the
+    parent passed, so only the subspaces through v are counted.  The
+    automorphisms of P that its own test found (carried in a dict keyed by
+    node, extended linearly to span(P)) reject v when its orbit holds a
+    smaller w outside P, since P + w is then a smaller image of P + v; those
+    fixing v seed the child's test.  Nodes carrying none (the root, resumed
+    nodes, worker subtree roots) take the test unseeded."""
     subs = subspace_masks(cfg.r)
-    top = (1 << cfg.r) - 1
+    through = _subspaces_through(cfg.r)
+    size = 1 << cfg.r
+    carried = {}
     while stack:
         points = stack.pop()
+        maps = carried.pop(points, ())
         if defer_depth is not None and len(points) == defer_depth:
             frontier.append(points)
             continue
-        stats["nodes"] += 1
-        if stats["nodes"] > cfg.budget:
+        # a checkpoint holds the node uncounted, so a resumed run counts it once
+        if stats["nodes"] >= cfg.budget:
             if cfg.checkpoint:
                 _write_checkpoint(cfg, stack + [points] + (frontier or []),
                                   forms, counts, stats)
             raise BudgetExhausted(
                 f"search budget of {cfg.budget} nodes exhausted")
-        if cfg.checkpoint and stats["nodes"] % cfg.checkpoint_every == 0:
+        if cfg.checkpoint and (stats["nodes"] + 1) % cfg.checkpoint_every == 0:
             _write_checkpoint(cfg, stack + [points] + (frontier or []),
                               forms, counts, stats)
+        stats["nodes"] += 1
         pmask, span, rank = _node_state(points)
         if _leaf_passes(_matroid_from_points(points, cfg.r), cfg):
             stats["kept"] += 1
@@ -229,16 +275,47 @@ def _serial_search(cfg, stack, forms, counts, stats, defer_depth=None, frontier=
             forms.append(points)
         if cfg.max_size is not None and len(points) >= cfg.max_size:
             continue
+        orbit = list(range(size))
+        for g in maps:
+            for x in _bits(span):
+                a, b = _find(orbit, x + 1), _find(orbit, g[x + 1])
+                if a != b:
+                    orbit[max(a, b)] = min(a, b)  # each root is its orbit's least
+        free = (~span & (span + 1)).bit_length()  # least vector outside span(P)
+        raised = None  # the shared count verdict of the children outside the span
         start = points[-1] + 1 if points else 1
-        for v in range(start, top + 1):
-            t2 = rank if span >> (v - 1) & 1 else rank + 1
-            if not _passes_kl(pmask | 1 << (v - 1), t2, cfg.k, cfg.l, subs):
-                stats["pruned_uniformity"] += 1
-                continue
+        for v in range(start, size):
             child = points + (v,)
-            if not is_canonical_point_set(child):
+            child_mask = pmask | 1 << (v - 1)
+            if span >> (v - 1) & 1:
+                if not _passes_kl(child_mask, rank, cfg.k, cfg.l, through[v]):
+                    stats["pruned_uniformity"] += 1
+                    continue
+                if _find(orbit, v) < v:
+                    stats["pruned_canonical"] += 1
+                    continue
+                seeds = [g for g in maps if g[v] == v]
+            else:
+                if raised is None:
+                    raised = _passes_kl(child_mask, rank + 1, cfg.k, cfg.l, subs)
+                if not raised:
+                    stats["pruned_uniformity"] += 1
+                    continue
+                if v != free:
+                    stats["pruned_canonical"] += 1
+                    continue
+                # v is independent of span(P), so each g extends by fixing it
+                seeds = [_linear_extension(g[:v] + bytes((v,)) + g[v + 1:], child, size)
+                         for g in maps]
+            autos = list(seeds)
+            if not is_canonical_point_set(child, autos=autos):
                 stats["pruned_canonical"] += 1
                 continue
+            found = dict.fromkeys(seeds)
+            for g in autos[len(seeds):]:
+                if any(g[p] != p for p in child):  # the target leaf itself ties
+                    found.setdefault(_linear_extension(g, child, size))
+            carried[child] = list(found)
             stack.append(child)
 
 

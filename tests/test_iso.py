@@ -322,6 +322,44 @@ def test_cached_automorphisms_are_automorphisms():
             assert is_isomorphism(m, m, mapping), m
 
 
+def _gf2_rank(vectors):
+    piv = {}
+    for v in vectors:
+        while v and v.bit_length() in piv:
+            v ^= piv[v.bit_length()]
+        if v:
+            piv[v.bit_length()] = v
+    return len(piv)
+
+
+def _from_columns(cols, r):
+    return from_matrix(GFMatrix(2, [[c >> (r - 1 - i) & 1 for c in cols] for i in range(r)]))
+
+
+def test_iso_key_invariant_under_basis_change_and_column_permutation():
+    # loops and parallel columns included; rank and corank at most 6
+    rng = random.Random(6021)
+    checked = 0
+    while checked < 150:
+        r = rng.randint(1, 6)
+        cols = [rng.randrange(1 << r) for _ in range(rng.randint(1, r + 6))]
+        if len(cols) - _gf2_rank(cols) > 6:
+            continue
+        basis = [rng.randrange(1, 1 << r) for _ in range(r)]  # images of the unit vectors
+        if _gf2_rank(basis) < r:
+            continue
+        moved = []
+        for c in cols:
+            w = 0
+            for i in range(r):
+                if c >> (r - 1 - i) & 1:
+                    w ^= basis[i]
+            moved.append(w)
+        rng.shuffle(moved)
+        assert iso_key(_from_columns(cols, r)) == iso_key(_from_columns(moved, r)), (cols, basis)
+        checked += 1
+
+
 def test_is_binary(f7):
     assert is_binary(f7)
     assert is_binary(u_matroid(2, 3))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidkit import catalog, matroid
-from matroidkit.gf import GFMatrix, field, parse_matrix
+from matroidkit.gf import GFMatrix, field, parse_matrix, rank_of_columns
 from matroidkit.matroid import (
     GraphicRep,
     LinearRep,
@@ -597,6 +597,17 @@ def test_dual_past_the_table_cap_goes_through_the_matrix():
 def test_full_rank_table_routes_agree():
     w4 = from_graph(5, W4_EDGES)
     assert full_rank_table(w4) == full_rank_table(w4.to_linear())
+
+
+def test_full_rank_table_walk_matches_the_rank_oracle():
+    rng = random.Random(31)
+    for q in (2, 3, 4, 5, 7):
+        for _ in range(4):
+            r, n = rng.randint(1, 5), rng.randint(0, 10)
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+            m = from_matrix(GFMatrix(field(q), rows))
+            want = bytes(rank_of_columns(m.rep.matrix, mask) for mask in range(1 << n))
+            assert full_rank_table(m) == want, (q, rows)
 
 
 def test_full_rank_table_leaves_the_memo_alone():

@@ -5,16 +5,18 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from matroidkit import catalog
+from matroidkit import catalog, search
 from matroidkit.gf import GFMatrix, rref, subspace_masks
 from matroidkit.iso import (
     BudgetExhausted,
     NotBinary,
     are_isomorphic,
     canonical_point_set,
+    is_canonical_point_set,
     iso_key,
 )
 from matroidkit.matroid import MatroidError, from_matrix, is_binary_affine
@@ -125,7 +127,7 @@ def test_workers_match_serial():
     parallel = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2, workers=3))
     assert serial.forms == parallel.forms
     assert serial.counts == parallel.counts
-    assert serial.stats["nodes"] == parallel.stats["nodes"]
+    assert serial.stats == parallel.stats
 
 
 def test_budget_checkpoint_resume(tmp_path):
@@ -136,10 +138,112 @@ def test_budget_checkpoint_resume(tmp_path):
         enumerate_kl_uniform(cfg)
     resumed = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2, checkpoint=path),
                                    resume=path)
-    assert sorted(resumed.forms) == sorted(clean.forms)
+    assert resumed.forms == clean.forms
     assert resumed.counts == clean.counts
+    assert resumed.stats == clean.stats  # the node held in the checkpoint counts once
     with pytest.raises(MatroidError):
         enumerate_kl_uniform(SearchConfig(r=5, k=2, l=1), resume=path)
+
+
+def test_resume_from_a_periodic_checkpoint(tmp_path, monkeypatch):
+    # stop the run right after its second periodic checkpoint, then resume
+    path = str(tmp_path / "ck.json")
+    clean = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2))
+    write = search._write_checkpoint
+    written = []
+
+    class Stopped(Exception):
+        pass
+
+    def write_then_stop(*args):
+        write(*args)
+        written.append(args[0].checkpoint)
+        if len(written) == 2:
+            raise Stopped
+
+    monkeypatch.setattr(search, "_write_checkpoint", write_then_stop)
+    with pytest.raises(Stopped):
+        enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2, checkpoint=path,
+                                          checkpoint_every=10))
+    monkeypatch.setattr(search, "_write_checkpoint", write)
+    with open(path) as fh:
+        assert json.load(fh)["stats"]["nodes"] == 19  # the 20th node is on the stack
+    resumed = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2), resume=path)
+    assert (resumed.forms, resumed.counts, resumed.stats) == (
+        clean.forms, clean.counts, clean.stats)
+
+
+def _reference_orderly(cfg):
+    """A plain orderly search: every child P + v with v above max(P) gets the
+    full subspace count and the full canonicity test."""
+    subs = subspace_masks(cfg.r)
+    forms, counts = [], Counter()
+    stats = {"nodes": 0, "kept": 0, "pruned_uniformity": 0, "pruned_canonical": 0}
+    stack = [()]
+    while stack:
+        points = stack.pop()
+        stats["nodes"] += 1
+        m = from_matrix(GFMatrix.from_point_values(list(points), cfg.r))
+        if ((not cfg.require_simple or m.is_simple())
+                and (not cfg.require_cosimple or m.is_cosimple())
+                and (not cfg.require_3connected or m.is_3connected())):
+            stats["kept"] += 1
+            counts[m.rank(), len(points)] += 1
+            forms.append(points)
+        if cfg.max_size is not None and len(points) >= cfg.max_size:
+            continue
+        for v in range((points[-1] if points else 0) + 1, 1 << cfg.r):
+            child = points + (v,)
+            mask = sum(1 << (p - 1) for p in child)
+            rank = from_matrix(GFMatrix.from_point_values(list(child), cfg.r)).rank()
+            if not _passes_kl(mask, rank, cfg.k, cfg.l, subs):
+                stats["pruned_uniformity"] += 1
+            elif not is_canonical_point_set(child):
+                stats["pruned_canonical"] += 1
+            else:
+                stack.append(child)
+    forms.sort(key=lambda p: (len(p), p))
+    return forms, dict(counts), stats
+
+
+def _is_point_automorphism(g, points):
+    # g maps the points onto themselves and is linear wherever that is visible
+    pts = set(points)
+    if {g[p] for p in points} != pts:
+        return False
+    return all(g[a ^ b] == g[a] ^ g[b] for a in points for b in points if a ^ b in pts)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(r=5, k=2, l=2),
+    dict(r=5, k=3, l=1),
+    dict(r=5, k=1, l=3),
+    dict(r=4, k=1, l=2),
+    dict(r=4, k=1, l=1),
+    dict(r=5, k=2, l=2, require_cosimple=True, require_3connected=True),
+    dict(r=5, k=2, l=1, require_cosimple=True),
+    dict(r=5, k=1, l=2, require_simple=False, max_size=6),
+])
+def test_search_shortcuts_match_a_plain_orderly_search(kwargs, monkeypatch):
+    cfg = SearchConfig(**kwargs)
+    want = _reference_orderly(cfg)
+    calls = []
+
+    def checked(points, weights=None, autos=None):
+        # every automorphism handed to a test, and every one a passing test
+        # leaves for the node's children, maps the node onto itself
+        seeds = len(autos)
+        assert all(_is_point_automorphism(g, points) for g in autos)
+        verdict = is_canonical_point_set(points, weights, autos)
+        calls.append(verdict)
+        if verdict:
+            assert all(_is_point_automorphism(g, points) for g in autos[seeds:])
+        return verdict
+
+    monkeypatch.setattr(search, "is_canonical_point_set", checked)
+    got = enumerate_kl_uniform(cfg)
+    assert (got.forms, got.counts, got.stats) == want
+    assert 0 < len(calls) < got.stats["pruned_canonical"] + got.stats["nodes"]
 
 
 def test_config_validation():
