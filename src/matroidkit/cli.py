@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog
@@ -54,12 +53,6 @@ def load_matroid(source):
             return from_graph(nverts, edges)
         return graft_matroid(nverts, edges, gamma)
     return from_matrix(parse_matrix(text))
-
-
-def _workers(value):
-    if value is not None:
-        return value
-    return int(os.environ.get("MATROID_WORKERS", "1"))
 
 
 def _format_mask(m, mask):
@@ -132,15 +125,13 @@ def cmd_check(args):
 
 def cmd_verify(args):
     if args.list:
-        for cid, slow, desc in check_info():
-            tag = " (slow)" if slow else ""
-            print(f"{cid:24s}{tag:7s} {desc}")
+        for cid, desc in check_info():
+            print(f"{cid:24s} {desc}")
         return EXIT_TRUE
     ids = args.ids or ["all"]
     if ids == ["all"]:
         ids = None
-    slow = args.slow and not args.skip_slow
-    results = run_checks(ids=ids, slow=slow, workers=_workers(args.workers))
+    results = run_checks(ids=ids)
     if args.json:
         out = {"schema": 1,
                "checks": [{"id": r.check_id, "status": r.status,
@@ -243,11 +234,9 @@ def cmd_catalog(args):
 def cmd_search(args):
     cfg = SearchConfig(
         r=args.rank, k=args.k, l=args.l,
-        require_simple=args.simple,
         require_cosimple=args.cosimple,
         require_3connected=args.three_connected,
         budget=args.budget,
-        workers=_workers(args.workers),
         checkpoint=args.checkpoint,
     )
     report = enumerate_kl_uniform(cfg, resume=args.resume)
@@ -293,11 +282,6 @@ def build_parser():
     v.add_argument("ids", nargs="*",
                    help="check ids, or 'all' (default); see --list")
     v.add_argument("--list", action="store_true", help="list known checks")
-    v.add_argument("--slow", action="store_true",
-                   help="include the long searches")
-    v.add_argument("--skip-slow", action="store_true",
-                   help="skip the long searches (the default)")
-    v.add_argument("--workers", type=int)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
@@ -330,12 +314,9 @@ def build_parser():
     s.add_argument("--rank", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--l", type=int, required=True)
-    s.add_argument("--simple", action="store_true", default=True,
-                   help=argparse.SUPPRESS)
     s.add_argument("--cosimple", action="store_true")
     s.add_argument("--3connected", dest="three_connected", action="store_true")
     s.add_argument("--budget", type=int, default=5_000_000)
-    s.add_argument("--workers", type=int)
     s.add_argument("--checkpoint", help="write resumable state here")
     s.add_argument("--resume", help="resume from a checkpoint file")
     s.add_argument("--json", metavar="OUT", help="write the JSON report here")

@@ -8,9 +8,7 @@ enumeration, f-value computation, and the two-route census of the
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import multiprocessing
 import os
 import time
 from collections import Counter
@@ -33,32 +31,29 @@ from .iso import (
 from .matroid import Matroid, MatroidError, _bits, _find, from_matrix
 from .uniformity import _check_kl
 
-_SPLIT_DEPTH = 4  # subtree roots handed to workers have this many points
+_CHECKPOINT_EVERY = 50_000  # nodes between periodic checkpoint writes
 
 
 @dataclass
 class SearchConfig:
     """Parameters for one orderly-generation run: ambient rank, the (k,l)
-    pair to preserve, leaf filters, a node budget, and worker count."""
+    pair to preserve, leaf filters, a node budget, and a checkpoint path."""
 
     r: int
     k: int
     l: int
-    require_simple: bool = True
     require_cosimple: bool = False
     require_3connected: bool = False
     max_size: int | None = None
     budget: int = 5_000_000
-    workers: int = 1
     checkpoint: str | None = None
-    checkpoint_every: int = 50_000
 
     def __post_init__(self):
         if not 1 <= self.r <= 6:
             raise MatroidError("full enumeration supports 1 <= r <= 6")
         _check_kl(self.k, self.l)
-        if self.budget < 1 or self.workers < 1:
-            raise MatroidError("budget and workers must be positive")
+        if self.budget < 1:
+            raise MatroidError("budget must be positive")
         if self.max_size is not None and self.max_size < 0:
             raise MatroidError("max_size must be nonnegative")
 
@@ -85,10 +80,9 @@ class SearchReport:
             "schema": self.schema,
             "config": None if cfg is None else {
                 "r": cfg.r, "k": cfg.k, "l": cfg.l,
-                "require_simple": cfg.require_simple,
                 "require_cosimple": cfg.require_cosimple,
                 "require_3connected": cfg.require_3connected,
-                "budget": cfg.budget, "workers": cfg.workers,
+                "budget": cfg.budget,
             },
             "f_value": self.f_value,
             "representatives": [export_text(m) for m in self.representatives],
@@ -176,14 +170,13 @@ def _matroid_from_points(points, r):
     return from_matrix(GFMatrix.from_point_values(list(points), r))
 
 
-def _leaf_passes(m, cfg):
-    if cfg.require_simple and not m.is_simple():
-        return False
-    if cfg.require_cosimple and not m.is_cosimple():
-        return False
-    if cfg.require_3connected and not m.is_3connected():
-        return False
-    return True
+def _leaf_passes(points, cfg):
+    # every node is a set of distinct nonzero points, so every leaf is simple
+    if not (cfg.require_cosimple or cfg.require_3connected):
+        return True
+    m = _matroid_from_points(points, cfg.r)
+    return ((not cfg.require_cosimple or m.is_cosimple())
+            and (not cfg.require_3connected or m.is_3connected()))
 
 
 def _node_state(points):
@@ -230,11 +223,9 @@ def _linear_extension(g, points, size):
     return bytes(img)
 
 
-def _serial_search(cfg, stack, forms, counts, stats, defer_depth=None, frontier=None):
+def _serial_search(cfg, stack, forms, counts, stats):
     """Depth-first expansion of canonical (k,l)-uniform point sets.  Nodes on
-    the stack are point tuples already known canonical and uniform.  When
-    defer_depth is set, nodes of that size are moved to the frontier instead
-    of being expanded (used to split work across processes).
+    the stack are point tuples already known canonical and uniform.
 
     A child P + v is kept iff it passes the (k,l) count and the lex-min
     canonicity test, as in a plain orderly search; every shortcut below
@@ -245,8 +236,8 @@ def _serial_search(cfg, stack, forms, counts, stats, defer_depth=None, frontier=
     automorphisms of P that its own test found (carried in a dict keyed by
     node, extended linearly to span(P)) reject v when its orbit holds a
     smaller w outside P, since P + w is then a smaller image of P + v; those
-    fixing v seed the child's test.  Nodes carrying none (the root, resumed
-    nodes, worker subtree roots) take the test unseeded."""
+    fixing v seed the child's test.  Nodes carrying none (the root and
+    resumed nodes) take the test unseeded."""
     subs = subspace_masks(cfg.r)
     through = _subspaces_through(cfg.r)
     size = 1 << cfg.r
@@ -254,22 +245,17 @@ def _serial_search(cfg, stack, forms, counts, stats, defer_depth=None, frontier=
     while stack:
         points = stack.pop()
         maps = carried.pop(points, ())
-        if defer_depth is not None and len(points) == defer_depth:
-            frontier.append(points)
-            continue
         # a checkpoint holds the node uncounted, so a resumed run counts it once
         if stats["nodes"] >= cfg.budget:
             if cfg.checkpoint:
-                _write_checkpoint(cfg, stack + [points] + (frontier or []),
-                                  forms, counts, stats)
+                _write_checkpoint(cfg, stack + [points], forms, counts, stats)
             raise BudgetExhausted(
                 f"search budget of {cfg.budget} nodes exhausted")
-        if cfg.checkpoint and (stats["nodes"] + 1) % cfg.checkpoint_every == 0:
-            _write_checkpoint(cfg, stack + [points] + (frontier or []),
-                              forms, counts, stats)
+        if cfg.checkpoint and (stats["nodes"] + 1) % _CHECKPOINT_EVERY == 0:
+            _write_checkpoint(cfg, stack + [points], forms, counts, stats)
         stats["nodes"] += 1
         pmask, span, rank = _node_state(points)
-        if _leaf_passes(_matroid_from_points(points, cfg.r), cfg):
+        if _leaf_passes(points, cfg):
             stats["kept"] += 1
             counts[rank, len(points)] += 1
             forms.append(points)
@@ -322,8 +308,8 @@ def _serial_search(cfg, stack, forms, counts, stats, defer_depth=None, frontier=
 def _write_checkpoint(cfg, stack, forms, counts, stats):
     state = {
         "schema": 1,
-        "config": [cfg.r, cfg.k, cfg.l, cfg.require_simple,
-                   cfg.require_cosimple, cfg.require_3connected, cfg.max_size],
+        "config": [cfg.r, cfg.k, cfg.l, cfg.require_cosimple,
+                   cfg.require_3connected, cfg.max_size],
         "stack": [list(p) for p in stack],
         "forms": [list(p) for p in forms],
         "counts": [[r, n, c] for (r, n), c in counts.items()],
@@ -338,8 +324,8 @@ def _write_checkpoint(cfg, stack, forms, counts, stats):
 def _load_checkpoint(cfg, path):
     with open(path) as fh:
         state = json.load(fh)
-    want = [cfg.r, cfg.k, cfg.l, cfg.require_simple,
-            cfg.require_cosimple, cfg.require_3connected, cfg.max_size]
+    want = [cfg.r, cfg.k, cfg.l, cfg.require_cosimple,
+            cfg.require_3connected, cfg.max_size]
     if state.get("schema") != 1 or state.get("config") != want:
         raise MatroidError("checkpoint does not match the search configuration")
     stack = [tuple(p) for p in state["stack"]]
@@ -348,31 +334,6 @@ def _load_checkpoint(cfg, path):
     stats = _new_stats()
     stats.update(state["stats"])
     return stack, forms, counts, stats
-
-
-def _branch_task(args):
-    cfg, node = args
-    cfg = dataclasses.replace(cfg, checkpoint=None)
-    forms, counts, stats = [], Counter(), _new_stats()
-    _serial_search(cfg, [node], forms, counts, stats)
-    return forms, counts, stats
-
-
-def _finish(cfg, forms, counts, stats, t0):
-    order = sorted(range(len(forms)), key=lambda i: (len(forms[i]), forms[i]))
-    forms = [forms[i] for i in order]
-    reps = [_matroid_from_points(p, cfg.r) for p in forms]
-    max_rank = max((m.rank() for m in reps), default=None)
-    return SearchReport(
-        config=cfg,
-        representatives=reps,
-        forms=forms,
-        counts=dict(counts),
-        max_rank=max_rank,
-        f_value=max_rank,
-        stats=stats,
-        wall_time=time.time() - t0,
-    )
 
 
 def enumerate_kl_uniform(cfg: SearchConfig, resume=None):
@@ -387,28 +348,26 @@ def enumerate_kl_uniform(cfg: SearchConfig, resume=None):
         stack, forms, counts, stats = _load_checkpoint(cfg, resume)
     else:
         stack, forms, counts, stats = [()], [], Counter(), _new_stats()
-    if cfg.workers == 1:
-        _serial_search(cfg, stack, forms, counts, stats)
-        return _finish(cfg, forms, counts, stats, t0)
-    frontier = []
-    _serial_search(cfg, stack, forms, counts, stats,
-                   defer_depth=_SPLIT_DEPTH, frontier=frontier)
-    with multiprocessing.Pool(cfg.workers) as pool:
-        results = pool.map(_branch_task, [(cfg, node) for node in sorted(frontier)])
-    for bforms, bcounts, bstats in results:
-        forms.extend(bforms)
-        counts.update(bcounts)
-        for key in bstats:
-            stats[key] += bstats[key]
-    if stats["nodes"] > cfg.budget:
-        raise BudgetExhausted(f"search budget of {cfg.budget} nodes exhausted")
-    return _finish(cfg, forms, counts, stats, t0)
+    _serial_search(cfg, stack, forms, counts, stats)
+    forms.sort(key=lambda p: (len(p), p))
+    reps = [_matroid_from_points(p, cfg.r) for p in forms]
+    max_rank = max((m.rank() for m in reps), default=None)
+    return SearchReport(
+        config=cfg,
+        representatives=reps,
+        forms=forms,
+        counts=dict(counts),
+        max_rank=max_rank,
+        f_value=max_rank,
+        stats=stats,
+        wall_time=time.time() - t0,
+    )
 
 
 # ---- f values
 
 
-def compute_f(k, l, r_max=5, budget=5_000_000, workers=1):
+def compute_f(k, l, r_max=5, budget=5_000_000):
     """Largest rank r <= r_max carrying a simple cosimple (k,l)-uniform
     binary matroid.  For k = 1 the search runs on the dual side: simple
     cosimple (l,1)-uniform matroids are enumerated up to rank r_max and the
@@ -417,8 +376,7 @@ def compute_f(k, l, r_max=5, budget=5_000_000, workers=1):
     if k == 1 and l == 1:
         raise MatroidError("(1,1)-uniform matroids of every rank exist")
     kk, ll = (l, 1) if k == 1 else (k, l)
-    cfg = SearchConfig(r=r_max, k=kk, l=ll, require_simple=True,
-                       require_cosimple=True, budget=budget, workers=workers)
+    cfg = SearchConfig(r=r_max, k=kk, l=ll, require_cosimple=True, budget=budget)
     report = enumerate_kl_uniform(cfg)
     if k == 1:
         vals = [m.n - m.rank() for m in report.representatives]
@@ -530,7 +488,7 @@ def _minor_closure_3connected(seeds):
             if m.n >= 4 and m.is_3connected()}, children
 
 
-def three_connected_census_22(budget=5_000_000, workers=1):
+def three_connected_census_22(budget=5_000_000):
     """The 3-connected binary (2,2)-uniform matroids, computed two ways and
     cross-checked: (a) the 3-connected minors of the four maximal members;
     (b) direct orderly enumeration at rank <= 5 with simple, cosimple, and
@@ -544,9 +502,8 @@ def three_connected_census_22(budget=5_000_000, workers=1):
     for m in tiny:
         if any(has_minor(s, m) is not None for s in seeds):
             census_a.setdefault(iso_key(m), m)
-    cfg = SearchConfig(r=5, k=2, l=2, require_simple=True,
-                       require_cosimple=True, require_3connected=True,
-                       budget=budget, workers=workers)
+    cfg = SearchConfig(r=5, k=2, l=2, require_cosimple=True,
+                       require_3connected=True, budget=budget)
     report = enumerate_kl_uniform(cfg)
     census_b = {}
     for m in report.representatives:

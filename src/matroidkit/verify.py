@@ -79,10 +79,9 @@ def _iso(a, b):
 class _Cache:
     """Shared expensive artifacts for one verification run."""
 
-    def __init__(self, corpus_size=500, seed=4711, workers=1):
+    def __init__(self, corpus_size=500, seed=4711):
         self.corpus_size = corpus_size
         self.seed = seed
-        self.workers = workers
         self._corpus = None
         self._census = None
 
@@ -94,7 +93,7 @@ class _Cache:
 
     def census(self):
         if self._census is None:
-            self._census = three_connected_census_22(workers=self.workers)
+            self._census = three_connected_census_22()
         return self._census
 
 
@@ -175,9 +174,8 @@ def _check_spike_thresholds(cache):
 
 
 def _check_f_values_2(cache):
-    vals = compute_f(2, 1, 5, workers=cache.workers), compute_f(1, 2, 5, workers=cache.workers)
-    report = enumerate_kl_uniform(
-        SearchConfig(r=5, k=2, l=1, require_simple=True, require_cosimple=True))
+    vals = compute_f(2, 1, 5), compute_f(1, 2, 5)
+    report = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=1, require_cosimple=True))
     empty5 = not any(m.rank() == 5 for m in report.representatives)
     has_ag32 = any(
         m.rank() == 4 and _iso(m, catalog.named("AG32")) for m in report.representatives)
@@ -187,9 +185,7 @@ def _check_f_values_2(cache):
 
 
 def _check_f_values_13(cache):
-    report = enumerate_kl_uniform(
-        SearchConfig(r=5, k=3, l=1, require_simple=True, require_cosimple=True,
-                     workers=cache.workers))
+    report = enumerate_kl_uniform(SearchConfig(r=5, k=3, l=1, require_cosimple=True))
     coranks = Counter((m.n - m.rank(), (m.rank(), m.n)) for m in report.representatives)
     best = max(c for c, _ in coranks)
     attainers = sorted(shape for c, shape in coranks if c == best)
@@ -198,13 +194,13 @@ def _check_f_values_13(cache):
 
 
 def _check_f_values_31(cache):
-    v = compute_f(3, 1, 6, workers=cache.workers)
+    v = compute_f(3, 1, 6)
     return v == 5, f"f(3,1,2)={v} from the rank-6 cap search"
 
 
 def _check_f_recursion(cache):
-    f13 = compute_f(1, 3, 5, workers=cache.workers)
-    f12 = compute_f(1, 2, 5, workers=cache.workers)
+    f13 = compute_f(1, 3, 5)
+    f12 = compute_f(1, 2, 5)
     bound = max(f13, f12 + 1)
     f22 = cache.census().f_value
     ok = f22 <= bound == 11 and f22 == 11
@@ -342,8 +338,7 @@ def _check_family_completeness(cache, n_max=9):
     fam_keys = {iso_key(e.matroid) for e in catalog.cor33_family(n_max)}
     missing = []
     candidates = hits = 0
-    cores = enumerate_kl_uniform(
-        SearchConfig(r=6, k=1, l=5, max_size=n_max, workers=cache.workers))
+    cores = enumerate_kl_uniform(SearchConfig(r=6, k=1, l=5, max_size=n_max))
     for form in cores.forms:
         p = len(form)
         pmask, _, t = _node_state(form)
@@ -436,86 +431,77 @@ def _check_three_sum(cache):
 
 
 _CHECKS = (
-    ("oracle-agreement", False, "flat and minor deciders agree on the corpus",
+    ("oracle-agreement", "flat and minor deciders agree on the corpus",
      _check_oracle_agreement),
-    ("circuit-pairs", False, "(2,2) circuit-pair decider agrees on the corpus",
+    ("circuit-pairs", "(2,2) circuit-pair decider agrees on the corpus",
      _check_circuit_pairs),
-    ("duality-monotonicity", False,
+    ("duality-monotonicity",
      "uniformity flips (k,l) under duality and is upward monotone",
      _check_duality_monotonicity),
-    ("p10-facts", False, "P10 is self-dual with wheel and spike minors",
+    ("p10-facts", "P10 is self-dual with wheel and spike minors",
      _check_p10_facts),
-    ("spike-thresholds", False,
-     "spikes are (2,2)-uniform up to rank 4, tipless up to rank 5",
+    ("spike-thresholds", "spikes are (2,2)-uniform up to rank 4, tipless up to rank 5",
      _check_spike_thresholds),
-    ("f-values-2", False, "largest simple cosimple rank for one forbidden pair",
+    ("f-values-2", "largest simple cosimple rank for one forbidden pair",
      _check_f_values_2),
-    ("f-values-13", False, "corank bound 11 for (1,3), with attainers",
+    ("f-values-13", "corank bound 11 for (1,3), with attainers",
      _check_f_values_13),
-    ("f-values-31", True, "rank bound 5 for (3,1) from the rank-6 search",
+    ("f-values-31", "rank bound 5 for (3,1) from the rank-6 search",
      _check_f_values_31),
-    ("f-recursion", False, "f(2,2,2) meets the recursive bound with equality",
+    ("f-recursion", "f(2,2,2) meets the recursive bound with equality",
      _check_f_recursion),
-    ("rank-corank-cap", False, "census members have rank or corank at most 5",
+    ("rank-corank-cap", "census members have rank or corank at most 5",
      _check_rank_corank_cap),
-    ("census", False, "two independent routes agree on the 65-member census",
+    ("census", "two independent routes agree on the 65-member census",
      _check_census),
-    ("wheel4-free", False,
+    ("wheel4-free",
      "census members without a rank-4 wheel minor are the spike-or-Fano ones",
      _check_wheel4_free),
-    ("affine16-maximal", False,
-     "AG(4,2) admits no uniform extension or coextension",
+    ("affine16-maximal", "AG(4,2) admits no uniform extension or coextension",
      _check_affine16_maximal),
-    ("k33-extensions", False,
-     "uniform extensions of M(K3,3) are the affine ones, R10 and L10",
+    ("k33-extensions", "uniform extensions of M(K3,3) are the affine ones, R10 and L10",
      _check_k33_extensions),
-    ("coextension-pair", False,
-     "uniform coextensions: {L10} and {P10, L10}",
+    ("coextension-pair", "uniform coextensions: {L10} and {P10, L10}",
      _check_coextension_pair),
-    ("family-soundness", False,
+    ("family-soundness",
      "generated non-3-connected family is sound, dual-closed, classified",
      _check_family_soundness),
-    ("family-completeness", True,
+    ("family-completeness",
      "no non-3-connected uniform matroid up to 9 elements is missing",
      _check_family_completeness),
-    ("disconnected-classes", False,
-     "disconnected members match a structure clause",
+    ("disconnected-classes", "disconnected members match a structure clause",
      _check_disconnected_classes),
-    ("series-pair-classes", False,
+    ("series-pair-classes",
      "connected non-3-connected members match a structure clause",
      _check_series_pair_classes),
-    ("grafts", False, "graft constructions match the fixed matrices",
+    ("grafts", "graft constructions match the fixed matrices",
      _check_grafts),
-    ("three-sum", False, "3-sums of P9 and the Fano plane giving P10",
+    ("three-sum", "3-sums of P9 and the Fano plane giving P10",
      _check_three_sum),
 )
 
-CHECK_IDS = tuple(cid for cid, _, _, _ in _CHECKS)
+CHECK_IDS = tuple(cid for cid, _, _ in _CHECKS)
 
 
 def check_info():
-    return [(cid, slow, desc) for cid, slow, desc, _ in _CHECKS]
+    return [(cid, desc) for cid, desc, _ in _CHECKS]
 
 
-def run_checks(ids=None, slow=False, workers=1, corpus_size=500, seed=4711):
-    """Run the named checks (all by default). Slow checks are skipped unless
-    slow=True. Budget exhaustion inside a check marks it skipped."""
-    table = {cid: (is_slow, fn) for cid, is_slow, _, fn in _CHECKS}
+def run_checks(ids=None, corpus_size=500, seed=4711):
+    """Run the named checks (all by default). Budget exhaustion inside a
+    check marks it skipped."""
+    table = {cid: fn for cid, _, fn in _CHECKS}
     if ids is None:
         ids = list(CHECK_IDS)
     unknown = [i for i in ids if i not in table]
     if unknown:
         raise MatroidError(f"unknown check ids: {unknown}; known: {list(CHECK_IDS)}")
-    cache = _Cache(corpus_size=corpus_size, seed=seed, workers=workers)
+    cache = _Cache(corpus_size=corpus_size, seed=seed)
     results = []
     for cid in ids:
-        is_slow, fn = table[cid]
         t0 = time.time()
-        if is_slow and not slow:
-            results.append(CheckResult(cid, "skipped", "slow check, enable with slow=True", 0.0))
-            continue
         try:
-            ok, details = fn(cache)
+            ok, details = table[cid](cache)
             status = "pass" if ok else "fail"
         except BudgetExhausted as exc:
             status, details = "skipped", f"budget exhausted: {exc}"

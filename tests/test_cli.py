@@ -140,9 +140,7 @@ def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "grafts", "p10-facts")
     assert code == 0
     assert out.count("PASS") == 2 and "0 failed" in out
-    code, out, _ = run(capsys, "verify", "f-values-31", "--skip-slow")
-    assert code == 0 and "SKIPPED" in out
-    code, out, _ = run(capsys, "verify", "f-values-31", "--slow")
+    code, out, _ = run(capsys, "verify", "f-values-31")
     assert code == 0 and "PASS" in out and "f(3,1,2)=5" in out
     code, _, err = run(capsys, "verify", "no-such-check")
     assert code == 2 and "unknown check ids" in err
@@ -151,7 +149,7 @@ def test_verify_command(capsys):
 def test_verify_list_and_json(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0
-    assert "census" in out and "(slow)" in out
+    assert "census" in out
     code, out, _ = run(capsys, "verify", "three-sum", "--json")
     assert code == 0
     doc = json.loads(out)
@@ -184,13 +182,6 @@ def test_search_budget_checkpoint_resume(capsys, tmp_path):
     assert "88 isomorphism classes" in out
 
 
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("MATROID_WORKERS", "2")
-    code, out, _ = run(capsys, "search", "--rank", "4", "--k", "2", "--l", "2")
-    assert code == 0
-    assert "46 isomorphism classes" in out
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "matroidkit.cli", "catalog", "list"],
@@ -205,6 +196,13 @@ def test_module_entry_point():
 
 
 def test_bad_usage_is_argparse_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--rank", "4"])
-    assert exc.value.code == 2
+    # a missing argument, and the removed --workers, --simple, --slow and
+    # --skip-slow options
+    for argv in (["search", "--rank", "4"],
+                 ["search", "--rank", "4", "--k", "2", "--l", "2", "--workers", "2"],
+                 ["search", "--rank", "4", "--k", "2", "--l", "2", "--simple"],
+                 ["verify", "grafts", "--slow"],
+                 ["verify", "grafts", "--skip-slow"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

@@ -84,3 +84,12 @@ def test_every_public_name_has_a_caller():
         if not uses.get(name, set()) - inside:
             uncalled.append(where)
     assert uncalled == []
+
+
+def test_no_assert_statements():
+    # invariant checks raise errors, so they still run under python -O
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -53,7 +53,7 @@ def test_rank2_simple_11_uniform():
 
 
 def test_rank5_21_simple_cosimple_tops_out_at_rank_4():
-    cfg = SearchConfig(r=5, k=2, l=1, require_simple=True, require_cosimple=True)
+    cfg = SearchConfig(r=5, k=2, l=1, require_cosimple=True)
     rep = enumerate_kl_uniform(cfg)
     assert rep.counts == {(0, 0): 1, (3, 6): 1, (3, 7): 1, (4, 7): 1, (4, 8): 1}
     assert rep.max_rank == 4
@@ -122,18 +122,11 @@ def test_subspace_prune_matches_flats_oracle():
     assert checked >= 30
 
 
-def test_workers_match_serial():
-    serial = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2))
-    parallel = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2, workers=3))
-    assert serial.forms == parallel.forms
-    assert serial.counts == parallel.counts
-    assert serial.stats == parallel.stats
-
-
-def test_budget_checkpoint_resume(tmp_path):
+def test_budget_checkpoint_resume(tmp_path, monkeypatch):
     path = str(tmp_path / "ck.json")
     clean = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2))
-    cfg = SearchConfig(r=5, k=2, l=2, budget=40, checkpoint=path, checkpoint_every=10)
+    monkeypatch.setattr(search, "_CHECKPOINT_EVERY", 10)
+    cfg = SearchConfig(r=5, k=2, l=2, budget=40, checkpoint=path)
     with pytest.raises(BudgetExhausted):
         enumerate_kl_uniform(cfg)
     resumed = enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2, checkpoint=path),
@@ -162,9 +155,9 @@ def test_resume_from_a_periodic_checkpoint(tmp_path, monkeypatch):
             raise Stopped
 
     monkeypatch.setattr(search, "_write_checkpoint", write_then_stop)
+    monkeypatch.setattr(search, "_CHECKPOINT_EVERY", 10)
     with pytest.raises(Stopped):
-        enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2, checkpoint=path,
-                                          checkpoint_every=10))
+        enumerate_kl_uniform(SearchConfig(r=5, k=2, l=2, checkpoint=path))
     monkeypatch.setattr(search, "_write_checkpoint", write)
     with open(path) as fh:
         assert json.load(fh)["stats"]["nodes"] == 19  # the 20th node is on the stack
@@ -184,8 +177,7 @@ def _reference_orderly(cfg):
         points = stack.pop()
         stats["nodes"] += 1
         m = from_matrix(GFMatrix.from_point_values(list(points), cfg.r))
-        if ((not cfg.require_simple or m.is_simple())
-                and (not cfg.require_cosimple or m.is_cosimple())
+        if ((not cfg.require_cosimple or m.is_cosimple())
                 and (not cfg.require_3connected or m.is_3connected())):
             stats["kept"] += 1
             counts[m.rank(), len(points)] += 1
@@ -222,7 +214,7 @@ def _is_point_automorphism(g, points):
     dict(r=4, k=1, l=1),
     dict(r=5, k=2, l=2, require_cosimple=True, require_3connected=True),
     dict(r=5, k=2, l=1, require_cosimple=True),
-    dict(r=5, k=1, l=2, require_simple=False, max_size=6),
+    dict(r=5, k=1, l=2, max_size=6),
 ])
 def test_search_shortcuts_match_a_plain_orderly_search(kwargs, monkeypatch):
     cfg = SearchConfig(**kwargs)

@@ -1,5 +1,5 @@
 """Tests for the verification harness: registry integrity, certificate
-re-checking, corpus determinism, and a full fast-mode run."""
+re-checking, corpus determinism, and a full run."""
 
 from __future__ import annotations
 
@@ -21,10 +21,8 @@ from matroidkit.verify import (
 def test_registry_integrity():
     assert len(CHECK_IDS) == len(set(CHECK_IDS)) == 21
     info = check_info()
-    assert [cid for cid, _, _ in info] == list(CHECK_IDS)
-    slow = {cid for cid, is_slow, _ in info if is_slow}
-    assert slow == {"f-values-31", "family-completeness"}
-    assert all(desc for _, _, desc in info)
+    assert [cid for cid, _ in info] == list(CHECK_IDS)
+    assert all(desc for _, desc in info)
 
 
 def test_fast_run_all_green():
@@ -32,17 +30,12 @@ def test_fast_run_all_green():
     assert [r.check_id for r in results] == list(CHECK_IDS)
     by_status = {s: [r.check_id for r in results if r.status == s]
                  for s in ("pass", "fail", "skipped")}
-    assert by_status["fail"] == []
-    assert by_status["skipped"] == ["f-values-31", "family-completeness"]
+    assert by_status["fail"] == by_status["skipped"] == []
     assert all(r.runtime >= 0 and r.details for r in results)
     assert all(r.ok for r in results)
-
-
-def test_slow_checks_pass():
-    results = run_checks(ids=["f-values-31", "family-completeness"], slow=True)
-    assert [r.status for r in results] == ["pass", "pass"]
-    assert "f(3,1,2)=5" in results[0].details
-    assert "missing from family: none" in results[1].details
+    details = {r.check_id: r.details for r in results}
+    assert "f(3,1,2)=5" in details["f-values-31"]
+    assert "missing from family: none" in details["family-completeness"]
 
 
 def test_selected_subset_order_and_unknown_id():
@@ -59,7 +52,7 @@ def test_budget_exhaustion_marks_skipped(monkeypatch):
         raise BudgetExhausted("ran out")
 
     monkeypatch.setattr(verify, "_CHECKS",
-                        (("tiny", False, "always exhausts", boom),))
+                        (("tiny", "always exhausts", boom),))
     monkeypatch.setattr(verify, "CHECK_IDS", ("tiny",))
     (r,) = verify.run_checks()
     assert r.status == "skipped"
