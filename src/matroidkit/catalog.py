@@ -9,6 +9,7 @@ that are not 3-connected.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .gf import GFMatrix, parse_matrix
 from .iso import element_orbits, is_binary, iso_key
@@ -90,11 +91,9 @@ def tiny_six():
     return [from_matrix(GFMatrix(2, rows), name=name) for name, rows in shapes.items()]
 
 
-def geometry(kind, dim, q=2):
+def geometry(kind, dim):
     """PG(dim,2) on all nonzero GF(2) vectors of length dim+1, or AG(dim,2)
     on the vectors with last coordinate 1 (complement of a hyperplane)."""
-    if q != 2:
-        raise MatroidError("only q = 2 geometries are supported")
     if dim < 1:
         raise MatroidError("geometry needs dim >= 1")
     r = dim + 1
@@ -106,8 +105,8 @@ def geometry(kind, dim, q=2):
     else:
         raise MatroidError(f"unknown geometry kind {kind!r}")
     if len(values) > 64:
-        raise MatroidError(f"geometry({kind},{dim},{q}): too many points")
-    return from_matrix(GFMatrix.from_point_values(values, r), name=f"{kind}({dim},{q})")
+        raise MatroidError(f"geometry({kind},{dim},2): too many points")
+    return from_matrix(GFMatrix.from_point_values(values, r), name=f"{kind}({dim},2)")
 
 
 def spike(r, name=""):
@@ -358,17 +357,17 @@ def _family_raw(max_n):
     return raw
 
 
-_COR33_CACHE = None
-
-
 def cor33_family(max_n=10):
     """The binary (2,2)-uniform matroids that are not 3-connected, as
     CatalogEntry objects: explicit members plus representatives of the
     unbounded low-rank families up to max_n elements, closed under duality
-    and deduplicated up to isomorphism."""
-    global _COR33_CACHE
-    if max_n == 10 and _COR33_CACHE is not None:
-        return list(_COR33_CACHE)
+    and deduplicated up to isomorphism.  Built once per max_n; each call
+    gets a new list."""
+    return list(_cor33_family(max_n))
+
+
+@lru_cache(maxsize=None)
+def _cor33_family(max_n):
     raw = _family_raw(max_n)
     entries_out = []
     seen = {}
@@ -385,9 +384,7 @@ def cor33_family(max_n=10):
             seen[key] = name
             entries_out.append(CatalogEntry(name, params, m, note,
                                             rank=rank, size=size, simple=simple))
-    if max_n == 10:
-        _COR33_CACHE = list(entries_out)
-    return entries_out
+    return tuple(entries_out)
 
 
 # ---- CLI name resolution

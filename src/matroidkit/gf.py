@@ -448,7 +448,8 @@ def subspace_masks(r: int):
 
 
 def parse_matrix(text: str) -> GFMatrix:
-    """Parse the matrix text format: first line `q r n`, then r rows of n digits."""
+    """Parse the matrix text format: first line `q r n`, then r rows of n
+    digits (blank, and so optional, when n = 0).  r = 0 needs n = 0."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise GFError("empty matrix text")
@@ -459,10 +460,15 @@ def parse_matrix(text: str) -> GFMatrix:
         q, r, n = (int(x) for x in head)
     except ValueError:
         raise GFError(f"bad header {lines[0]!r}") from None
-    if len(lines) != r + 1:
-        raise GFError(f"expected {r} rows, got {len(lines) - 1}")
+    if r == 0 and n:
+        raise GFError(f"bad header {lines[0]!r}; {n} columns need at least one row")
+    body = lines[1:]
+    if n == 0 and not body and 0 < r <= MAX_DIM:
+        body = [""] * r  # rows with no entries are blank lines
+    if len(body) != r:
+        raise GFError(f"expected {r} rows, got {len(body)}")
     rows = []
-    for ln in lines[1:]:
+    for ln in body:
         row = [int(x) for x in ln.split()]
         if len(row) != n:
             raise GFError(f"row {ln!r} has {len(row)} entries, expected {n}")

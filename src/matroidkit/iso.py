@@ -14,14 +14,12 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, rref
-from .matroid import GraftRep, Matroid, MatroidError, _bits, _find, _gf2_matrix, from_matrix
+from .matroid import Matroid, MatroidError, _bits, _find, _gf2_matrix, from_matrix
 from .matroid import RankTableRep, is_isomorphism
 
 __all__ = [
     "BudgetExhausted",
     "NotBinary",
-    "weighted_canonical_form",
-    "canonical_point_set",
     "is_canonical_point_set",
     "binary_canonical_form",
     "binary_representation",
@@ -159,22 +157,6 @@ def _orbit_hits(p, gens, done):
     return False
 
 
-def weighted_canonical_form(pairs):
-    """Least sorted ((image, weight), ...) over linear maps; also the map."""
-    pts = tuple(p for p, _ in pairs)
-    wts = tuple(w for _, w in pairs)
-    if len(set(pts)) != len(pts) or any(p <= 0 for p in pts):
-        raise MatroidError("points must be distinct and nonzero")
-    form, mapping, _ = _canon_search(pts, wts)
-    return form, mapping
-
-
-def canonical_point_set(points):
-    """Least sorted image of a set of distinct nonzero GF(2) points."""
-    form, _ = weighted_canonical_form(tuple((p, 0) for p in sorted(points)))
-    return tuple(v for v, _ in form)
-
-
 def is_canonical_point_set(points, weights=None, autos=None):
     """True iff sorted(points) is its own canonical form (orbit representative).
 
@@ -247,19 +229,16 @@ def is_binary(m: Matroid):
 
 def binary_canonical_form(m: Matroid):
     """Canonical form of a simple binary matroid: the sorted indices (into the
-    fixed projective point order of its rank) of the least GL-image."""
-    mat = binary_representation(m)
-    if mat is None:
+    fixed projective point order of its rank) of the least GL-image, read
+    from iso_key (every weight is 1, so the least weighted image is the least
+    image)."""
+    if binary_representation(m) is None:
         raise NotBinary("canonical form needs a binary matroid")
     if not m.is_simple():
         raise MatroidError("canonical form is defined for simple matroids")
-    r = m.rank()
-    if r > 6:
+    if m.rank() > 6:
         raise MatroidError("canonical form capped at rank 6")
-    if r == 0:
-        return ()
-    values = _rank_rows(mat).point_values()
-    return tuple(v - 1 for v in canonical_point_set(values))
+    return tuple(v - 1 for v, _ in iso_key(m)[4])
 
 
 def _canonical(m: Matroid):
@@ -468,15 +447,14 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     """(contract_mask, delete_mask) with m/C\\D isomorphic to target, or None.
     C runs over independent sets of size r(m) - r(target) in mask order, so C
     is independent and D is forced coindependent.  Candidates are filtered by
-    the exact iso_key when m is binary-backed and not a graft (whose minors
-    may be rank tables) and the target is binary-backed with rank or corank
-    at most 6, and by fingerprint otherwise.  Raises BudgetExhausted."""
+    the exact iso_key when m and the target are binary-backed and the target
+    has rank or corank at most 6, and by fingerprint otherwise.  Raises
+    BudgetExhausted."""
     dr = m.rank() - target.rank()
     if dr < 0 or m.n < target.n:
         return None
     invariant = fingerprint
-    if (not isinstance(m.rep, GraftRep) and _gf2_matrix(m) is not None
-            and _gf2_matrix(target) is not None
+    if (_gf2_matrix(m) is not None and _gf2_matrix(target) is not None
             and min(target.rank(), target.n - target.rank()) <= 6):
         invariant = iso_key
     target_inv = invariant(target)

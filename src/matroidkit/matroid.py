@@ -5,9 +5,9 @@ subsets, n <= 25), Graphic (graph edges, spanning-forest rank), Graft
 (graph plus a vertex set gamma; rank in the incidence matroid with
 gamma's incidence vector adjoined as one extra element).  Linear and
 Graphic backends also answer closures directly (`rep.closure`).  Minors
-and duals stay in-backend where that is natural and materialize as
-RankTable otherwise; past the table cap a graph or graft dualizes through
-its matrix.
+of a matrix are matrices; a graph or graft takes its minors on its GF(2)
+matrix.  Duals of a matrix come from its null space, the others are rank
+tables; past the table cap a graph or graft dualizes through its matrix.
 """
 
 from __future__ import annotations
@@ -454,32 +454,15 @@ class Matroid:
         del_ = self._as_mask(delete)
         if con & del_:
             raise MatroidError("contract and delete sets overlap")
+        rep = self.rep
+        if isinstance(rep, (GraphicRep, GraftRep)):
+            return self.to_linear().minor(con, del_)
         keep = [i for i in range(self.n) if not (con | del_) >> i & 1]
         labels = tuple(self.labels[i] for i in keep)
-        rep = self.rep
         if isinstance(rep, LinearRep):
             return Matroid(
                 LinearRep(_linear_minor(rep.matrix, sorted(_bits(con)), keep)), labels
             )
-        if isinstance(rep, GraphicRep):
-            nv, edges, _ = _graph_minor(rep.nverts, rep.edges, con, keep)
-            return Matroid(GraphicRep(nv, edges), labels)
-        if isinstance(rep, GraftRep):
-            gidx = len(rep.edges)
-            if not (con | del_) >> gidx & 1:
-                nv, edges, vmap = _graph_minor(rep.nverts, rep.edges, con, keep[:-1])
-                # gamma contracts by parity: a merged vertex is in gamma' iff
-                # it absorbed an odd number of gamma vertices
-                gamma = set()
-                for v in rep.gamma:
-                    gamma ^= {vmap[v]}
-                return Matroid(GraftRep(nv, edges, gamma), labels)
-            if del_ >> gidx & 1:
-                nv, edges, _ = _graph_minor(
-                    rep.nverts, rep.edges, con & ~(1 << gidx), keep
-                )
-                return Matroid(GraphicRep(nv, edges), labels)
-            # contracting the gamma element leaves the graph world
         rcon = self.r(con)
         table = bytearray(1 << len(keep))
         for mask in range(1 << len(keep)):
@@ -586,21 +569,8 @@ class Matroid:
 
 
 def _linear_dual(matrix):
-    red, r, pivots = rref(matrix)
-    n = matrix.ncols
-    pivset = set(pivots)
-    nonpivots = [j for j in range(n) if j not in pivset]
-    fld = matrix.field
-    if not nonpivots:
-        return GFMatrix._trusted(fld, ((0,) * n,))  # rank n, dual rank 0
-    rows = []
-    for i, nj in enumerate(nonpivots):
-        row = [0] * n
-        row[nj] = 1
-        for t, pj in enumerate(pivots):
-            row[pj] = fld.neg[red.rows[t][nj]]
-        rows.append(tuple(row))
-    return GFMatrix._trusted(fld, tuple(rows))
+    rows = null_space(matrix)  # rank n leaves dual rank 0: one zero row
+    return GFMatrix._trusted(matrix.field, rows or ((0,) * matrix.ncols,))
 
 
 def _linear_minor(matrix, con_cols, keep_cols):
@@ -612,20 +582,6 @@ def _linear_minor(matrix, con_cols, keep_cols):
     t = sum(1 for p in pivots if p < len(con_cols))
     rows = tuple(row[len(con_cols):] for row in red.rows[t:])
     return GFMatrix._trusted(matrix.field, rows or ((0,) * len(keep_cols),))
-
-
-def _graph_minor(nverts, edges, con, keep_edge_ids):
-    """Contract the edges in con and keep the edges keep_edge_ids.  Returns the
-    new vertex count, the kept edges, and the map old vertex -> new vertex."""
-    parent = list(range(nverts))
-    for j in _bits(con):
-        u, v = edges[j]
-        parent[_find(parent, u)] = _find(parent, v)
-    roots = [_find(parent, v) for v in range(nverts)]
-    newid = {root: i for i, root in enumerate(sorted(set(roots)))}
-    vmap = [newid[root] for root in roots]
-    new_edges = [(vmap[edges[j][0]], vmap[edges[j][1]]) for j in keep_edge_ids]
-    return len(newid), new_edges, vmap
 
 
 def incidence_matrix(nverts, edges, gamma=None):

@@ -367,7 +367,7 @@ def enumerate_kl_uniform(cfg: SearchConfig, resume=None):
 # ---- f values
 
 
-def compute_f(k, l, r_max=5, budget=5_000_000):
+def compute_f(k, l, r_max=5):
     """Largest rank r <= r_max carrying a simple cosimple (k,l)-uniform
     binary matroid.  For k = 1 the search runs on the dual side: simple
     cosimple (l,1)-uniform matroids are enumerated up to rank r_max and the
@@ -376,7 +376,7 @@ def compute_f(k, l, r_max=5, budget=5_000_000):
     if k == 1 and l == 1:
         raise MatroidError("(1,1)-uniform matroids of every rank exist")
     kk, ll = (l, 1) if k == 1 else (k, l)
-    cfg = SearchConfig(r=r_max, k=kk, l=ll, require_cosimple=True, budget=budget)
+    cfg = SearchConfig(r=r_max, k=kk, l=ll, require_cosimple=True)
     report = enumerate_kl_uniform(cfg)
     if k == 1:
         vals = [m.n - m.rank() for m in report.representatives]
@@ -488,7 +488,7 @@ def _minor_closure_3connected(seeds):
             if m.n >= 4 and m.is_3connected()}, children
 
 
-def three_connected_census_22(budget=5_000_000):
+def three_connected_census_22():
     """The 3-connected binary (2,2)-uniform matroids, computed two ways and
     cross-checked: (a) the 3-connected minors of the four maximal members;
     (b) direct orderly enumeration at rank <= 5 with simple, cosimple, and
@@ -503,7 +503,7 @@ def three_connected_census_22(budget=5_000_000):
         if any(has_minor(s, m) is not None for s in seeds):
             census_a.setdefault(iso_key(m), m)
     cfg = SearchConfig(r=5, k=2, l=2, require_cosimple=True,
-                       require_3connected=True, budget=budget)
+                       require_3connected=True)
     report = enumerate_kl_uniform(cfg)
     census_b = {}
     for m in report.representatives:

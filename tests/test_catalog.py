@@ -114,8 +114,6 @@ def test_geometry_sizes_and_identities():
     with pytest.raises(MatroidError):
         catalog.geometry("PG", 6)
     with pytest.raises(MatroidError):
-        catalog.geometry("PG", 2, q=3)
-    with pytest.raises(MatroidError):
         catalog.geometry("EG", 2)
 
 

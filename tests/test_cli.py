@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from matroidkit import catalog
-from matroidkit.cli import main
+from matroidkit.cli import load_matroid, main
+from matroidkit.matroid import full_rank_table
+from matroidkit.search import SearchConfig, enumerate_kl_uniform
 
 
 def run(capsys, *argv):
@@ -42,7 +44,7 @@ def test_check_loop_witness(capsys, tmp_path):
     assert "nullity 2" in out
 
 
-def test_check_errors(capsys):
+def test_check_errors(capsys, tmp_path):
     code, _, err = run(capsys, "check", "catalog:F7", "--k", "3", "--l", "1",
                        "--method", "circuits")
     assert code == 2 and "circuit method" in err
@@ -51,6 +53,10 @@ def test_check_errors(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/path.txt",
                        "--k", "2", "--l", "2")
     assert code == 2
+    no_rows = tmp_path / "no_rows.txt"
+    no_rows.write_text("2 0 3\n")  # three columns need a row
+    code, _, err = run(capsys, "check", str(no_rows), "--k", "2", "--l", "2")
+    assert code == 2 and "bad header" in err
 
 
 def test_check_json(capsys):
@@ -119,6 +125,31 @@ def test_catalog_export_roundtrips_every_entry(capsys, tmp_path):
         assert code == 0
         code, out, _ = run(capsys, "iso", str(f), f"catalog:{e.name}")
         assert code == 0, e.name
+
+
+def test_export_then_load_gives_the_same_rank_function(capsys, tmp_path):
+    names = [e.name for e in catalog.entries()]
+    names += [name + "*" for name in names]
+    names += [m.name for m in catalog.tiny_six()] + ["U00"]
+    names += [f"Z{r}{tail}" for r in range(3, 7) for tail in ("", "-t", "-y", "*")]
+    path = tmp_path / "m.txt"
+    for name in names:
+        code, _, err = run(capsys, "catalog", "export", name, "-o", str(path))
+        assert code == 0, (name, err)
+        back = load_matroid(str(path))
+        assert full_rank_table(back) == full_rank_table(catalog.resolve(name)), name
+    for name in ("U24", "U(2,5)", "U35"):
+        assert run(capsys, "catalog", "export", name, "-o", str(path))[0] == 2, name
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "search", "--rank", "3", "--k", "2", "--l", "2",
+                     "--json", str(report))
+    assert code == 0
+    texts = json.loads(report.read_text())["representatives"]
+    reps = enumerate_kl_uniform(SearchConfig(r=3, k=2, l=2)).representatives
+    assert len(texts) == len(reps) == 10 and "2 3 0\n\n\n\n" in texts
+    for text, m in zip(texts, reps):
+        path.write_text(text)
+        assert full_rank_table(load_matroid(str(path))) == full_rank_table(m), text
 
 
 def test_graph_and_graft_file_input(capsys, tmp_path):

@@ -56,11 +56,16 @@ def test_parse_format_round_trip():
     m = parse_matrix(P10_TEXT)
     assert m.nrows == 5 and m.ncols == 10
     assert parse_matrix(format_matrix(m)) == m
+    # the rows of an r x 0 matrix are blank lines
+    for r in (1, 3):
+        empty = GFMatrix._trusted(field(2), ((),) * r)
+        assert parse_matrix(format_matrix(empty)) == empty
 
 
 def test_parse_rejects_ragged():
-    with pytest.raises(GFError):
-        parse_matrix("2 2 3\n1 0 1\n1 0")
+    for text in ("2 2 3\n1 0 1\n1 0", "2 0 3", "2 1 0\n1"):
+        with pytest.raises(GFError):
+            parse_matrix(text)
 
 
 def test_rref_and_rank():

@@ -13,17 +13,14 @@ from matroidkit.iso import (
     are_isomorphic,
     binary_canonical_form,
     binary_representation,
-    canonical_point_set,
     element_orbits,
     fingerprint,
     has_minor,
     is_binary,
     is_canonical_point_set,
     iso_key,
-    weighted_canonical_form,
 )
 from matroidkit.matroid import (
-    GraftRep,
     Matroid,
     RankTableRep,
     binary_three_sum,
@@ -115,17 +112,20 @@ def test_canonical_point_set_matches_brute_force_rank3():
     for mask in range(1 << 7):
         pts = tuple(v for v in range(1, 8) if mask >> (v - 1) & 1)
         want = brute_min_rank3(pts)
-        assert canonical_point_set(pts) == want
+        form = iso._canon_search(pts, (0,) * len(pts))[0]
+        assert tuple(v for v, _ in form) == want
         assert is_canonical_point_set(pts) == (pts == want)
 
 
 def test_canonical_point_set_known_configurations():
     # full projective spaces are their own canonical forms
-    assert canonical_point_set(range(1, 16)) == tuple(range(1, 16))
-    assert canonical_point_set(range(1, 32)) == tuple(range(1, 32))
+    for top in (16, 32):
+        form = iso._canon_search(tuple(range(1, top)), (0,) * (top - 1))[0]
+        assert tuple(v for v, _ in form) == tuple(range(1, top))
     # the affine slice (odd values) moves to the odd-popcount values
-    ag42 = [v for v in range(1, 32) if v & 1]
-    assert canonical_point_set(ag42) == (
+    ag42 = tuple(v for v in range(1, 32) if v & 1)
+    form = iso._canon_search(ag42, (0,) * 16)[0]
+    assert tuple(v for v, _ in form) == (
         1, 2, 4, 7, 8, 11, 13, 14, 16, 19, 21, 22, 25, 26, 28, 31,
     )
 
@@ -147,9 +147,7 @@ def test_weighted_canonical_form_separates_markings(z4):
 
     def marked(label):
         i = s8._pos[label]
-        return weighted_canonical_form(
-            tuple(sorted((v, 1 if j == i else 0) for j, v in enumerate(values)))
-        )[0]
+        return iso._canon_search(values, tuple(int(j == i) for j in range(len(values))))[0]
 
     assert marked("x1") == marked("x2")
     assert marked("x1") != marked("x4")
@@ -268,8 +266,8 @@ def test_has_minor_key_filter_keeps_the_fingerprint_witness(monkeypatch):
     for m in corpus:
         calls.clear()
         got.append(has_minor(m, mw4))
-        # a graft's minors may be rank tables, so R10 keeps the fingerprint filter
-        assert bool(calls) == isinstance(m.rep, GraftRep), m
+        # every candidate is binary-backed, grafts' minors too: iso_key filters
+        assert not calls, m
     assert got == expected
     assert sum(w is not None for w in got) >= 8 and None in got
 
@@ -294,8 +292,8 @@ def orbits_by_marked_forms(m):
     values = binary_representation(m).point_values()
     by_form = {}
     for i, p in enumerate(values):
-        pairs = tuple(sorted((q, 1 if q == p else 0) for q in values))
-        by_form.setdefault(weighted_canonical_form(pairs)[0], []).append(m.labels[i])
+        form = iso._canon_search(values, tuple(int(q == p) for q in values))[0]
+        by_form.setdefault(form, []).append(m.labels[i])
     return sorted(tuple(v) for v in by_form.values())
 
 
