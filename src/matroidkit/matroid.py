@@ -4,10 +4,12 @@ Four backends: Linear (matrix columns), RankTable (dense table over all
 subsets, n <= 25), Graphic (graph edges, spanning-forest rank), Graft
 (graph plus a vertex set gamma; rank in the incidence matroid with
 gamma's incidence vector adjoined as one extra element).  Linear and
-Graphic backends also answer closures directly (`rep.closure`).  Minors
-of a matrix are matrices; a graph or graft takes its minors on its GF(2)
-matrix.  Duals of a matrix come from its null space, the others are rank
-tables; past the table cap a graph or graft dualizes through its matrix.
+Graphic backends also answer closures directly (`rep.closure`).  Graphs
+and grafts build their GF(2) matrix once and take minors and 3-connectivity
+on it; 3-connectivity of a matrix is a block-rank test on a standard form
+(`_has_2separation`, 2^min(r, n - r) steps).  Duals of a matrix come from
+its null space, the others are rank tables; past the table cap a graph or
+graft dualizes through its matrix.
 """
 
 from __future__ import annotations
@@ -108,63 +110,80 @@ class RankTableRep:
         return self.table[mask]
 
 
-class GraphicRep:
-    """Edge set of a graph; rank of X = |V touched by X| - #components of (V, X),
-    computed as the size of a spanning forest of X."""
+class _GraphRep:
+    """A graph on the vertices 0..nverts-1, plus gamma for a graft.  Ranks and
+    the matrix see only the vertices that edges or gamma touch, renumbered in
+    order, so their cost does not grow with nverts (kept for the text form)."""
 
-    __slots__ = ("nverts", "edges")
+    __slots__ = ("nverts", "edges", "gamma", "_ends", "_gamma", "_nv", "_matrix")
 
-    def __init__(self, nverts, edges):
+    def __init__(self, nverts, edges, gamma):
         edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in edges:
             if not (0 <= u < nverts and 0 <= v < nverts):
                 raise MatroidError("edge endpoint out of range")
-        self.nverts = nverts
-        self.edges = edges
+        if gamma is not None:
+            gamma = frozenset(int(v) for v in gamma)
+            if not all(0 <= v < nverts for v in gamma):
+                raise MatroidError("gamma vertex out of range")
+        touched = sorted({v for e in edges for v in e}.union(gamma or ()))
+        index = {v: i for i, v in enumerate(touched)}
+        self.nverts, self.edges, self.gamma = nverts, edges, gamma
+        self._ends = tuple((index[u], index[v]) for u, v in edges)
+        self._gamma = None if gamma is None else [index[v] for v in gamma]
+        self._nv = len(index)
+        self._matrix = None
 
     @property
-    def n(self):
-        return len(self.edges)
+    def matrix(self):
+        """The GF(2) incidence matrix (`incidence_matrix`), built once."""
+        if self._matrix is None:
+            self._matrix = incidence_matrix(self._nv, self._ends, self._gamma)
+        return self._matrix
 
     def _forest(self, mask, parent):
         r = 0
         for j in _bits(mask):
-            u, v = self.edges[j]
+            u, v = self._ends[j]
             ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 r += 1
         return r
 
+
+class GraphicRep(_GraphRep):
+    """Edge set of a graph; rank of X = |V touched by X| - #components of (V, X),
+    computed as the size of a spanning forest of X."""
+
+    __slots__ = ()
+
+    def __init__(self, nverts, edges):
+        super().__init__(nverts, edges, None)
+
+    @property
+    def n(self):
+        return len(self.edges)
+
     def rank(self, mask):
-        return self._forest(mask, list(range(self.nverts)))
+        return self._forest(mask, list(range(self._nv)))
 
     def closure(self, mask):
         """An edge is spanned by X iff its ends lie in one component of X."""
-        parent = list(range(self.nverts))
+        parent = list(range(self._nv))
         self._forest(mask, parent)
         cl = mask
-        for j, (u, v) in enumerate(self.edges):
+        for j, (u, v) in enumerate(self._ends):
             if _find(parent, u) == _find(parent, v):
                 cl |= 1 << j
         return cl
 
 
-class GraftRep:
+class GraftRep(_GraphRep):
     """Graph plus gamma <= V; ground set = edges + one extra element (last index)
     standing for gamma's incidence vector over GF(2)."""
 
-    __slots__ = ("nverts", "edges", "gamma", "_graphic")
-
-    def __init__(self, nverts, edges, gamma):
-        self._graphic = GraphicRep(nverts, edges)
-        gamma = frozenset(int(v) for v in gamma)
-        for v in gamma:
-            if not 0 <= v < nverts:
-                raise MatroidError("gamma vertex out of range")
-        self.nverts = nverts
-        self.edges = self._graphic.edges
-        self.gamma = gamma
+    __slots__ = ()
 
     @property
     def n(self):
@@ -172,13 +191,13 @@ class GraftRep:
 
     def rank(self, mask):
         gbit = 1 << len(self.edges)
-        parent = list(range(self.nverts))
-        r = self._graphic._forest(mask & ~gbit, parent)
+        parent = list(range(self._nv))
+        r = self._forest(mask & ~gbit, parent)
         if mask & gbit:
             # gamma's vector lies in the span of the chosen edge columns iff
             # every component of (V, X) holds an even number of gamma vertices
             odd = set()
-            for v in self.gamma:
+            for v in self._gamma:
                 odd ^= {_find(parent, v)}
             if odd:
                 r += 1
@@ -455,7 +474,7 @@ class Matroid:
         if con & del_:
             raise MatroidError("contract and delete sets overlap")
         rep = self.rep
-        if isinstance(rep, (GraphicRep, GraftRep)):
+        if isinstance(rep, _GraphRep):
             return self.to_linear().minor(con, del_)
         keep = [i for i in range(self.n) if not (con | del_) >> i & 1]
         labels = tuple(self.labels[i] for i in keep)
@@ -509,12 +528,15 @@ class Matroid:
     def is_3connected(self):
         """No split into two sides of at least two elements with lambda <= 1.
         From n = 4 on, that also rules out 1-separations: adding an element
-        to a side raises lambda by at most one."""
+        to a side raises lambda by at most one.  Rank tables take one dense
+        pass, the other backends `_has_2separation` on their matrix."""
         n = self.n
         if not self.is_connected():
             return False
         if n < 4:
             return True
+        if not isinstance(self.rep, RankTableRep):
+            return not _has_2separation(self.to_linear().rep.matrix)
         table, full = full_rank_table(self), self.full_mask
         limit = table[full] + 1  # lambda(X) <= 1
         for mask in range(1 << (n - 1)):  # element n - 1 stays off the X side
@@ -542,25 +564,15 @@ class Matroid:
         rep = self.rep
         if isinstance(rep, LinearRep):
             return self
-        if isinstance(rep, GraphicRep):
-            return Matroid(
-                LinearRep(incidence_matrix(rep.nverts, rep.edges)), self.labels,
-                name=self.name,
-            )
-        if isinstance(rep, GraftRep):
-            return Matroid(
-                LinearRep(incidence_matrix(rep.nverts, rep.edges, rep.gamma)),
-                self.labels, name=self.name,
-            )
+        if isinstance(rep, _GraphRep):
+            return Matroid(LinearRep(rep.matrix), self.labels, name=self.name)
         raise MatroidError("rank-table matroids have no canned linear form")
 
     def export_text(self):
         rep = self.rep
         if isinstance(rep, LinearRep):
             return format_matrix(rep.matrix)
-        if isinstance(rep, GraphicRep):
-            return format_graph_text(rep.nverts, rep.edges)
-        if isinstance(rep, GraftRep):
+        if isinstance(rep, _GraphRep):
             return format_graph_text(rep.nverts, rep.edges, rep.gamma)
         raise MatroidError("rank-table matroids have no text form")
 
@@ -582,6 +594,48 @@ def _linear_minor(matrix, con_cols, keep_cols):
     t = sum(1 for p in pivots if p < len(con_cols))
     rows = tuple(row[len(con_cols):] for row in red.rows[t:])
     return GFMatrix._trusted(matrix.field, rows or ((0,) * len(keep_cols),))
+
+
+def _unit(fld, v):
+    """v scaled by the inverse of its first nonzero entry; None if v is zero."""
+    for x in v:
+        if x:
+            s = fld.mul[fld.inv[x]]
+            return tuple(s[y] for y in v)
+    return None
+
+
+def _has_2separation(matrix):
+    """True iff the columns of a connected matrix with n >= 4 split into X and
+    Y, both of size >= 2, with lambda(X) = r(X) + r(Y) - r(M) <= 1.  With
+    [I | A] a standard form, rows B and columns N, lambda(X) = r(A[X_B, Y_N])
+    + r(A[Y_B, X_N]) (Truemper 1992).  Each X_N decides the case A[X_B, Y_N]
+    = 0, rank A[Y_B, X_N] <= 1: rows with a nonzero Y_N part go to Y_B and
+    need proportional X_N parts, the others stay in X_B.  A has no zero row
+    or column (no loops or coloops), so a nonempty Y_N brings a row to Y_B,
+    and Y_N empty needs two proportional rows.  The case with the blocks
+    swapped is this one on Y_N.  M* has the same lambda, so A is transposed
+    to the smaller side: 2^min(r, n - r) steps."""
+    fld = matrix.field
+    red, r, pivots = rref(matrix)
+    rest = [j for j in range(matrix.ncols) if j not in pivots]
+    rows = [[row[j] for j in rest] for row in red.rows[:r]]
+    if r < len(rest):
+        rows = [list(col) for col in zip(*rows)]  # -A^T represents M*; signs do not matter
+    k = len(rows[0])
+    if k >= TABLE_CAP:
+        raise MatroidError(f"2-separation search capped at min(r, n - r) < {TABLE_CAP}")
+    support = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    for xn in range((1 << k) - 1):
+        forced = [(row, s) for row, s in zip(rows, support) if s & ~xn]
+        if len(rows) - len(forced) + xn.bit_count() < 2:
+            continue  # |X| < 2
+        if len({s & xn for _, s in forced} - {0}) > 1:
+            continue  # proportional vectors have one support
+        cols = [j for j in range(k) if xn >> j & 1]
+        if len({_unit(fld, [row[j] for j in cols]) for row, _ in forced} - {None}) <= 1:
+            return True
+    return len({_unit(fld, row) for row in rows}) < len(rows)
 
 
 def incidence_matrix(nverts, edges, gamma=None):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from matroidkit.matroid import (
     parse_graph_text,
 )
 from matroidkit.iso import are_isomorphic
+from matroidkit.search import _minor_closure_3connected, census_seeds
 from matroidkit.uniformity import is_kl_uniform_flats, is_kl_uniform_minor
 from matroidkit.verify import random_linear_corpus
 
@@ -489,6 +491,88 @@ def test_connectivity_never_enumerates_circuits(monkeypatch):
     assert [c.bit_count() for c in both.components()] == [31, 7]
     # n = 38 is past the rank-table cap; the split into components decides
     assert not both.is_3connected()
+
+
+def test_3connectivity_past_the_rank_table_cap():
+    pg = catalog.geometry("PG", 4)
+    assert pg.n == 31 and pg.is_3connected()
+    cols = pg.rep.matrix.columns
+    doubled = from_matrix(GFMatrix.from_columns(2, cols + cols[:1]))
+    assert doubled.n == 32 and doubled.is_connected() and not doubled.is_3connected()
+    # min(r, n - r) = 32 would take 2^32 steps: refused before the loop
+    rows = [[int(i == j) for j in range(32)] + [1] * 32 for i in range(32)]
+    big = from_matrix(GFMatrix(field(2), rows))
+    assert big.is_connected()
+    with pytest.raises(MatroidError, match="capped"):
+        big.is_3connected()
+
+
+@st.composite
+def _dense_gfq_matroids(draw):
+    """Random GF(q) matrices with r <= 6 rows and n <= 12 columns, each entry
+    uniform and independent, so columns seldom repeat (unlike _gfq_matroids)."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7)))
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(6, n)))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    return from_matrix(GFMatrix(field(q), [[rng.randrange(q) for _ in range(n)] for _ in range(r)]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_dense_gfq_matroids())
+def test_3connectivity_matches_the_rank_table_pass_on_random_gfq_matrices(m):
+    assert m.is_3connected() == as_rank_table(m).is_3connected()
+    assert m.dual().is_3connected() == as_rank_table(m.dual()).is_3connected()
+
+
+def test_3connectivity_matches_the_rank_table_pass_on_the_census_closure(monkeypatch):
+    # every matroid the census minor closure reduces, and what it reduces to
+    seen = []
+    reduced = Matroid.reduced
+
+    def recording(self):
+        out = reduced(self)
+        seen.extend((self, out))
+        return out
+
+    monkeypatch.setattr(Matroid, "reduced", recording)
+    _minor_closure_3connected(census_seeds())
+    monkeypatch.undo()
+    verdicts = [m.is_3connected() for m in seen]
+    assert verdicts == [as_rank_table(m).is_3connected() for m in seen]
+    assert len(seen) > 400 and 0 < verdicts.count(False) < verdicts.count(True)
+
+
+def test_3connectivity_of_graphs_and_grafts_matches_their_rank_tables():
+    doubled = from_graph(5, W4_EDGES + [(0, 1)], name="W4 with a doubled spoke")
+    for m in [catalog.named(name) for name in ("MW4", "MK5e", "R10")] + [doubled]:
+        dual = m.dual()
+        assert isinstance(dual.rep, RankTableRep)
+        want = m.name != doubled.name
+        assert m.is_3connected() == as_rank_table(m).is_3connected() == want, m
+        assert dual.is_3connected() == m.to_linear().dual().is_3connected() == want, m
+
+
+def test_graph_rank_calls_do_not_scale_with_the_vertex_header():
+    triangle = "graph 2000000 3\n0 1\n1 1999999\n1999999 0\n"
+    for text, rank in ((triangle, 2), (triangle + "gamma 5 1999999\n", 3)):
+        tracemalloc.start()
+        try:
+            nverts, edges, gamma = parse_graph_text(text)
+            m = from_graph(nverts, edges) if gamma is None else graft_matroid(nverts, edges, gamma)
+            assert m.rank() == m.to_linear().rank() == rank and m.closure(0b11) == 0b111
+            assert m.export_text() == text
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
+def test_graph_to_linear_builds_its_matrix_once():
+    w4 = catalog.named("MW4")
+    first, second = w4.to_linear(), w4.with_name("again").to_linear()
+    assert first.rep.matrix is second.rep.matrix
+    assert first.rep.matrix == incidence_matrix(5, W4_EDGES)
 
 
 def test_graphic_backend():
