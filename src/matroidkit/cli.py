@@ -55,6 +55,15 @@ def load_matroid(source):
     return from_matrix(parse_matrix(text))
 
 
+def _write(text, path):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _format_mask(m, mask):
     return "{" + ", ".join(m.labels_of(mask)) + "}"
 
@@ -188,13 +197,7 @@ def cmd_minor(args):
 
 
 def cmd_dual(args):
-    m = load_matroid(args.file)
-    text = export_text(m.dual())
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(export_text(load_matroid(args.file).dual()), args.output)
     return EXIT_TRUE
 
 
@@ -218,13 +221,7 @@ def cmd_catalog(args):
               + (", " + ", ".join(flags) if flags else ""))
         sys.stdout.write(export_text(m))
         return EXIT_TRUE
-    # export
-    text = export_text(m)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(export_text(m), args.output)  # export
     return EXIT_TRUE
 
 

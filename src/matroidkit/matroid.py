@@ -1,15 +1,16 @@
 """Matroids as rank oracles over labeled ground sets (at most 64 elements).
 
-Four backends: Linear (matrix columns), RankTable (dense table over all
-subsets, n <= 25), Graphic (graph edges, spanning-forest rank), Graft
-(graph plus a vertex set gamma; rank in the incidence matroid with
-gamma's incidence vector adjoined as one extra element).  Linear and
-Graphic backends also answer closures directly (`rep.closure`).  Graphs
-and grafts build their GF(2) matrix once and take minors and 3-connectivity
-on it; 3-connectivity of a matrix is a block-rank test on a standard form
-(`_has_2separation`, 2^min(r, n - r) steps).  Duals of a matrix come from
-its null space, the others are rank tables; past the table cap a graph or
-graft dualizes through its matrix.
+Two representations: a GF(q) matrix (`rep.matrix`) or a dense rank table
+over all subsets (n <= 25, `RankTableRep.matrix` is None).  The backends
+are Linear (matrix columns), Graphic (graph edges, spanning-forest rank)
+and Graft (graph plus a vertex set gamma; rank in the incidence matroid
+with gamma's incidence vector adjoined as one extra element), whose GF(2)
+incidence matrix is built once, and RankTable.  Their own rank oracles
+answer `rank`; closures, flats, circuits, minors, 3-connectivity (a
+block-rank test on a standard form, `_has_2separation`, 2^min(r, n - r)
+steps) and dense rank tables are read from the matrix when there is one.
+Duals of a Linear matroid come from its null space, the others are rank
+tables; past the table cap a graph or graft dualizes through its matrix.
 """
 
 from __future__ import annotations
@@ -85,14 +86,12 @@ class LinearRep:
     def rank(self, mask):
         return rank_of_columns(self.matrix, mask)
 
-    def closure(self, mask):
-        return span_of_columns(self.matrix, mask)
-
 
 class RankTableRep:
     """Dense rank table; table[mask] = rank of the subset mask."""
 
     __slots__ = ("nelts", "table")
+    matrix = None  # no matrix: the Matroid methods read the table
 
     def __init__(self, nelts, table):
         if nelts > TABLE_CAP:
@@ -118,6 +117,8 @@ class _GraphRep:
     __slots__ = ("nverts", "edges", "gamma", "_ends", "_gamma", "_nv", "_matrix")
 
     def __init__(self, nverts, edges, gamma):
+        if nverts < 0:
+            raise MatroidError("negative vertex count")
         edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in edges:
             if not (0 <= u < nverts and 0 <= v < nverts):
@@ -167,16 +168,6 @@ class GraphicRep(_GraphRep):
 
     def rank(self, mask):
         return self._forest(mask, list(range(self._nv)))
-
-    def closure(self, mask):
-        """An edge is spanned by X iff its ends lie in one component of X."""
-        parent = list(range(self._nv))
-        self._forest(mask, parent)
-        cl = mask
-        for j, (u, v) in enumerate(self._ends):
-            if _find(parent, u) == _find(parent, v):
-                cl |= 1 << j
-        return cl
 
 
 class GraftRep(_GraphRep):
@@ -284,15 +275,15 @@ class Matroid:
         return mask.bit_count() - self.r(mask)
 
     def closure(self, X):
-        """Mask of cl(X), kept per mask.  Linear and Graphic backends span X
-        directly; the others test r(X + e) = r(X) for each e."""
+        """Mask of cl(X), kept per mask.  A matrix spans X directly; a rank
+        table tests r(X + e) = r(X) for each e."""
         mask = self._as_mask(X)
         closures = self._span[0]
         cl = closures.get(mask)
         if cl is None:
-            rep = self.rep
-            if isinstance(rep, (LinearRep, GraphicRep)):
-                cl = rep.closure(mask)
+            mat = self.rep.matrix
+            if mat is not None:
+                cl = span_of_columns(mat, mask)
             else:
                 rm = self.r(mask)
                 cl = mask
@@ -306,14 +297,14 @@ class Matroid:
     def flats_of_rank(self, k):
         """Every flat of rank exactly k, in the order a scan of the k-subsets
         in combination order first meets them as closures of independent
-        sets.  Linear backends take gf's echelon walk, the others that scan.
+        sets.  A matrix takes gf's echelon walk, a rank table that scan.
         Computed once per rank; each call gets a new list."""
         flats = self._span[1]
         out = flats.get(k)
         if out is None:
-            rep = self.rep
-            if isinstance(rep, LinearRep) and k >= 0:
-                out = _flats(rep.matrix, k)  # empty when k exceeds the rank
+            mat = self.rep.matrix
+            if mat is not None and k >= 0:
+                out = _flats(mat, k)  # empty when k exceeds the rank
             elif 0 <= k <= self.rank():
                 found = {}  # insertion-ordered set
                 for combo in itertools.combinations(range(self.n), k):
@@ -332,11 +323,9 @@ class Matroid:
 
     def circuits(self, max_size=None):
         """All minimal dependent sets up to max_size, sorted by (size, mask)."""
-        rep = self.rep
-        if isinstance(rep, LinearRep) and rep.matrix.field.q == 2:
-            d = self.n - self.rank()
-            if d <= 16:
-                return self._circuits_from_cycle_space(max_size)
+        mat = self.rep.matrix
+        if mat is not None and mat.field.q == 2 and self.n - self.rank() <= 16:
+            return self._circuits_from_cycle_space(max_size)
         return self._circuits_by_scan(max_size)
 
     def _circuits_from_cycle_space(self, max_size):
@@ -473,15 +462,11 @@ class Matroid:
         del_ = self._as_mask(delete)
         if con & del_:
             raise MatroidError("contract and delete sets overlap")
-        rep = self.rep
-        if isinstance(rep, _GraphRep):
-            return self.to_linear().minor(con, del_)
         keep = [i for i in range(self.n) if not (con | del_) >> i & 1]
         labels = tuple(self.labels[i] for i in keep)
-        if isinstance(rep, LinearRep):
-            return Matroid(
-                LinearRep(_linear_minor(rep.matrix, sorted(_bits(con)), keep)), labels
-            )
+        mat = self.rep.matrix
+        if mat is not None:
+            return Matroid(LinearRep(_linear_minor(mat, sorted(_bits(con)), keep)), labels)
         rcon = self.r(con)
         table = bytearray(1 << len(keep))
         for mask in range(1 << len(keep)):
@@ -528,16 +513,16 @@ class Matroid:
     def is_3connected(self):
         """No split into two sides of at least two elements with lambda <= 1.
         From n = 4 on, that also rules out 1-separations: adding an element
-        to a side raises lambda by at most one.  Rank tables take one dense
-        pass, the other backends `_has_2separation` on their matrix."""
+        to a side raises lambda by at most one.  A matrix takes
+        `_has_2separation`, a rank table one dense pass."""
         n = self.n
         if not self.is_connected():
             return False
         if n < 4:
             return True
-        if not isinstance(self.rep, RankTableRep):
-            return not _has_2separation(self.to_linear().rep.matrix)
-        table, full = full_rank_table(self), self.full_mask
+        if self.rep.matrix is not None:
+            return not _has_2separation(self.rep.matrix)
+        table, full = self.rep.table, self.full_mask
         limit = table[full] + 1  # lambda(X) <= 1
         for mask in range(1 << (n - 1)):  # element n - 1 stays off the X side
             if table[mask] + table[full ^ mask] <= limit and 2 <= mask.bit_count() <= n - 2:
@@ -562,11 +547,11 @@ class Matroid:
     def to_linear(self):
         """A Matroid with a Linear backend and the same rank function."""
         rep = self.rep
+        if rep.matrix is None:
+            raise MatroidError("rank-table matroids have no canned linear form")
         if isinstance(rep, LinearRep):
             return self
-        if isinstance(rep, _GraphRep):
-            return Matroid(LinearRep(rep.matrix), self.labels, name=self.name)
-        raise MatroidError("rank-table matroids have no canned linear form")
+        return Matroid(LinearRep(rep.matrix), self.labels, name=self.name)
 
     def export_text(self):
         rep = self.rep
@@ -678,46 +663,39 @@ def graft_matroid(nverts, edges, gamma, labels=None, name=""):
 
 
 def full_rank_table(m: Matroid):
-    """Dense rank table of m as bytes.  For a matrix, one depth-first walk:
-    the echelon basis of each mask extends that of the mask without its low
-    bit by one _reduce call, and is undone on the way back."""
+    """Dense rank table of m as bytes: a rank table's own, or for a matrix
+    (linear, graphic or graft) one depth-first walk: the echelon basis of
+    each mask extends that of the mask without its low bit by one _reduce
+    call, and is undone on the way back."""
     n = m.n
     if n > TABLE_CAP:
         raise MatroidError(f"rank table capped at n <= {TABLE_CAP}")
-    rep = m.rep
-    if isinstance(rep, RankTableRep):
-        return rep.table
+    mat = m.rep.matrix
+    if mat is None:
+        return m.rep.table
     table = bytearray(1 << n)
-    if isinstance(rep, LinearRep):
-        mat = rep.matrix
-        fld = mat.field
-        if fld.q == 2:
-            cols, piv, blank = mat.col_bits, [0] * (mat.nrows + 1), 0
-        else:
-            cols, piv, blank = mat.columns, [None] * mat.nrows, None
+    fld = mat.field
+    if fld.q == 2:
+        cols, piv, blank = mat.col_bits, [0] * (mat.nrows + 1), 0
+    else:
+        cols, piv, blank = mat.columns, [None] * mat.nrows, None
 
-        def walk(mask, rank, top):
-            # the children of mask add one element below its low bit
-            for j in range(top):
-                child = mask | 1 << j
-                slot = _reduce(fld, piv, cols[j])
-                if slot is None:
-                    table[child] = rank
-                    if j:
-                        walk(child, rank, j)
-                else:
-                    table[child] = rank + 1
-                    if j:
-                        walk(child, rank + 1, j)
-                    piv[slot] = blank
+    def walk(mask, rank, top):
+        # the children of mask add one element below its low bit
+        for j in range(top):
+            child = mask | 1 << j
+            slot = _reduce(fld, piv, cols[j])
+            if slot is None:
+                table[child] = rank
+                if j:
+                    walk(child, rank, j)
+            else:
+                table[child] = rank + 1
+                if j:
+                    walk(child, rank + 1, j)
+                piv[slot] = blank
 
-        walk(0, 0, n)
-        return bytes(table)
-    # read the memo, but leave no 2^n entries behind in it
-    memo, rank = m._memo, rep.rank
-    for mask in range(1 << n):
-        val = memo.get(mask)
-        table[mask] = rank(mask) if val is None else val
+    walk(0, 0, n)
     return bytes(table)
 
 
@@ -726,10 +704,8 @@ def as_rank_table(m: Matroid):
 
 
 def _gf2_matrix(m: Matroid):
-    if isinstance(m.rep, RankTableRep):
-        return None
-    mat = m.to_linear().rep.matrix
-    return mat if mat.field.q == 2 else None
+    mat = m.rep.matrix
+    return mat if mat is not None and mat.field.q == 2 else None
 
 
 def is_isomorphism(m1: Matroid, m2: Matroid, mapping):
@@ -797,32 +773,11 @@ def direct_sum(m1: Matroid, m2: Matroid):
     return Matroid(RankTableRep(n, table), labels)
 
 
-def _rank_table_from_circuits(n, circuit_masks):
-    # greedy basis per mask, reusing the basis of mask minus its top element;
-    # circuits are bucketed by top element, so the independence check when the
-    # top element joins only scans circuits it could complete
-    by_top = [[] for _ in range(n)]
-    for c in circuit_masks:
-        by_top[c.bit_length() - 1].append(c)
-    table = bytearray(1 << n)
-    greedy = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        top = mask.bit_length() - 1
-        base = greedy[mask ^ (1 << top)]
-        cand = base | (1 << top)
-        for c in by_top[top]:
-            if c & cand == c:
-                cand = base
-                break
-        greedy[mask] = cand
-        table[mask] = cand.bit_count()
-    return bytes(table)
-
-
 def parallel_connection(m1: Matroid, p1, m2: Matroid, p2):
-    """Glue m1 and m2 along a basepoint; circuits are those of each part plus
-    the through-circuits (C1 - p1) u (C2 - p2).  Result is a RankTable matroid
-    keeping m1's labels; the basepoint keeps the label of p1."""
+    """Glue m1 and m2 along a basepoint p.  With X1 = X & E1 and X2 = X & E2,
+    r(X) = r1(X1) + r2(X2) - 1 if p is in X or in both cl1(X1) and cl2(X2),
+    and r1(X1) + r2(X2) otherwise (Oxley, Matroid Theory, 7.1).  Result is a
+    RankTable matroid keeping m1's labels; the basepoint keeps the label of p1."""
     i1 = m1._pos[str(p1)]
     i2 = m2._pos[str(p2)]
     for m, i in ((m1, i1), (m2, i2)):
@@ -834,28 +789,19 @@ def parallel_connection(m1: Matroid, p1, m2: Matroid, p2):
     n = m1.n + m2.n - 1
     if n > TABLE_CAP:
         raise MatroidError("parallel connection too large for a rank table")
-    # index map: m1 keeps its indices; m2's element j lands at offset index
-    pos2 = {}
-    for off, j in enumerate(rest2):
-        pos2[j] = m1.n + off
-    pos2[i2] = i1
-
-    def embed2(c):
-        out = 0
-        for j in _bits(c):
-            out |= 1 << pos2[j]
-        return out
-
-    c1s = m1.circuits()
-    c2s = [embed2(c) for c in m2.circuits()]
-    pbit = 1 << i1
-    circuits = set(c1s) | set(c2s)
-    for a in c1s:
-        if a & pbit:
-            for b in c2s:
-                if b & pbit:
-                    circuits.add((a | b) ^ pbit)
-    table = _rank_table_from_circuits(n, circuits)
+    # m1 keeps its indices and m2's other elements follow in order, so the
+    # table has one row of 2^|E1| entries per subset of E2 - p
+    t1, t2 = full_rank_table(m1), full_rank_table(m2)
+    p, q = 1 << i1, 1 << i2
+    # r(X) - r1(X1) by the kind of X1: p in X1 (0), p in cl1(X1) - X1 (1),
+    # p outside cl1(X1) (2)
+    kind = [0 if x1 & p else 1 if t1[x1 | p] == t1[x1] else 2 for x1 in range(1 << m1.n)]
+    table = bytearray()
+    for rest in range(1 << len(rest2)):
+        x2 = (rest & q - 1) | (rest & -q) << 1  # m2's mask, p left out
+        r2, r2p = t2[x2], t2[x2 | q]
+        add = (r2p - 1, r2 - (r2p == r2), r2)
+        table += bytes(r + add[k] for r, k in zip(t1, kind))
     out = Matroid(RankTableRep(n, table), labels)
     if out.rank() != m1.rank() + m2.rank() - 1:
         raise MatroidError("internal error: parallel connection has the wrong rank")
@@ -960,13 +906,7 @@ def parse_graph_text(text):
         if len(parts) != 2:
             raise MatroidError(f"bad edge line {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
-    for u, v in edges:
-        if not (0 <= u < nverts and 0 <= v < nverts):
-            raise MatroidError("edge endpoint out of range")
-    if gamma is not None:
-        for v in gamma:
-            if not 0 <= v < nverts:
-                raise MatroidError("gamma vertex out of range")
+    _GraphRep(nverts, edges, gamma)  # raises on a vertex out of range
     return nverts, edges, gamma
 
 

@@ -57,6 +57,10 @@ def test_check_errors(capsys, tmp_path):
     no_rows.write_text("2 0 3\n")  # three columns need a row
     code, _, err = run(capsys, "check", str(no_rows), "--k", "2", "--l", "2")
     assert code == 2 and "bad header" in err
+    negative = tmp_path / "negative.txt"
+    negative.write_text("graph -3 0\n")  # loaded as an empty matroid before
+    code, _, err = run(capsys, "check", str(negative), "--k", "2", "--l", "2")
+    assert code == 2 and "negative vertex count" in err
 
 
 def test_check_json(capsys):

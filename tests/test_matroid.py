@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from matroidkit import catalog, matroid
 from matroidkit.gf import GFMatrix, field, parse_matrix, rank_of_columns
 from matroidkit.matroid import (
+    GraftRep,
     GraphicRep,
     LinearRep,
     Matroid,
@@ -225,9 +226,10 @@ def test_span_oracles_make_no_rank_calls(monkeypatch, p10):
     def counting(orig):
         return lambda rep, mask: calls.append(mask) or orig(rep, mask)
 
-    for cls in (LinearRep, GraphicRep):
+    for cls in (LinearRep, GraphicRep, GraftRep):
         monkeypatch.setattr(cls, "rank", counting(cls.rank))
-    for m in (from_matrix(p10.rep.matrix), from_graph(5, W4_EDGES + [(1, 1)])):
+    for m in (from_matrix(p10.rep.matrix), from_graph(5, W4_EDGES + [(1, 1)]),
+              graft_matroid(5, W4_EDGES + [(1, 1)], [0, 2])):
         for mask in range(0, 1 << m.n, 7):
             m.closure(mask)
     assert calls == []
@@ -240,8 +242,8 @@ def test_linear_flats_make_no_rank_or_closure_calls(monkeypatch, p10):
     def counting(orig):
         return lambda rep, mask: calls.append(mask) or orig(rep, mask)
 
-    for name in ("rank", "closure"):
-        monkeypatch.setattr(LinearRep, name, counting(getattr(LinearRep, name)))
+    monkeypatch.setattr(LinearRep, "rank", counting(LinearRep.rank))
+    monkeypatch.setattr(matroid, "span_of_columns", counting(matroid.span_of_columns))
     gf3 = GFMatrix(3, [[1, 0, 2, 0, 1], [0, 1, 1, 0, 2]])
     for m, r in ((from_matrix(p10.rep.matrix), 5), (from_matrix(gf3), 2)):
         for k in range(r + 1):
@@ -273,6 +275,8 @@ def test_circuits(f7, p9, p10):
     assert len(p10.circuits()) == 26
     assert u_matroid(3, 3).circuits() == ()
     assert u_matroid(0, 2).circuits() == (1, 2)  # two loops
+    cycle = from_graph(22, [(i, (i + 1) % 22) for i in range(22)])  # past the scan cap
+    assert cycle.circuits() == (cycle.full_mask,)
 
 
 def test_circuit_routes_agree(p9):
@@ -340,10 +344,58 @@ def test_parallel_connection():
         parallel_connection(u_matroid(1, 1), "1", u12, "1")  # coloop basepoint
 
 
+def _basepoint(m):
+    """The last element that is neither a loop nor a coloop, or None."""
+    free = m.full_mask & ~m.loops() & ~m.coloops()
+    return m.labels[free.bit_length() - 1] if free else None
+
+
+def _gluing_corpus():
+    """Seeded GF(2) pairs and GF(3) pairs, and U(2,3) and U(2,4) glued to
+    each other, to F7, to K4's graph and to every seeded matrix."""
+    rng = random.Random(17)
+    uniform = [u_matroid(2, 3), u_matroid(2, 4), from_matrix(parse_matrix(F7_TEXT)),
+               from_graph(4, K4_EDGES)]
+    pairs = list(itertools.product(uniform[:2], uniform))
+    for q in (2, 3):
+        mats = [from_matrix(GFMatrix(field(q), [[rng.randrange(q) for _ in range(n)]
+                                                for _ in range(rng.randint(1, 3))]))
+                for n in [rng.randint(2, 6) for _ in range(16)]]
+        pairs += list(zip(mats[::2], mats[1::2]))
+        pairs += [(u, m) for m in mats for u in uniform[:2]]
+    for m1, m2 in pairs:
+        p1, p2 = _basepoint(m1), _basepoint(m2)
+        if p1 is not None and p2 is not None:
+            yield m1, p1, m2, p2
+
+
+def test_parallel_connection_matches_its_restrictions_contraction_and_circuits():
+    # P(M1, M2) | E1 = M1, P(M1, M2) | E2 = M2 and P(M1, M2) / p = M1/p + M2/p;
+    # its circuits are those of each side and (C1 - p) u (C2 - p) for the
+    # circuits through p (Oxley, Matroid Theory, 7.1.15)
+    glued = 0
+    for m1, p1, m2, p2 in _gluing_corpus():
+        pc = parallel_connection(m1, p1, m2, p2)
+        side1 = pc.delete(pc.labels[m1.n:])
+        assert is_isomorphism(side1, m1, {lab: lab for lab in m1.labels}), (m1, m2)
+        side2 = pc.delete([lab for lab in m1.labels if lab != p1])
+        images = [p2] + [lab for lab in m2.labels if lab != p2]
+        assert is_isomorphism(side2, m2, dict(zip(side2.labels, images))), (m1, m2)
+        con = pc.contract([p1])
+        both = direct_sum(m1.contract([p1]), m2.contract([p2]))
+        assert is_isomorphism(con, both, dict(zip(con.labels, both.labels))), (m1, m2)
+        to_pc = dict(zip(images, side2.labels))
+        c1 = {frozenset(m1.labels_of(c)) for c in m1.circuits()}
+        c2 = {frozenset(to_pc[lab] for lab in m2.labels_of(c)) for c in m2.circuits()}
+        through = {(a | b) - {p1} for a in c1 if p1 in a for b in c2 if p1 in b}
+        assert {frozenset(pc.labels_of(c)) for c in pc.circuits()} == c1 | c2 | through
+        glued += 1
+    assert glued > 60
+
+
 def test_parallel_connection_rank_check_raises(monkeypatch):
     # a glued rank table of the wrong rank is caught, also under python -O
-    monkeypatch.setattr(matroid, "_rank_table_from_circuits",
-                        lambda n, circuits: bytes(1 << n))
+    monkeypatch.setattr(matroid, "full_rank_table", lambda m: bytes([1]) * (1 << m.n))
     u23 = u_matroid(2, 3)
     with pytest.raises(MatroidError):
         parallel_connection(u23, "1", u23, "1")
@@ -792,6 +844,10 @@ def test_graph_text_round_trip():
         parse_graph_text("graph 2 1\n0 2\n")
     with pytest.raises(MatroidError):
         parse_graph_text("2 1\n0 1\n")
+    with pytest.raises(MatroidError, match="negative vertex count"):
+        parse_graph_text("graph -3 0\n")
+    with pytest.raises(MatroidError, match="negative vertex count"):
+        from_graph(-3, [])
 
 
 def test_export_text(p10):

@@ -18,6 +18,63 @@ from matroidkit.verify import (
 )
 
 
+# (id, status, details) of every check in run_checks(corpus_size=80)
+FAST_RUN = [
+    ("oracle-agreement", "pass", "flat and minor deciders agree on 1395/1395 queries"),
+    ("circuit-pairs", "pass", "circuit-pair decider agrees on 93/93 matroids"),
+    ("duality-monotonicity", "pass",
+     "1395 duality flips and 1860 monotonicity steps, 0 violations"),
+    ("p10-facts", "pass",
+     "self-dual, contract 5 delete 10 gives the rank-4 wheel, contract 8 gives the "
+     "rank-4 spike: [True, True, True]"),
+    ("spike-thresholds", "pass",
+     "spikes and their tip and leg deletions, ranks 3..6: 12 cells, mismatches none"),
+    ("f-values-2", "pass",
+     "f(2,1,2)=4, f(1,2,2)=4; rank-5 family empty: True; rank-4 family contains "
+     "AG(3,2): True"),
+    ("f-values-13", "pass", "f(1,3,2)=11, attained at (rank, size) [(4, 15), (5, 16)]"),
+    ("f-values-31", "pass", "f(3,1,2)=5 from the rank-6 cap search"),
+    ("f-recursion", "pass",
+     "f(2,2,2)=11 <= max(f(1,3,2), f(1,2,2)+1)=11, met with equality"),
+    ("rank-corank-cap", "pass", "max over census of min(rank, corank) = 5"),
+    ("census", "pass",
+     "two routes agree on 65 members (expected 65); members present: {'tipless "
+     "rank-5 spike': True, 'P10': True, 'AG(4,2)': True, 'AG(4,2)*': True, 'MW4': "
+     "True}; dual-closed: True; triple-oracle sample: True"),
+    ("wheel4-free", "pass",
+     "14 census members have no rank-4 wheel minor (expected the 14 spike-or-Fano "
+     "members): match True"),
+    ("affine16-maximal", "pass",
+     "15/15 single-point extensions fail; coextension search found 0 members"),
+    ("k33-extensions", "pass",
+     "4 extension classes, affine iff uniform: True, uniform ones: ['L10', 'R10']"),
+    ("coextension-pair", "pass",
+     "coextensions: M(K5 minus e) gives {L10}: True; P9 gives {P10, L10}: True"),
+    ("family-soundness", "pass",
+     "393 members all uniform and not 3-connected (violations: none), isomorph-free: "
+     "True, dual-closed: True, structure clauses: {'C-i': 73, 'C-ii': 49, 'C-iii': "
+     "16, 'D-i': 152, 'D-ii': 93, 'D-iii': 10}"),
+    ("family-completeness", "pass",
+     "5066 weighted configurations scanned up to 9 elements, 717 uniform, missing "
+     "from family: none"),
+    ("disconnected-classes", "pass",
+     "255 disconnected members classified: {'D-i': 152, 'D-ii': 93, 'D-iii': 10}"),
+    ("series-pair-classes", "pass",
+     "138 connected non-3-connected members classified: {'C-i': 73, 'C-ii': 49, "
+     "'C-iii': 16}"),
+    ("grafts", "pass",
+     "graft constructions match matrices by canonical form, mismatches: none"),
+    ("three-sum", "pass",
+     "3-sums with the Fano plane giving P10: [('1', '2', '5'), ('1', '6', '9'), "
+     "('2', '3', '6'), ('3', '5', '9')]; others: [('1', '4', '8'), ('3', '4', '7')]"),
+]
+
+
+@pytest.fixture(scope="module")
+def fast_run():
+    return run_checks(corpus_size=80)
+
+
 def test_registry_integrity():
     assert len(CHECK_IDS) == len(set(CHECK_IDS)) == 21
     info = check_info()
@@ -25,14 +82,18 @@ def test_registry_integrity():
     assert all(desc for _, desc in info)
 
 
-def test_fast_run_all_green():
-    results = run_checks(corpus_size=80)
+def test_fast_run_all_green(fast_run):
+    results = fast_run
     assert [r.check_id for r in results] == list(CHECK_IDS)
     by_status = {s: [r.check_id for r in results if r.status == s]
                  for s in ("pass", "fail", "skipped")}
     assert by_status["fail"] == by_status["skipped"] == []
     assert all(r.runtime >= 0 and r.details for r in results)
     assert all(r.ok for r in results)
+
+
+def test_fast_run_details_are_unchanged(fast_run):
+    assert [(r.check_id, r.status, r.details) for r in fast_run] == FAST_RUN
 
 
 def test_slow_checks_pass():
