@@ -63,98 +63,116 @@ def _canon_search(points, weights, target=None, autos=None):
     path's next point is either skipped by an orbit prune or reaches a tie,
     so the orbits of the autos fixing the node's prefix are the full
     stabilizer's orbits (the argument of McKay's nauty).
+
+    A node decides each child in its own loop: it forms the child's block of
+    newly spanned pairs and runs the bound checks the child would run on
+    entry (its prefix against the best, then the next slot against the
+    least image the child can give) before it builds the child's span table
+    and outside list, and on a cut marks the candidate decided, as the
+    child's return would have.  The child would compare the same values with
+    the same best at the same point of the loop, so every cut, raise and
+    decided candidate comes in the same order, and the tree, forms, maps and
+    the order of the autos are those of a search with one frame per child.
+    When testing, a node is only expanded while its prefix equals the
+    target's (larger is cut, smaller raises), so only the new block is
+    compared; without a target the best can change under a node, so the
+    whole prefix is.  The orbit prune keeps the union of the orbits of the
+    decided candidates under the autos fixing the prefix, widened whenever a
+    child or a tie finds more, so a candidate is skipped exactly when its
+    orbit holds a decided one.
     """
     n = len(points)
-    wt = dict(zip(points, weights))
     if n == 0:
         return (), {}, []
     testing = target is not None
-    best = [tuple(pair) for pair in target] if testing else None
-    best_map = {p: p for p, _ in target} if testing else None
     if autos is None:
         autos = []
+    # a pair (image, weight) is the int image << shift | rank of the weight
+    # among the distinct weights, so int order is pair order for any weights
+    values = sorted(set(weights))
+    shift = len(values).bit_length()
+    rank = {w: i for i, w in enumerate(values)}
+    size = 1 << max(points).bit_length()
+    wt = [0] * size
+    for p, w in zip(points, weights):
+        wt[p] = rank[w]
+    best = [p << shift | rank[w] for p, w in target] if testing else None
+    best_map = {p: p for p in points} if testing else None
+    inv = best_map  # image -> point of the best map
+    if testing and best[0] >> shift > 1:
+        raise _Smaller  # every branch puts image 1 in the first slot
 
-    def rec(prefix, span, forced, img_of, outside):
-        # span maps every vector spanned by prefix[:-1] to its image; the
-        # node adds prefix[-1] only once it passes the bounds and expands
-        nonlocal best, best_map
-        j = len(prefix)
-        if best is not None:
-            limit = len(forced)
-            pre = best[:limit]
-            if forced > pre:
-                return
-            if forced < pre:
-                if testing:
-                    raise _Smaller
-            elif limit < len(best):
-                nxt = best[limit][0]
-                lim = 1 << j
-                if nxt < lim:
-                    return
-                if testing and nxt > lim:
-                    raise _Smaller  # this branch completes with lim in slot `limit`
-        if not outside:
-            pairs = list(forced)
-            if best is None or pairs < best:
-                # testing mode never lands here with pairs < target: the
-                # prefix comparison above would have raised already
-                best = pairs
-                best_map = dict(img_of)
-            elif pairs == best:
-                inv = {v: p for p, v in best_map.items()}
-                autos.append({p: inv[v] for p, v in img_of.items()})
-            return
-        lim = 1 << j
-        if prefix:
-            last, top = prefix[-1], lim >> 1
-            span = {**span, **{x ^ last: i ^ top for x, i in span.items()}}
-        cands = sorted(outside, key=lambda p: (wt[p], p))
-        done = 0  # the candidates already expanded, as a bit mask
-        fixing = []  # the autos that fix the prefix pointwise, in found order
-        seen = 0
-        for p in cands:
-            if seen < len(autos):
-                fixing += [g for g in autos[seen:] if all(g[q] == q for q in prefix)]
-                seen = len(autos)
-            if fixing and _orbit_hits(p, fixing, done):
+    def rec(prefix, tab, vec, forced, outside, fixing, seen):
+        # tab[v] is the packed image of each v in span(prefix), -1 off it,
+        # and vec[i] the vector of image i; outside is in (weight, point)
+        # order and forced == best[:len(forced)] whenever testing
+        nonlocal best, best_map, inv
+        lim = 1 << len(prefix)
+        top = lim << shift
+        nf = len(forced)
+        covered = 0  # the orbits under fixing of the candidates decided, a bit mask
+        for p in outside:
+            if covered >> p & 1:
                 continue
-            new_img = dict(img_of)
-            new_img[p] = lim
-            new_pairs = [(lim, wt[p])]
-            new_out = []
-            for x in outside:
-                if x == p:
-                    continue
-                xi = span.get(x ^ p)  # x is in the new span iff x ^ p is in the old
-                if xi is None:
-                    new_out.append(x)
-                else:
-                    new_img[x] = xi ^ lim
-                    new_pairs.append((xi ^ lim, wt[x]))
-            new_pairs.sort()
-            rec(prefix + [p], span, forced + new_pairs, new_img, new_out)
-            done |= 1 << p
+            # x joins the span with p iff x ^ p is in it already (p itself by 0)
+            block = sorted([i | top | wt[x] for x in outside if (i := tab[x ^ p]) >= 0])
+            end = nf + len(block)
+            cut = False
+            if best is not None:
+                # the child's entry bounds; testing compares only the new block
+                got, pre = (block, best[nf:end]) if testing else (forced + block, best[:end])
+                if got < pre:
+                    if testing:
+                        raise _Smaller
+                elif got > pre:
+                    cut = True
+                elif end < n:
+                    nxt = best[end] >> shift
+                    cut = nxt < lim << 1
+                    if testing and nxt > lim << 1:
+                        raise _Smaller  # the child completes with lim << 1 in slot `end`
+            if not cut:
+                child_tab = tab[:]
+                child_vec = vec + [v ^ p for v in vec]
+                for i in range(lim, lim << 1):
+                    child_tab[child_vec[i]] = i << shift
+                child_out = [x for x in outside if child_tab[x] < 0]
+                if child_out:
+                    rec(prefix + [p], child_tab, child_vec, forced + block, child_out,
+                        [g for g in fixing if g[p] == p], seen)
+                elif best is None or forced + block < best:
+                    # testing never lands here: a smaller block would have raised
+                    best = forced + block
+                    best_map = {x: child_tab[x] >> shift for x in points}
+                    inv = {i: x for x, i in best_map.items()}
+                else:  # a tie, since the bounds above passed
+                    autos.append({x: inv[child_tab[x] >> shift] for x in points})
+                if seen < len(autos):  # only a child or a tie finds autos
+                    new = [g for g in autos[seen:] if all(g[q] == q for q in prefix)]
+                    seen = len(autos)
+                    if new:
+                        fixing += new
+                        covered = _closure(covered, fixing, list(_bits(covered)))
+            covered |= _closure(1 << p, fixing, [p])
 
-    rec([], {0: 0}, [], {}, list(points))
-    return tuple(best), best_map, autos
+    tab = [-1] * size
+    tab[0] = 0
+    rec([], tab, [0], [], sorted(points, key=lambda p: (wt[p], p)), list(autos), len(autos))
+    mask = (1 << shift) - 1
+    return tuple((x >> shift, values[x & mask]) for x in best), best_map, autos
 
 
-def _orbit_hits(p, gens, done):
-    if not done:
-        return False
-    orbit = {p}
-    frontier = [p]
+def _closure(mask, gens, frontier):
+    """The union of the orbits under gens of the points in mask, a bit mask;
+    frontier lists the points of mask whose images are not yet known."""
     while frontier:
         x = frontier.pop()
         for g in gens:
             y = g[x]
-            if done >> y & 1:
-                return True
-            if y not in orbit:
-                orbit.add(y)
+            if not mask >> y & 1:
+                mask |= 1 << y
                 frontier.append(y)
-    return False
+    return mask
 
 
 def is_canonical_point_set(points, weights=None, autos=None):
@@ -163,15 +181,18 @@ def is_canonical_point_set(points, weights=None, autos=None):
     autos, when given, is a list of known weight-preserving linear symmetries
     of the points, each indexable by every point (p -> image of p).  The test
     uses them as orbit prunes from its first node and appends, as dicts, the
-    symmetries its own search finds."""
+    symmetries its own search finds.  The points must be distinct nonzero
+    vectors of GF(2)^16, since the search indexes a table by vector."""
     pts = tuple(sorted(points))
+    if pts and (pts[0] <= 0 or pts[-1] >= 1 << 16):
+        raise MatroidError("points must be nonzero vectors of GF(2)^d with d <= 16")
+    if len(set(pts)) < len(pts):
+        raise MatroidError("points must be distinct")
     if weights is None:
         pairs = tuple((p, 0) for p in pts)
     else:
         w = dict(zip(points, weights))
         pairs = tuple((p, w[p]) for p in pts)
-        if list(pairs) != sorted(pairs):
-            return False
     try:
         _canon_search(tuple(p for p, _ in pairs), tuple(w for _, w in pairs),
                       target=pairs, autos=autos)

@@ -513,15 +513,16 @@ class Matroid:
     def is_3connected(self):
         """No split into two sides of at least two elements with lambda <= 1.
         From n = 4 on, that also rules out 1-separations: adding an element
-        to a side raises lambda by at most one.  A matrix takes
-        `_has_2separation`, a rank table one dense pass."""
+        to a side raises lambda by at most one.  A matrix on 4 or more
+        elements takes `_has_2separation`, which decides connectivity from
+        the same standard form; a rank table one dense pass."""
         n = self.n
+        if n >= 4 and self.rep.matrix is not None:
+            return not _has_2separation(self.rep.matrix)
         if not self.is_connected():
             return False
         if n < 4:
             return True
-        if self.rep.matrix is not None:
-            return not _has_2separation(self.rep.matrix)
         table, full = self.rep.table, self.full_mask
         limit = table[full] + 1  # lambda(X) <= 1
         for mask in range(1 << (n - 1)):  # element n - 1 stays off the X side
@@ -591,10 +592,14 @@ def _unit(fld, v):
 
 
 def _has_2separation(matrix):
-    """True iff the columns of a connected matrix with n >= 4 split into X and
-    Y, both of size >= 2, with lambda(X) = r(X) + r(Y) - r(M) <= 1.  With
-    [I | A] a standard form, rows B and columns N, lambda(X) = r(A[X_B, Y_N])
-    + r(A[Y_B, X_N]) (Truemper 1992).  Each X_N decides the case A[X_B, Y_N]
+    """True iff the columns of a matrix with n >= 4 split into X and Y, both
+    of size >= 2, with lambda(X) = r(X) + r(Y) - r(M) <= 1.  With [I | A] a
+    standard form, rows B and columns N, lambda(X) = r(A[X_B, Y_N]) +
+    r(A[Y_B, X_N]) (Truemper 1992).  The pivots are the greedy basis, so the
+    support graph of A (row b to column e where A[b, e] != 0) is the
+    fundamental-circuit graph of `components`: M is connected iff it is.  A
+    1-separation widens to a 2-separation from n = 4 on, so a disconnected M
+    answers True at once.  Each X_N decides the case A[X_B, Y_N]
     = 0, rank A[Y_B, X_N] <= 1: rows with a nonzero Y_N part go to Y_B and
     need proportional X_N parts, the others stay in X_B.  A has no zero row
     or column (no loops or coloops), so a nonempty Y_N brings a row to Y_B,
@@ -604,13 +609,21 @@ def _has_2separation(matrix):
     fld = matrix.field
     red, r, pivots = rref(matrix)
     rest = [j for j in range(matrix.ncols) if j not in pivots]
+    if not r or not rest:
+        return True  # all loops or all coloops
     rows = [[row[j] for j in rest] for row in red.rows[:r]]
     if r < len(rest):
         rows = [list(col) for col in zip(*rows)]  # -A^T represents M*; signs do not matter
     k = len(rows[0])
+    support = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    parent = list(range(len(rows) + k))
+    for i, s in enumerate(support):
+        for j in _bits(s):
+            parent[_find(parent, i)] = _find(parent, len(rows) + j)
+    if len({_find(parent, v) for v in range(len(parent))}) > 1:
+        return True  # M is not connected
     if k >= TABLE_CAP:
         raise MatroidError(f"2-separation search capped at min(r, n - r) < {TABLE_CAP}")
-    support = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
     for xn in range((1 << k) - 1):
         forced = [(row, s) for row, s in zip(rows, support) if s & ~xn]
         if len(rows) - len(forced) + xn.bit_count() < 2:

@@ -22,6 +22,7 @@ from matroidkit.iso import (
 )
 from matroidkit.matroid import (
     Matroid,
+    MatroidError,
     RankTableRep,
     binary_three_sum,
     from_graph,
@@ -128,6 +129,77 @@ def test_canonical_point_set_known_configurations():
     assert tuple(v for v, _ in form) == (
         1, 2, 4, 7, 8, 11, 13, 14, 16, 19, 21, 22, 25, 26, 28, 31,
     )
+
+
+def gl42_images():
+    """Every element of GL(4,2) as the list of images of the vectors 0..15."""
+    maps = []
+    for cols in itertools.permutations(range(1, 16), 4):
+        img = [0] * 16
+        for v in range(1, 16):
+            for bit in range(4):
+                if v >> bit & 1:
+                    img[v] ^= cols[bit]
+        if all(img[1:]):  # injective: no nonzero vector goes to 0
+            maps.append(img)
+    assert len(maps) == 20160
+    return maps
+
+
+def test_weighted_canonical_search_matches_brute_force_gl42():
+    # the least sorted (image, weight) image over all of GL(4,2); weights
+    # past 255 and below 0 show that the packed pairs order exactly
+    maps = gl42_images()
+    rng = random.Random(15)
+    used = set()
+    for _ in range(12):
+        points = tuple(sorted(rng.sample(range(1, 16), rng.randint(2, 9))))
+        weights = tuple(rng.choice((-7, 0, 1, 300)) for _ in points)
+        used.update(weights)
+        w = dict(zip(points, weights))
+        want = min(tuple(sorted((g[p], w[p]) for p in points)) for g in maps)
+        form, mapping, autos = iso._canon_search(points, weights)
+        assert form == want
+        assert tuple(sorted((mapping[p], w[p]) for p in points)) == form
+        assert any(all(g[p] == mapping[p] for p in points) for g in maps)
+        group = [g for g in maps if all(w.get(g[p]) == w[p] for p in points)]
+        for g in autos:
+            assert sorted(g[p] for p in points) == list(points)
+            assert all(w[g[p]] == w[p] for p in points)
+        # and they generate every symmetry, as permutations of the points
+        generated, frontier = {points}, [points]
+        while frontier:
+            h = frontier.pop()
+            for g in autos:
+                gh = tuple(g[x] for x in h)
+                if gh not in generated:
+                    generated.add(gh)
+                    frontier.append(gh)
+        assert generated == {tuple(g[p] for p in points) for g in group}
+        # the canonical form is its own representative; the input is one iff
+        # it equals its form, with or without known symmetries as seeds
+        image = dict(form)
+        assert is_canonical_point_set(tuple(image), tuple(image.values()))
+        pairs = tuple(zip(points, weights))
+        for seeds in ([], rng.sample(group, min(3, len(group)))):
+            known = list(seeds)
+            assert is_canonical_point_set(points, weights, known) == (pairs == form)
+            for g in known[len(seeds):]:
+                assert sorted(g[p] for p in points) == list(points)
+                assert all(w[g[p]] == w[p] for p in points)
+    assert {-7, 300} <= used
+
+
+def test_is_canonical_point_set_rejects_non_point_sets(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched an input that is not a point set")
+
+    monkeypatch.setattr(iso, "_canon_search", no_search)
+    for points in ((0, 1), (1, 1), (3, 1, 3), (-1, 2), (1, 1 << 16)):
+        with pytest.raises(MatroidError):
+            is_canonical_point_set(points)
+    with pytest.raises(MatroidError):
+        is_canonical_point_set((2, 2), (0, 1))
 
 
 def test_binary_canonical_form_invariance(p10):

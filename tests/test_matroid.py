@@ -557,6 +557,11 @@ def test_3connectivity_past_the_rank_table_cap():
     assert big.is_connected()
     with pytest.raises(MatroidError, match="capped"):
         big.is_3connected()
+    # 25 parallel pairs: min(r, n - r) = 25, but the standard form's support
+    # graph is disconnected, which decides before the cap
+    rows = [[int(i == j % 25) for j in range(50)] for i in range(25)]
+    pairs = from_matrix(GFMatrix(field(2), rows))
+    assert not pairs.is_3connected()
 
 
 @st.composite
