@@ -2,11 +2,11 @@
 
 Matrices are immutable and small (at most 64 rows and 64 columns), so a
 set of columns always fits in a machine-word bit mask.  GF(2) gets a fast
-path: columns are packed into ints and eliminated word by word.  Rank,
-span and the flat walk (`_flats`) share one echelon kernel (`_echelon`,
-`_reduce`): columns are reduced against rows keyed by their leading
-position, through the field tables on plain lists for q != 2, with no
-matrix built per call.  GF(4) is
+path: columns are packed into ints and eliminated word by word.  Rank
+and span share one echelon kernel (`_echelon`, `_reduce`): columns are
+reduced against rows keyed by their leading position, through the field
+tables on plain lists for q != 2, with no matrix built per call.  The flat
+walk (`_flats`) carries each column's remainder down instead.  GF(4) is
 not a prime field; its tables are built from w^2 = w + 1 with elements
 encoded 0, 1, 2 = w, 3 = w + 1.
 """
@@ -317,38 +317,26 @@ def _flats(m: GFMatrix, k: int):
     a scan of the k-subsets in combination order first meets them as
     closures of independent sets; empty when k exceeds the rank.
 
-    One depth-first walk over the (k-1)-subsets in combination order grows
-    one echelon basis by a column per level and undoes it on the way back; a
-    dependent prefix cuts its subtree.  At each independent (k-1)-prefix P
-    every column is reduced once to its canonical remainder modulo span(P),
-    zero at every pivot position and, for q != 2, with leading entry 1.
-    The zero remainders make cl(P), and for each later column e with a
-    nonzero remainder, cl(P + e) is cl(P) plus e's remainder class."""
+    One depth-first walk over the (k-1)-subsets in combination order carries
+    every column's remainder modulo span(P), P the prefix: the one that is
+    zero at each pivot position taken so far.  A column is independent of P
+    iff its remainder u is nonzero; a dependent prefix cuts its subtree.
+    Adding u takes as pivot its top bit i (GF(2)) or its first nonzero
+    position i, with u scaled to u_i = 1 (q != 2), and the child's list is
+    v - v_i*u for each v (v ^ u where v has bit i), zero again at every
+    pivot.  At a leaf each remainder is scaled to a leading 1 once: the
+    zero ones make cl(P), and for each later column e with a nonzero
+    remainder, cl(P + e) is cl(P) plus e's remainder class."""
     fld, n = m.field, m.ncols
     if k > _echelon(m, (1 << n) - 1)[2]:
         return ()
-    cols, piv, _ = _echelon(m, 0)
     two, add, mul, neg, inv = fld.q == 2, fld.add, fld.mul, fld.neg, fld.inv
     found = {}  # insertion-ordered set
 
-    def group(start):
-        cl, classes, rem, bit = 0, {}, [], 1
-        if two:
-            rows = [w for w in reversed(piv) if w]
-        else:
-            rows = [(i, row) for i, row in enumerate(piv) if row is not None]
-        for v in cols:
-            if two:
-                for w in rows:  # top bits descending
-                    vw = v ^ w
-                    if vw < v:
-                        v = vw
-            else:
-                for i, row in rows:
-                    x = v[i]
-                    if x:
-                        c = mul[neg[x]]
-                        v = [add[a][c[b]] for a, b in zip(v, row)]
+    def leaf(rem, start):
+        cl, classes, keys, bit = 0, {}, [], 1
+        for v in rem:
+            if not two:
                 for x in v:
                     if x:
                         v = tuple(map(mul[inv[x]].__getitem__, v))
@@ -359,26 +347,42 @@ def _flats(m: GFMatrix, k: int):
                 classes[v] = classes.get(v, 0) | bit
             else:
                 cl |= bit
-            rem.append(v)
+            keys.append(v)
             bit <<= 1
-        for v in rem[start:]:
+        for v in keys[start:]:
             if v:
                 found.setdefault(cl | classes[v])
         return cl
 
-    def walk(start, need):
+    def walk(rem, start, need):
         if not need:
-            group(start)
+            leaf(rem, start)
             return
         for e in range(start, n - need):
-            slot = _reduce(fld, piv, cols[e])
-            if slot is not None:
-                walk(e + 1, need - 1)
-                piv[slot] = 0 if two else None
+            u = rem[e]
+            if two:
+                if u:
+                    top = 1 << u.bit_length() - 1
+                    walk([v ^ u if v & top else v for v in rem], e + 1, need - 1)
+                continue
+            i = next((j for j, x in enumerate(u) if x), None)
+            if i is None:
+                continue
+            s = mul[inv[u[i]]]
+            u = [s[x] for x in u]
+            child = []
+            for v in rem:
+                x = v[i]
+                if x:
+                    c = mul[neg[x]]
+                    v = [add[a][c[b]] for a, b in zip(v, u)]
+                child.append(v)
+            walk(child, e + 1, need - 1)
 
+    cols = m.col_bits if two else m.columns
     if k == 0:
-        return (group(n),)
-    walk(0, k - 1)
+        return (leaf(cols, n),)
+    walk(cols, 0, k - 1)
     return tuple(found)
 
 

@@ -191,6 +191,8 @@ def is_canonical_point_set(points, weights=None, autos=None):
     if weights is None:
         pairs = tuple((p, 0) for p in pts)
     else:
+        if len(weights) != len(pts):
+            raise MatroidError("weights must have one entry per point")
         w = dict(zip(points, weights))
         pairs = tuple((p, w[p]) for p in pts)
     try:
@@ -467,10 +469,18 @@ def _binary_iso(m1, m2):
 def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     """(contract_mask, delete_mask) with m/C\\D isomorphic to target, or None.
     C runs over independent sets of size r(m) - r(target) in mask order, so C
-    is independent and D is forced coindependent.  Candidates are filtered by
-    the exact iso_key when m and the target are binary-backed and the target
-    has rank or corank at most 6, and by fingerprint otherwise.  Raises
-    BudgetExhausted."""
+    is independent and D is forced coindependent.
+
+    A minor isomorphic to a simple target is simple, and one isomorphic to a
+    cosimple target is cosimple, so those filters are exact and leave the
+    candidates' order, hence the first witness, as it is.  With a simple
+    target a candidate is skipped before it is built when its kept set holds
+    a loop of m/C or two elements of one parallel class of m/C (read once
+    per C); with a cosimple target a built candidate that is not cosimple is
+    skipped.  The rest are filtered by the exact iso_key when m and the
+    target are binary-backed and the target has rank or corank at most 6,
+    and by fingerprint otherwise.  Every candidate counts against the
+    budget, skipped or not.  Raises BudgetExhausted."""
     dr = m.rank() - target.rank()
     if dr < 0 or m.n < target.n:
         return None
@@ -479,6 +489,7 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
             and min(target.rank(), target.n - target.rank()) <= 6):
         invariant = iso_key
     target_inv = invariant(target)
+    simple, cosimple = target.is_simple(), target.is_cosimple()
     spent = 0
     for combo in itertools.combinations(range(m.n), dr):
         cmask = 0
@@ -487,6 +498,10 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
         if m.r(cmask) != dr:
             continue
         mc = m.contract(cmask)
+        if simple:
+            classes = mc.parallel_classes()
+            loops = mc.full_mask ^ sum(classes)
+            classes = [c for c in classes if c & c - 1]
         for keep in itertools.combinations(range(mc.n), target.n):
             spent += 1
             if spent > budget:
@@ -494,8 +509,12 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
             kmask = 0
             for i in keep:
                 kmask |= 1 << i
+            if simple and (kmask & loops or any((h := kmask & c) & h - 1 for c in classes)):
+                continue
             restr = mc.delete(mc.full_mask ^ kmask)
             if restr.rank() != target.rank():
+                continue
+            if cosimple and not restr.is_cosimple():
                 continue
             if invariant(restr) != target_inv:
                 continue

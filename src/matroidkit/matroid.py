@@ -387,27 +387,34 @@ class Matroid:
         return mask
 
     def parallel_classes(self):
-        """Masks of maximal parallel classes over the non-loop elements."""
-        loops = self.loops()
+        """Masks of maximal parallel classes over the non-loop elements, sorted.
+        A matrix reads them from its packed columns: loops are the zero
+        columns, and two others are parallel iff they are equal on GF(2),
+        or equal once scaled to a leading 1 (`_unit`) on GF(q).  A rank
+        table groups the non-loops by the closure of each."""
+        mat = self.rep.matrix
+        if mat is not None:
+            keys = mat.col_bits if mat.field.q == 2 else [_unit(mat.field, c) for c in mat.columns]
+        else:
+            loops = self.loops()
+            keys = [0 if loops >> i & 1 else self.closure(1 << i) & ~loops for i in range(self.n)]
         groups = {}
-        for i in range(self.n):
-            if loops >> i & 1:
-                continue
-            key = self.closure(1 << i) & ~loops
-            groups.setdefault(key, 0)
-            groups[key] |= 1 << i
+        for i, key in enumerate(keys):
+            if key:
+                groups[key] = groups.get(key, 0) | 1 << i
         return sorted(groups.values())
 
     def series_classes(self):
-        return self.dual().parallel_classes()
+        """The dual's parallel classes; a graph or graft takes its matrix's dual."""
+        m = self if self.rep.matrix is None else self.to_linear()
+        return m.dual().parallel_classes()
 
     def is_simple(self):
-        return self.loops() == 0 and all(
-            c.bit_count() == 1 for c in self.parallel_classes()
-        )
+        """No loops and no parallel pair: every element is its own class."""
+        return len(self.parallel_classes()) == self.n
 
     def is_cosimple(self):
-        return self.dual().is_simple()
+        return len(self.series_classes()) == self.n
 
     def si(self):
         """Simplification: drop loops and all but the first of each parallel class."""

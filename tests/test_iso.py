@@ -202,6 +202,13 @@ def test_is_canonical_point_set_rejects_non_point_sets(monkeypatch):
         is_canonical_point_set((2, 2), (0, 1))
 
 
+def test_is_canonical_point_set_rejects_a_weight_count_mismatch(monkeypatch):
+    monkeypatch.setattr(iso, "_canon_search", None)  # never reached
+    for weights in ((0,), (0, 1, 2)):
+        with pytest.raises(MatroidError):
+            is_canonical_point_set((1, 2), weights)
+
+
 def test_binary_canonical_form_invariance(p10):
     assert binary_canonical_form(p10) == (0, 1, 2, 3, 7, 12, 15, 20, 24, 29)
     rng = random.Random(3)
@@ -342,6 +349,54 @@ def test_has_minor_key_filter_keeps_the_fingerprint_witness(monkeypatch):
         assert not calls, m
     assert got == expected
     assert sum(w is not None for w in got) >= 8 and None in got
+
+
+def _random_hosts(rng, q, count, rows, cols):
+    hosts = []
+    for _ in range(count):
+        r, n = rng.randint(*rows), rng.randint(*cols)
+        hosts.append(from_matrix(GFMatrix(q, [[rng.randrange(q) for _ in range(n)]
+                                              for _ in range(r)])))
+    return hosts
+
+
+def test_has_minor_structural_filters_keep_the_fingerprint_witness():
+    # simple but not cosimple (a triangle and a coloop), its dual (cosimple,
+    # not simple), and U_{1,2} + U_{1,1} (neither): each filter alone and none
+    targets = [from_matrix(GFMatrix(2, rows)) for rows in (
+        [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]],
+        [[1, 1, 1, 0]],
+        [[1, 1, 0], [0, 0, 1]])]
+    assert [(t.is_simple(), t.is_cosimple()) for t in targets] == [
+        (True, False), (False, True), (False, False)]
+    rng = random.Random(58)
+    binary = _random_hosts(rng, 2, 12, (2, 4), (4, 7))
+    found = 0
+    for target in targets:
+        for m in binary:
+            if m.n >= target.n and m.rank() >= target.rank():
+                got = has_minor(m, target)
+                assert got == _has_minor_by_fingerprint(m, target), (m, target)
+                found += got is not None
+    ternary = _random_hosts(rng, 3, 10, (2, 3), (4, 6))
+    for target in (u_matroid(2, 4), targets[0]):  # both filters on, then one
+        for m in ternary:
+            if m.n >= target.n and m.rank() >= target.rank():
+                got = has_minor(m, target)
+                assert got == _has_minor_by_fingerprint(m, target), (m, target)
+                found += got is not None
+    assert found >= 20
+
+
+def test_has_minor_budget_counts_skipped_candidates():
+    # P10 behind two copies of its element 4 and a loop: the first 1,794
+    # candidates, most holding a parallel pair or the loop, are all spent
+    p10 = catalog.named("P10").rep.matrix
+    cols = [p10.columns[3], p10.columns[3], (0,) * 5] + list(p10.columns)
+    host, mw4 = from_matrix(GFMatrix.from_columns(2, cols)), catalog.named("MW4")
+    assert has_minor(host, mw4, budget=1795) == (16, 4166)
+    with pytest.raises(BudgetExhausted):
+        has_minor(host, mw4, budget=1794)
 
 
 def test_element_orbits(f7, z4):

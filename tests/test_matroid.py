@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidkit import catalog, matroid
-from matroidkit.gf import GFMatrix, field, parse_matrix, rank_of_columns
+from matroidkit.gf import GFMatrix, _flats, field, parse_matrix, rank_of_columns
 from matroidkit.matroid import (
     GraftRep,
     GraphicRep,
@@ -175,12 +175,54 @@ def test_closure_matches_rank_loop_on_every_backend():
     assert pairs > 60000
 
 
+def _scaled_corpus(seed):
+    """Seeded GF(2), GF(3) and GF(5) matrices, each with a zero column, a
+    repeated column and (q != 2) a column scaled by a nonzero scalar."""
+    rng = random.Random(seed)
+    corpus = []
+    for q in (2, 3, 5):
+        mul = field(q).mul
+        for _ in range(20):
+            nrows, ncols = rng.randint(1, 4), rng.randint(2, 8)
+            cols = [[rng.randrange(q) for _ in range(nrows)] for _ in range(ncols)]
+            cols[rng.randrange(ncols)] = [0] * nrows
+            cols.append(list(rng.choice(cols)))
+            scale = mul[rng.randrange(1, q)]
+            cols.insert(rng.randrange(len(cols) + 1), [scale[x] for x in rng.choice(cols)])
+            corpus.append(from_matrix(GFMatrix.from_columns(q, cols)))
+    return corpus
+
+
+def test_packed_parallel_readers_match_the_rank_table():
+    corpus = _scaled_corpus(61)  # none simple: each has a zero column
+    corpus += [m.si() for m in corpus]
+    corpus += [m for m in _span_corpus() if isinstance(m.rep, (GraphicRep, GraftRep))]
+    corpus += [e.matroid for e in catalog.entries() if e.matroid.n <= 12]
+    simple = cosimple = 0
+    for m in corpus:
+        table = as_rank_table(m)
+        assert m.parallel_classes() == table.parallel_classes(), m
+        assert m.is_simple() == table.is_simple(), m
+        assert m.is_cosimple() == table.is_cosimple(), m
+        for mine, ref in ((m.si(), table.si()), (m.cosi(), table.cosi())):
+            assert mine.labels == ref.labels, m
+            assert full_rank_table(mine) == full_rank_table(ref), m
+        simple += m.is_simple()
+        cosimple += m.is_cosimple()
+    assert len(corpus) > 60 and 0 < simple < len(corpus) and 0 < cosimple < len(corpus)
+
+
 def test_flats_of_rank_matches_the_uncached_scan():
     corpus = random_linear_corpus(120, seed=43) + [e.matroid for e in catalog.entries()]
-    corpus += _span_corpus()
+    corpus += _span_corpus() + _scaled_corpus(62)
     for m in corpus:
         for k in range(m.rank() + 1):
             assert m.flats_of_rank(k) == _flats_by_scan(m, k), (m, k)
+    for m in _scaled_corpus(63):
+        r = m.rank()
+        for k in (0, r):  # the walk's two ends: no prefix, and a full basis
+            assert _flats(m.rep.matrix, k) == tuple(_flats_by_scan(m, k)), (m, k)
+        assert _flats(m.rep.matrix, r + 1) == ()
 
 
 @st.composite
@@ -191,6 +233,8 @@ def _gfq_matroids(draw):
     r = draw(st.integers(1, 5))
     column = st.lists(st.integers(0, q - 1), min_size=r, max_size=r)
     pool = draw(st.lists(column, min_size=1, max_size=9)) + [[0] * r]
+    scale = field(q).mul[draw(st.integers(1, q - 1))]
+    pool += [[scale[x] for x in c] for c in pool]  # parallel, not equal, for q > 2
     cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
     return from_matrix(GFMatrix.from_columns(q, cols))
 
@@ -198,8 +242,9 @@ def _gfq_matroids(draw):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_gfq_matroids())
 def test_flats_and_deciders_agree_on_random_gfq_matrices(m):
-    for k in range(m.rank() + 1):
+    for k in range(m.rank() + 1):  # k = 0 and k = rank included
         assert m.flats_of_rank(k) == _flats_by_scan(m, k)
+    assert _flats(m.rep.matrix, m.rank() + 1) == ()
     dual = m.dual()
     for k in range(1, 5):
         for l in range(1, 6 - k):
