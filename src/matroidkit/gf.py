@@ -2,7 +2,8 @@
 
 Matrices are immutable and small (at most 64 rows and 64 columns), so a
 set of columns always fits in a machine-word bit mask.  GF(2) gets a fast
-path: columns are packed into ints and eliminated word by word.  Rank
+path: columns are packed into ints and eliminated word by word.  Each
+matrix keeps its reduced row echelon form (`rref`) once computed.  Rank
 and span share one echelon kernel (`_echelon`, `_reduce`): columns are
 reduced against rows keyed by their leading position, through the field
 tables on plain lists for q != 2, with no matrix built per call.  The flat
@@ -97,16 +98,18 @@ def _fill(m, fld, rows):
     object.__setattr__(m, "ncols", len(rows[0]) if rows else 0)
     object.__setattr__(m, "_col_bits", None)
     object.__setattr__(m, "_columns", None)
+    object.__setattr__(m, "_rref", None)
 
 
 class GFMatrix:
     """Immutable r x n matrix over GF(q).
 
     `rows` is a tuple of row tuples.  The columns are cached as tuples
-    (`columns`) and, for q = 2, as ints with bit i = row i (`col_bits`).
+    (`columns`) and, for q = 2, as ints with bit i = row i (`col_bits`);
+    the reduced row echelon form is kept once computed (`rref`).
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits", "_columns")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits", "_columns", "_rref")
 
     def __init__(self, fld: FieldSpec, rows):
         if isinstance(fld, int):
@@ -214,7 +217,11 @@ class GFMatrix:
 
 
 def rref(m: GFMatrix):
-    """Reduced row echelon form.  Returns (matrix, rank, pivot column tuple)."""
+    """Reduced row echelon form, computed once per matrix and kept on it.
+    Returns (matrix, rank, pivot column tuple): the pivots are the greedy basis."""
+    kept = m._rref
+    if kept is not None:
+        return kept
     fld = m.field
     add, mul, neg, inv = fld.add, fld.mul, fld.neg, fld.inv
     rows = [list(r) for r in m.rows]
@@ -238,7 +245,9 @@ def rref(m: GFMatrix):
         r += 1
         if r == nrows:
             break
-    return GFMatrix._trusted(fld, tuple(map(tuple, rows))), r, tuple(pivots)
+    kept = GFMatrix._trusted(fld, tuple(map(tuple, rows))), r, tuple(pivots)
+    object.__setattr__(m, "_rref", kept)
+    return kept
 
 
 def _reduce(fld: FieldSpec, piv, v, insert=True):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, rref
-from .matroid import Matroid, MatroidError, _bits, _find, _gf2_matrix, from_matrix
+from .matroid import Matroid, MatroidError, _bits, _classes, _find, _gf2_matrix, from_matrix
 from .matroid import RankTableRep, is_isomorphism
 
 __all__ = [
@@ -208,9 +208,7 @@ def is_canonical_point_set(points, weights=None, autos=None):
 
 def _rank_rows(matrix):
     red, r, _ = rref(matrix)
-    if r == 0:
-        return GFMatrix(matrix.field, ((0,) * matrix.ncols,))
-    return GFMatrix(matrix.field, red.rows[:r])
+    return GFMatrix._trusted(matrix.field, red.rows[:r] or ((0,) * matrix.ncols,))
 
 
 def binary_representation(m: Matroid):
@@ -534,7 +532,4 @@ def element_orbits(m: Matroid):
     for perm in _canonical(m)[3]:
         for i, j in enumerate(perm):
             parent[_find(parent, i)] = _find(parent, j)
-    orbits = {}
-    for i in range(m.n):
-        orbits.setdefault(_find(parent, i), []).append(m.labels[i])
-    return sorted(tuple(v) for v in orbits.values())
+    return sorted(m.labels_of(c) for c in _classes(_find(parent, i) + 1 for i in range(m.n)))

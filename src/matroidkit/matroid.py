@@ -6,9 +6,12 @@ are Linear (matrix columns), Graphic (graph edges, spanning-forest rank)
 and Graft (graph plus a vertex set gamma; rank in the incidence matroid
 with gamma's incidence vector adjoined as one extra element), whose GF(2)
 incidence matrix is built once, and RankTable.  Their own rank oracles
-answer `rank`; closures, flats, circuits, minors, 3-connectivity (a
-block-rank test on a standard form, `_has_2separation`, 2^min(r, n - r)
-steps) and dense rank tables are read from the matrix when there is one.
+answer `rank`; closures, flats, circuits, minors, dense rank tables and
+parallel classes (loops are the elements in none) are read from the
+matrix when there is one, series classes from its dual's columns, and
+fundamental circuits (so components and coloops) and the 2-separation
+test that `is_3connected` runs after `is_connected` from its one standard
+form, the `rref` kept on the GFMatrix.
 Duals of a Linear matroid come from its null space, the others are rank
 tables; past the table cap a graph or graft dualizes through its matrix.
 """
@@ -371,43 +374,34 @@ class Matroid:
     # ---- loops, parallel and series structure
 
     def loops(self):
-        mask = 0
-        for i in range(self.n):
-            if self.r(1 << i) == 0:
-                mask |= 1 << i
-        return mask
+        """The elements in no parallel class (the classes are disjoint)."""
+        return self.full_mask ^ sum(self.parallel_classes())
 
     def coloops(self):
-        full = self.full_mask
-        rm = self.rank()
-        mask = 0
-        for i in range(self.n):
-            if self.r(full ^ (1 << i)) == rm - 1:
-                mask |= 1 << i
-        return mask
+        """The basis elements in no fundamental circuit."""
+        basis, circuits = self.fundamental_circuits()
+        for c in circuits.values():
+            basis &= ~c
+        return basis
 
     def parallel_classes(self):
         """Masks of maximal parallel classes over the non-loop elements, sorted.
-        A matrix reads them from its packed columns: loops are the zero
-        columns, and two others are parallel iff they are equal on GF(2),
-        or equal once scaled to a leading 1 (`_unit`) on GF(q).  A rank
-        table groups the non-loops by the closure of each."""
+        A matrix reads them from its packed columns (`_column_classes`); a
+        rank table keys each non-loop, an element outside cl({}), by its
+        closure."""
         mat = self.rep.matrix
         if mat is not None:
-            keys = mat.col_bits if mat.field.q == 2 else [_unit(mat.field, c) for c in mat.columns]
-        else:
-            loops = self.loops()
-            keys = [0 if loops >> i & 1 else self.closure(1 << i) & ~loops for i in range(self.n)]
-        groups = {}
-        for i, key in enumerate(keys):
-            if key:
-                groups[key] = groups.get(key, 0) | 1 << i
-        return sorted(groups.values())
+            return _column_classes(mat)
+        loops = self.closure(0)
+        return _classes(0 if loops >> i & 1 else self.closure(1 << i) for i in range(self.n))
 
     def series_classes(self):
-        """The dual's parallel classes; a graph or graft takes its matrix's dual."""
-        m = self if self.rep.matrix is None else self.to_linear()
-        return m.dual().parallel_classes()
+        """The dual's parallel classes: a matrix groups the columns of its
+        dual matrix, a rank table asks its dual."""
+        mat = self.rep.matrix
+        if mat is None:
+            return self.dual().parallel_classes()
+        return _column_classes(_linear_dual(mat))
 
     def is_simple(self):
         """No loops and no parallel pair: every element is its own class."""
@@ -418,17 +412,13 @@ class Matroid:
 
     def si(self):
         """Simplification: drop loops and all but the first of each parallel class."""
-        keep = 0
-        for cls in self.parallel_classes():
-            keep |= cls & -cls
+        keep = sum(cls & -cls for cls in self.parallel_classes())
         return self.delete(self.full_mask ^ keep)
 
     def cosi(self):
         """Cosimplification: contract all but the first of every series class,
         plus the coloops (contracting a coloop equals deleting it)."""
-        dual_keep = 0
-        for cls in self.series_classes():
-            dual_keep |= cls & -cls
+        dual_keep = sum(cls & -cls for cls in self.series_classes())
         return self.contract(self.full_mask ^ dual_keep)
 
     def reduced(self):
@@ -498,38 +488,44 @@ class Matroid:
     # ---- connectivity
 
     def fundamental_circuits(self):
-        """(B, {e: C(e, B)}) as masks, B the greedy basis in element order: b lies
-        in the circuit C(e, B) iff B - b + e is a basis.  n + (n - r) * r calls."""
+        """(B, {e: C(e, B)}) as masks, B the greedy basis in element order.  On
+        a matrix B is the pivots of `rref`, and C(e, B) is e plus the pivots
+        of the rows nonzero in column e; on a rank table b lies in C(e, B)
+        iff B - b + e is a basis, n + (n - r) * r rank calls."""
+        mat = self.rep.matrix
+        if mat is not None:
+            red, _, pivots = rref(mat)
+            basis = sum(1 << p for p in pivots)
+            return basis, {
+                e: 1 << e | sum(1 << p for p, x in zip(pivots, col) if x)
+                for e, col in enumerate(red.columns) if not basis >> e & 1
+            }
         basis = 0
         for i in range(self.n):
             if self.r(basis | 1 << i) > basis.bit_count():
                 basis |= 1 << i
         rank = basis.bit_count()
-        circuits = {}
-        for e in range(self.n):
-            if not basis >> e & 1:
-                circuits[e] = 1 << e
-                for b in _bits(basis):
-                    if self.r((basis ^ 1 << b) | 1 << e) == rank:
-                        circuits[e] |= 1 << b
-        return basis, circuits
+        return basis, {
+            e: 1 << e | sum(1 << b for b in _bits(basis) if self.r(basis ^ 1 << b | 1 << e) == rank)
+            for e in range(self.n) if not basis >> e & 1
+        }
 
     def is_connected(self):
         return len(self.components()) <= 1
 
     def is_3connected(self):
-        """No split into two sides of at least two elements with lambda <= 1.
-        From n = 4 on, that also rules out 1-separations: adding an element
-        to a side raises lambda by at most one.  A matrix on 4 or more
-        elements takes `_has_2separation`, which decides connectivity from
-        the same standard form; a rank table one dense pass."""
+        """Connected, and no split into two sides of at least two elements with
+        lambda <= 1.  Every backend first asks `is_connected`, which settles
+        n < 4; then a matrix takes `_has_2separation` and a rank table one
+        dense pass."""
         n = self.n
-        if n >= 4 and self.rep.matrix is not None:
-            return not _has_2separation(self.rep.matrix)
         if not self.is_connected():
             return False
         if n < 4:
             return True
+        mat = self.rep.matrix
+        if mat is not None:
+            return not _has_2separation(mat)
         table, full = self.rep.table, self.full_mask
         limit = table[full] + 1  # lambda(X) <= 1
         for mask in range(1 << (n - 1)):  # element n - 1 stays off the X side
@@ -544,11 +540,7 @@ class Matroid:
         for e, c in self.fundamental_circuits()[1].items():
             for b in _bits(c):
                 parent[_find(parent, b)] = _find(parent, e)
-        comps = {}
-        for i in range(self.n):
-            root = _find(parent, i)
-            comps[root] = comps.get(root, 0) | 1 << i
-        return sorted(comps.values())
+        return _classes(_find(parent, i) + 1 for i in range(self.n))
 
     # ---- export
 
@@ -598,37 +590,43 @@ def _unit(fld, v):
     return None
 
 
+def _classes(keys):
+    """Sorted masks of the positions that share a key; a falsy key joins none."""
+    groups = {}
+    for i, key in enumerate(keys):
+        if key:
+            groups[key] = groups.get(key, 0) | 1 << i
+    return sorted(groups.values())
+
+
+def _column_classes(matrix):
+    """Parallel classes of a matrix's columns: loops are the zero columns, and
+    two others are parallel iff they are equal on GF(2), or equal once
+    scaled to a leading 1 (`_unit`) on GF(q)."""
+    fld = matrix.field
+    return _classes(matrix.col_bits if fld.q == 2 else (_unit(fld, c) for c in matrix.columns))
+
+
 def _has_2separation(matrix):
-    """True iff the columns of a matrix with n >= 4 split into X and Y, both
-    of size >= 2, with lambda(X) = r(X) + r(Y) - r(M) <= 1.  With [I | A] a
-    standard form, rows B and columns N, lambda(X) = r(A[X_B, Y_N]) +
-    r(A[Y_B, X_N]) (Truemper 1992).  The pivots are the greedy basis, so the
-    support graph of A (row b to column e where A[b, e] != 0) is the
-    fundamental-circuit graph of `components`: M is connected iff it is.  A
-    1-separation widens to a 2-separation from n = 4 on, so a disconnected M
-    answers True at once.  Each X_N decides the case A[X_B, Y_N]
-    = 0, rank A[Y_B, X_N] <= 1: rows with a nonzero Y_N part go to Y_B and
-    need proportional X_N parts, the others stay in X_B.  A has no zero row
-    or column (no loops or coloops), so a nonempty Y_N brings a row to Y_B,
-    and Y_N empty needs two proportional rows.  The case with the blocks
-    swapped is this one on Y_N.  M* has the same lambda, so A is transposed
-    to the smaller side: 2^min(r, n - r) steps."""
+    """True iff the columns of a connected matrix with n >= 4 split into X
+    and Y, both of size >= 2, with lambda(X) = r(X) + r(Y) - r(M) <= 1.
+    With [I | A] the standard form of `rref`, rows B and columns N,
+    lambda(X) = r(A[X_B, Y_N]) + r(A[Y_B, X_N]) (Truemper 1992).  Each X_N
+    decides the case A[X_B, Y_N] = 0, rank A[Y_B, X_N] <= 1: rows with a
+    nonzero Y_N part go to Y_B and need proportional X_N parts, the others
+    stay in X_B.  A connected M has no loops or coloops, so A has no zero
+    row or column: a nonempty Y_N brings a row to Y_B, and Y_N empty needs
+    two proportional rows.  The case with the blocks swapped is this one
+    on Y_N.  M* has the same lambda, so A is transposed to the smaller
+    side: 2^min(r, n - r) steps."""
     fld = matrix.field
     red, r, pivots = rref(matrix)
     rest = [j for j in range(matrix.ncols) if j not in pivots]
-    if not r or not rest:
-        return True  # all loops or all coloops
     rows = [[row[j] for j in rest] for row in red.rows[:r]]
     if r < len(rest):
         rows = [list(col) for col in zip(*rows)]  # -A^T represents M*; signs do not matter
     k = len(rows[0])
     support = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
-    parent = list(range(len(rows) + k))
-    for i, s in enumerate(support):
-        for j in _bits(s):
-            parent[_find(parent, i)] = _find(parent, len(rows) + j)
-    if len({_find(parent, v) for v in range(len(parent))}) > 1:
-        return True  # M is not connected
     if k >= TABLE_CAP:
         raise MatroidError(f"2-separation search capped at min(r, n - r) < {TABLE_CAP}")
     for xn in range((1 << k) - 1):
@@ -894,10 +892,7 @@ def is_binary_affine(m: Matroid):
         raise MatroidError("affine test is for binary matroids")
     by_circuits = all(c.bit_count() % 2 == 0 for c in m.circuits())
     mat = lin.rep.matrix
-    stacked = mat.stack_row((1,) * mat.ncols)
-    _, r0, _ = rref(mat)
-    _, r1, _ = rref(stacked)
-    by_rows = r0 == r1
+    by_rows = rref(mat)[1] == rref(mat.stack_row((1,) * mat.ncols))[1]
     if by_circuits != by_rows:
         raise MatroidError("internal error: circuit and row-space affine tests disagree")
     return by_rows

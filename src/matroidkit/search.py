@@ -20,6 +20,7 @@ from .gf import GFMatrix, rref, subspace_masks
 from .iso import (
     BudgetExhausted,
     NotBinary,
+    _rank_rows,
     binary_canonical_form,
     binary_representation,
     element_orbits,
@@ -105,8 +106,7 @@ def kl_uniform_points(m, k, l):
     if mat is None:
         raise NotBinary("subspace check needs a binary matroid")
     if mat.nrows > t:
-        red, rk, _ = rref(mat)
-        mat = GFMatrix(mat.field, red.rows[:rk])
+        mat = _rank_rows(mat)
     nr = mat.nrows
     if nr > 6:
         raise MatroidError("subspace check supports rank <= 6")

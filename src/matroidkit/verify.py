@@ -24,7 +24,8 @@ from .iso import (
     has_minor,
     iso_key,
 )
-from .matroid import MatroidError, binary_three_sum, from_matrix, graft_matroid, is_isomorphism
+from .matroid import (MatroidError, binary_three_sum, from_matrix, graft_matroid,
+                      is_binary_affine, is_isomorphism)
 from .search import (
     SearchConfig,
     _node_state,
@@ -265,7 +266,6 @@ def _check_affine16_maximal(cache):
 
 
 def _check_k33_extensions(cache):
-    from .matroid import is_binary_affine
     mk33 = catalog.named("MK33")
     every = extensions(mk33, lambda m: True)
     match = all(is_binary_affine(m) == is_kl_uniform_flats(m, 2, 2)[0] for m in every)

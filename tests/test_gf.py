@@ -126,6 +126,43 @@ def test_trusted_matrices_equal_validated_ones():
         m.select_columns([0] * (gf.MAX_DIM + 1))
 
 
+def _assert_reduced(m):
+    """rref(m) is the reduced row echelon form of m, checked from its definition."""
+    red, rank, pivots = rref(m)
+    full = (1 << m.ncols) - 1
+    assert (red.nrows, red.ncols) == (m.nrows, m.ncols) and red.field is m.field
+    assert rank == len(pivots) == rank_of_columns(m, full)
+    assert all(not any(row) for row in red.rows[rank:])
+    for i, p in enumerate(pivots):
+        assert red.columns[p] == tuple(int(k == i) for k in range(m.nrows))
+        assert all(not red.rows[i][j] for j in range(p))  # the leading entry
+        # the pivots are the greedy basis: each is independent of the columns before it
+        assert rank_of_columns(m, (1 << p + 1) - 1) == i + 1 > rank_of_columns(m, (1 << p) - 1)
+    both = GFMatrix(m.field, m.rows + red.rows) if m.nrows else m
+    assert rank_of_columns(both, full) == rank  # one row space
+
+
+def test_rref_is_kept_on_the_matrix():
+    from matroidkit.matroid import _linear_dual
+
+    rng = random.Random(23)
+    for q in (2, 3, 4, 5, 7):
+        for _ in range(20):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 8)
+            m = GFMatrix(q, [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)])
+            order = rng.sample(range(ncols), ncols)
+            for out in (m, GFMatrix._trusted(m.field, m.rows), m.select_columns(order),
+                        _linear_dual(m)):
+                assert rref(out) is rref(out)
+                assert rref(out) == rref(GFMatrix(q, out.rows))
+                _assert_reduced(out)
+    # rank 0, and r x 0
+    for zero in (GFMatrix(3, [[0, 0, 0], [0, 0, 0]]), GFMatrix._trusted(field(2), ((),) * 3),
+                 parse_matrix("5 2 0")):
+        assert rref(zero) == (zero, 0, ())
+        _assert_reduced(zero)
+
+
 def test_null_space_is_a_kernel_basis():
     m = parse_matrix(P10_TEXT)
     basis = null_space(m)
@@ -176,3 +213,6 @@ def test_matrix_immutability():
     m = GFMatrix(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(AttributeError):
         m.rows = ()
+    rref(m)
+    with pytest.raises(AttributeError):
+        m._rref = None
