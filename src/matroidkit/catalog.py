@@ -14,14 +14,13 @@ from functools import lru_cache
 from .gf import GFMatrix, parse_matrix
 from .iso import element_orbits, is_binary, iso_key
 from .matroid import (
-    Matroid,
     MatroidError,
-    RankTableRep,
     direct_sum,
     from_graph,
     from_matrix,
     graft_matroid,
     parallel_connection,
+    uniform,
 )
 
 # Fixed matrices.  P10 and L10 share their first four rows; L10 replaces the
@@ -70,16 +69,6 @@ W4_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1))
 K5E_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
 # K(3,3) with parts {0,1,2} and {3,4,5}.
 K33_EDGES = ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
-
-
-def uniform(r, n, labels=None, name=""):
-    """U_{r,n}: rank function min(|X|, r), as a rank table."""
-    if not 0 <= r <= n:
-        raise MatroidError(f"uniform({r},{n}): need 0 <= r <= n")
-    if n > 20:
-        raise MatroidError(f"uniform({r},{n}): too many elements for a table")
-    table = bytes(min(bin(m).count("1"), r) for m in range(1 << n))
-    return Matroid(RankTableRep(n, table), labels=labels, name=name or f"U({r},{n})")
 
 
 def tiny_six():
@@ -135,39 +124,43 @@ def spike_minus_y(r):
     return z.delete(z.mask_of((f"y{r}",))).with_name(f"Z{r}\\y")
 
 
-def _named_builders():
-    return {
-        "F7": lambda: from_matrix(parse_matrix(F7_MATRIX), name="F7"),
-        "F7*": lambda: from_matrix(parse_matrix(F7_MATRIX)).dual().with_name("F7*"),
-        "AG32": lambda: geometry("AG", 3).with_name("AG32"),
-        "S8": lambda: spike_minus_y(4).with_name("S8"),
-        "P9": lambda: from_matrix(parse_matrix(P9_MATRIX), name="P9"),
-        "P10": lambda: from_matrix(parse_matrix(P10_MATRIX), name="P10"),
-        "L10": lambda: from_matrix(parse_matrix(L10_MATRIX), name="L10"),
-        "R10": lambda: graft_matroid(6, K33_EDGES, (0, 1, 2, 3, 4, 5), name="R10"),
-        "MK5e": lambda: from_graph(5, K5E_EDGES, name="MK5e"),
-        "MK33": lambda: from_matrix(parse_matrix(MK33_MATRIX), name="MK33"),
-        "MK33*": lambda: from_matrix(parse_matrix(MK33_MATRIX)).dual().with_name("MK33*"),
-        "MW3": lambda: from_graph(4, K4_EDGES, name="MW3"),
-        "MW4": lambda: from_graph(5, W4_EDGES, name="MW4"),
-    }
+# name: (builder, rank, size, note), in catalog order; every entry is
+# simple and cosimple, and `named` gives the built matroid its name
+_NAMED = {
+    "F7": (lambda: from_matrix(parse_matrix(F7_MATRIX)), 3, 7,
+           "fixed 3x7 matrix; equals the rank-3 binary spike"),
+    "F7*": (lambda: from_matrix(parse_matrix(F7_MATRIX)).dual(), 4, 7, "dual of F7"),
+    "AG32": (lambda: geometry("AG", 3), 4, 8, "affine geometry AG(3,2)"),
+    "S8": (lambda: spike_minus_y(4), 4, 8,
+           "the non-tip single-element deletion of the binary 4-spike"),
+    "P9": (lambda: from_matrix(parse_matrix(P9_MATRIX)), 4, 9,
+           "fixed 4x9 matrix; also the graft of the rank-4 wheel with the hub "
+           "and three rim vertices marked"),
+    "P10": (lambda: from_matrix(parse_matrix(P10_MATRIX)), 5, 10,
+            "fixed 5x10 matrix; a coextension of P9"),
+    "L10": (lambda: from_matrix(parse_matrix(L10_MATRIX)), 5, 10,
+            "fixed 5x10 matrix; also the graft of K(3,3) with all vertices "
+            "but two in one part marked"),
+    "R10": (lambda: graft_matroid(6, K33_EDGES, (0, 1, 2, 3, 4, 5)), 5, 10,
+            "graft of K(3,3) with every vertex marked"),
+    "MK5e": (lambda: from_graph(5, K5E_EDGES), 4, 9, "cycle matroid of K5 minus an edge"),
+    "MK33": (lambda: from_matrix(parse_matrix(MK33_MATRIX)), 5, 9,
+             "fixed 5x9 matrix; the cycle matroid of K(3,3)"),
+    "MK33*": (lambda: from_matrix(parse_matrix(MK33_MATRIX)).dual(), 4, 9, "dual of MK33"),
+    "MW3": (lambda: from_graph(4, K4_EDGES), 3, 6, "cycle matroid of K4, the rank-3 wheel"),
+    "MW4": (lambda: from_graph(5, W4_EDGES), 4, 8, "cycle matroid of the rank-4 wheel"),
+}
 
-
-_NAMED = _named_builders()
-
-NAMED_ORDER = (
-    "F7", "F7*", "AG32", "S8", "P9", "P10", "L10", "R10",
-    "MK5e", "MK33", "MK33*", "MW3", "MW4",
-)
+NAMED_ORDER = tuple(_NAMED)
 
 
 def named(name):
     """One of the fixed named matroids, by its catalog name."""
     try:
-        builder = _NAMED[name]
+        builder = _NAMED[name][0]
     except KeyError:
         raise MatroidError(f"unknown catalog name {name!r}") from None
-    return builder()
+    return builder().with_name(name)
 
 
 class CatalogEntry:
@@ -196,36 +189,11 @@ class CatalogEntry:
         return f"CatalogEntry({self.name}: n={self.matroid.n}, r={self.matroid.rank()})"
 
 
-_NAMED_CLAIMS = {
-    # name: (rank, size, simple, cosimple, note)
-    "F7": (3, 7, True, True, "fixed 3x7 matrix; equals the rank-3 binary spike"),
-    "F7*": (4, 7, True, True, "dual of F7"),
-    "AG32": (4, 8, True, True, "affine geometry AG(3,2)"),
-    "S8": (4, 8, True, True, "the non-tip single-element deletion of the binary 4-spike"),
-    "P9": (4, 9, True, True,
-           "fixed 4x9 matrix; also the graft of the rank-4 wheel with the hub "
-           "and three rim vertices marked"),
-    "P10": (5, 10, True, True, "fixed 5x10 matrix; a coextension of P9"),
-    "L10": (5, 10, True, True,
-            "fixed 5x10 matrix; also the graft of K(3,3) with all vertices "
-            "but two in one part marked"),
-    "R10": (5, 10, True, True, "graft of K(3,3) with every vertex marked"),
-    "MK5e": (4, 9, True, True, "cycle matroid of K5 minus an edge"),
-    "MK33": (5, 9, True, True, "fixed 5x9 matrix; the cycle matroid of K(3,3)"),
-    "MK33*": (4, 9, True, True, "dual of MK33"),
-    "MW3": (3, 6, True, True, "cycle matroid of K4, the rank-3 wheel"),
-    "MW4": (4, 8, True, True, "cycle matroid of the rank-4 wheel"),
-}
-
-
 def entries():
     """CatalogEntry list for the named matroids, claims checked."""
-    out = []
-    for name in NAMED_ORDER:
-        rank, size, simple, cosimple, note = _NAMED_CLAIMS[name]
-        out.append(CatalogEntry(name, {}, named(name), note,
-                                rank=rank, size=size, simple=simple, cosimple=cosimple))
-    return out
+    return [CatalogEntry(name, {}, named(name), note, rank=rank, size=size,
+                         simple=True, cosimple=True)
+            for name, (_, rank, size, note) in _NAMED.items()]
 
 
 # ---- the family of binary (2,2)-uniform matroids that are not 3-connected

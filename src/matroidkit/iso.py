@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, rref
-from .matroid import Matroid, MatroidError, _bits, _classes, _find, _gf2_matrix, from_matrix
-from .matroid import RankTableRep, is_isomorphism
+from .matroid import CERTIFY_CAP, Matroid, MatroidError, _bits, _classes, _find, _gf2_matrix
+from .matroid import _linear_dual, from_matrix, is_isomorphism
 
 __all__ = [
     "BudgetExhausted",
@@ -213,12 +213,12 @@ def _rank_rows(matrix):
 
 def binary_representation(m: Matroid):
     """GF(2) matrix representing m (columns in element order), or None if m is
-    provably non-binary.  Certified against m on every subset (n <= 16)."""
+    provably non-binary.  Certified against m on every subset (n <= CERTIFY_CAP)."""
     mat = _gf2_matrix(m)
     if mat is not None:
         return mat
-    if m.n > 16:
-        raise MatroidError("cannot certify a binary representation beyond n = 16")
+    if m.n > CERTIFY_CAP:
+        raise MatroidError(f"cannot certify a binary representation beyond n = {CERTIFY_CAP}")
     # row j of [I | A] is basis element j; column e is its fundamental circuit
     basis, circuits = m.fundamental_circuits()
     rows = [[0] * m.n for _ in range(max(basis.bit_count(), 1))]
@@ -274,16 +274,19 @@ def _canonical(m: Matroid):
     if m._canon is not None:
         return m._canon
     r, n = m.rank(), m.n
-    if r <= 6:
-        side, mm = "p", m
-    elif n - r <= 6:
-        # dualize a graph through its matrix, so the dual is a matrix too
-        side, mm = "d", (m if isinstance(m.rep, RankTableRep) else m.to_linear()).dual()
-    else:
+    if min(r, n - r) > 6:
         raise MatroidError("iso_key needs rank or corank at most 6")
-    mat = binary_representation(mm)
+    mat = binary_representation(m)
     if mat is None:
         raise NotBinary("canonical form needs a binary matroid")
+    side = "p"
+    if r > 6:
+        # A binary matroid has one GF(2) representation up to row operations,
+        # and so has its dual, whose rows span the null space of m's.  So the
+        # rows `_rank_rows` reads off `_linear_dual(mat)` are those of any
+        # binary representation of m* on any backend, and so are the key,
+        # the point map and the automorphisms.
+        side, mat = "d", _linear_dual(mat)
     class_of_point = {}
     for e, p in enumerate(_rank_rows(mat).point_values()):
         class_of_point[p] = class_of_point.get(p, 0) | 1 << e

@@ -5,15 +5,17 @@ over all subsets (n <= 25, `RankTableRep.matrix` is None).  The backends
 are Linear (matrix columns), Graphic (graph edges, spanning-forest rank)
 and Graft (graph plus a vertex set gamma; rank in the incidence matroid
 with gamma's incidence vector adjoined as one extra element), whose GF(2)
-incidence matrix is built once, and RankTable.  Their own rank oracles
-answer `rank`; closures, flats, circuits, minors, dense rank tables and
-parallel classes (loops are the elements in none) are read from the
-matrix when there is one, series classes from its dual's columns, and
-fundamental circuits (so components and coloops) and the 2-separation
-test that `is_3connected` runs after `is_connected` from its one standard
-form, the `rref` kept on the GFMatrix.
-Duals of a Linear matroid come from its null space, the others are rank
-tables; past the table cap a graph or graft dualizes through its matrix.
+incidence matrix is built once, and RankTable.  They are a detail of this
+module: callers ask a `Matroid`, and build uniform matroids with
+`uniform`.  Their own rank oracles answer `rank`; closures, flats,
+circuits, minors, direct sums, dense rank tables and parallel classes
+(loops are the elements in none) are read from the matrix when there is
+one, series classes from its dual's columns, and fundamental circuits (so
+components and coloops) and the 2-separation test that `is_3connected`
+runs after `is_connected` from its one standard form, the `rref` kept on
+the GFMatrix.
+Duals of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
+larger table is certified binary), are null spaces; the others are tables.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .gf import _flats, _reduce
 __all__ = [
     "MatroidError",
     "TABLE_CAP",
+    "CERTIFY_CAP",
     "CIRCUIT_SCAN_CAP",
     "LinearRep",
     "RankTableRep",
@@ -34,6 +37,7 @@ __all__ = [
     "Matroid",
     "from_matrix",
     "from_graph",
+    "uniform",
     "graft_matroid",
     "incidence_matrix",
     "full_rank_table",
@@ -48,6 +52,7 @@ __all__ = [
 ]
 
 TABLE_CAP = 25
+CERTIFY_CAP = 16  # largest rank table checked subset by subset for a binary representation
 CIRCUIT_SCAN_CAP = 20
 
 
@@ -202,7 +207,7 @@ class Matroid:
     """Labeled ground set + rank backend.  Subsets are int masks over label
     positions; helpers translate label collections to masks and back."""
 
-    __slots__ = ("labels", "n", "rep", "name", "_pos", "_memo", "_full", "_canon", "_span")
+    __slots__ = ("labels", "n", "rep", "name", "_pos", "_memo", "_canon", "_span")
 
     def __init__(self, rep, labels=None, name=""):
         n = rep.n
@@ -219,7 +224,6 @@ class Matroid:
         self.name = name
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._memo = {}
-        self._full = None
         self._canon = None  # iso._canonical's data, computed on first use
         self._span = ({}, {})  # closures by mask, flats (tuples) by rank
 
@@ -267,10 +271,6 @@ class Matroid:
         return val
 
     def rank(self, X=None):
-        if X is None:
-            if self._full is None:
-                self._full = self.r(self.full_mask)
-            return self._full
         return self.r(self._as_mask(X))
 
     def nullity(self, X=None):
@@ -435,12 +435,10 @@ class Matroid:
     # ---- duality
 
     def dual(self):
-        rep = self.rep
-        if isinstance(rep, LinearRep):
+        rep, n = self.rep, self.n
+        if rep.matrix is not None and (isinstance(rep, LinearRep) or n > CERTIFY_CAP):
             return Matroid(LinearRep(_linear_dual(rep.matrix)), self.labels)
-        n, full, rm = self.n, self.full_mask, self.rank()
-        if n > TABLE_CAP:
-            return self.to_linear().dual()
+        full, rm = self.full_mask, self.rank()
         table = bytearray(1 << n)
         for mask in range(1 << n):
             table[mask] = mask.bit_count() + self.r(full ^ mask) - rm
@@ -680,6 +678,16 @@ def graft_matroid(nverts, edges, gamma, labels=None, name=""):
     return Matroid(GraftRep(nverts, edges, gamma), labels, name=name)
 
 
+def uniform(r, n, labels=None, name=""):
+    """U_{r,n}: rank function min(|X|, r), as a rank table."""
+    if not 0 <= r <= n:
+        raise MatroidError(f"uniform({r},{n}): need 0 <= r <= n")
+    if n > 20:
+        raise MatroidError(f"uniform({r},{n}): too many elements for a table")
+    table = bytes(min(bin(m).count("1"), r) for m in range(1 << n))
+    return Matroid(RankTableRep(n, table), labels=labels, name=name or f"U({r},{n})")
+
+
 def full_rank_table(m: Matroid):
     """Dense rank table of m as bytes: a rank table's own, or for a matrix
     (linear, graphic or graft) one depth-first walk: the echelon basis of
@@ -769,13 +777,8 @@ def direct_sum(m1: Matroid, m2: Matroid):
     """Disjoint union; m2's labels get primes appended on collision."""
     taken = set(m1.labels)
     labels = list(m1.labels) + _fresh_labels(taken, m2.labels)
-    r1, r2 = m1.rep, m2.rep
-    if (
-        isinstance(r1, LinearRep)
-        and isinstance(r2, LinearRep)
-        and r1.matrix.field.q == r2.matrix.field.q
-    ):
-        a, b = r1.matrix, r2.matrix
+    a, b = m1.rep.matrix, m2.rep.matrix
+    if a is not None and b is not None and a.field.q == b.field.q:
         rows = [row + (0,) * b.ncols for row in a.rows]
         rows += [(0,) * a.ncols + row for row in b.rows]
         if not rows:

@@ -133,17 +133,6 @@ def _new_stats():
     return {"nodes": 0, "kept": 0, "pruned_uniformity": 0, "pruned_canonical": 0}
 
 
-def _span_values(span_mask):
-    out = []
-    v = 1
-    while span_mask:
-        if span_mask & 1:
-            out.append(v)
-        span_mask >>= 1
-        v += 1
-    return out
-
-
 def _passes_kl(points_mask, t, k, l, subs, weights=None, loops=0):
     """True iff no (t-k)-dimensional subspace carries weight at least
     t - k + l: the (k,l) criterion for a rank-t point configuration.  Points
@@ -188,10 +177,10 @@ def _node_state(points):
         pmask |= 1 << (v - 1)
         if not span >> (v - 1) & 1:
             rank += 1
-            vals = _span_values(span)
-            span |= 1 << (v - 1)
-            for s in vals:
-                span |= 1 << ((s ^ v) - 1)
+            new = 1 << (v - 1)
+            for b in _bits(span):  # bit b is the point value b + 1
+                new |= 1 << ((b + 1 ^ v) - 1)
+            span |= new
     return pmask, span, rank
 
 
@@ -322,18 +311,40 @@ def _write_checkpoint(cfg, stack, forms, counts, stats):
 
 
 def _load_checkpoint(cfg, path):
+    """The (stack, forms, counts, stats) of a checkpoint file.  MatroidError
+    unless it is a JSON object of this configuration, its stack and forms
+    list strictly increasing points in 1..2^r - 1, its counts are the int
+    triples (rank, size, count) that tally the forms, and its stats are ints."""
     with open(path) as fh:
         state = json.load(fh)
     want = [cfg.r, cfg.k, cfg.l, cfg.require_cosimple,
             cfg.require_3connected, cfg.max_size]
-    if state.get("schema") != 1 or state.get("config") != want:
+    if not isinstance(state, dict) or state.get("schema") != 1 or state.get("config") != want:
         raise MatroidError("checkpoint does not match the search configuration")
-    stack = [tuple(p) for p in state["stack"]]
-    forms = [tuple(p) for p in state["forms"]]
-    counts = Counter({(r, n): c for r, n, c in state["counts"]})
+    top = 1 << cfg.r
+
+    def ints(values, length=None):
+        return (isinstance(values, list) and all(type(x) is int for x in values)
+                and length in (None, len(values)))
+
+    def point_sets(key):
+        sets = state.get(key)
+        if not isinstance(sets, list) or not all(
+                ints(p) and all(a < b for a, b in zip([0] + p, p + [top])) for p in sets):
+            raise MatroidError(f"checkpoint {key} must list increasing points in 1..{top - 1}")
+        return [tuple(p) for p in sets]
+
+    stack, forms = point_sets("stack"), point_sets("forms")
+    counts, saved = state.get("counts"), state.get("stats")
+    tally = Counter((_node_state(p)[2], len(p)) for p in forms)
+    if (not isinstance(counts, list) or not all(ints(t, 3) for t in counts)
+            or sorted(map(tuple, counts)) != sorted((r, n, c) for (r, n), c in tally.items())):
+        raise MatroidError("checkpoint counts must be the (rank, size, count) of its forms")
+    if not isinstance(saved, dict) or not ints(list(saved.values())):
+        raise MatroidError("checkpoint stats must map names to ints")
     stats = _new_stats()
-    stats.update(state["stats"])
-    return stack, forms, counts, stats
+    stats.update(saved)
+    return stack, forms, tally, stats
 
 
 def enumerate_kl_uniform(cfg: SearchConfig, resume=None):
@@ -351,7 +362,7 @@ def enumerate_kl_uniform(cfg: SearchConfig, resume=None):
     _serial_search(cfg, stack, forms, counts, stats)
     forms.sort(key=lambda p: (len(p), p))
     reps = [_matroid_from_points(p, cfg.r) for p in forms]
-    max_rank = max((m.rank() for m in reps), default=None)
+    max_rank = max((r for r, _ in counts), default=None)
     return SearchReport(
         config=cfg,
         representatives=reps,

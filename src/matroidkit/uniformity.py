@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .matroid import Matroid, MatroidError, RankTableRep, _bits, is_isomorphism, parallel_connection
+from .matroid import Matroid, MatroidError, _bits, is_isomorphism, parallel_connection, uniform
 
 __all__ = [
     "FlatWitness",
@@ -72,12 +72,10 @@ def is_kl_uniform_flats(m: Matroid, k: int, l: int):
     r = m.rank()
     if k > r:
         return True, None
-    witness = None
-    for f in sorted(m.flats_of_rank(r - k)):
-        if f.bit_count() - (r - k) >= l:
-            witness = FlatWitness(f)
-            break
-    return (witness is None), witness
+    bad = [f for f in m.flats_of_rank(r - k) if f.bit_count() - (r - k) >= l]
+    if not bad:
+        return True, None
+    return False, FlatWitness(min(bad))
 
 
 def is_kl_uniform_minor(m: Matroid, k: int, l: int):
@@ -209,11 +207,6 @@ def _find_pair_reduction(m):
     return None
 
 
-def _u24_on(labels):
-    table = bytes(min(mask.bit_count(), 2) for mask in range(16))
-    return Matroid(RankTableRep(4, table), labels=labels)
-
-
 def _find_u24_decomposition(m):
     # M = P(N, U_{2,4})\p leaves the triangle {x,y,z} of U_{2,4} behind;
     # contracting z makes x and y parallel, and N is M/z\x with y playing
@@ -233,7 +226,8 @@ def _find_u24_decomposition(m):
 
 def _try_u24(m, tri_labels, xl, yl, zl):
     mz = m.contract(m.mask_of((zl,)))
-    if not _parallel_pair(mz, xl, yl):
+    pair = mz.mask_of((xl, yl))
+    if not any(c & pair == pair for c in mz.parallel_classes()):
         return None
     n = mz.delete(mz.mask_of((xl,)))
     if not n.is_connected():
@@ -250,18 +244,11 @@ def _try_u24(m, tri_labels, xl, yl, zl):
     )
 
 
-def _parallel_pair(m, a, b):
-    pair = m.mask_of((a, b))
-    one = m.mask_of((a,))
-    other = m.mask_of((b,))
-    return m.r(pair) == 1 and m.r(one) == 1 and m.r(other) == 1
-
-
 def _rebuild_matches(m, n, base, xl, zl):
     tmp = base + "~"
     while tmp in m._pos or tmp in n._pos:
         tmp += "~"
-    u = _u24_on((base, xl, tmp, zl))
+    u = uniform(2, 4, labels=(base, xl, tmp, zl))
     rebuilt = parallel_connection(n, base, u, base)
     rebuilt = rebuilt.delete(rebuilt.mask_of((base,))).relabel({tmp: base})
     return is_isomorphism(m, rebuilt, {lab: lab for lab in m.labels})

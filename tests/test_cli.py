@@ -11,7 +11,8 @@ import pytest
 
 from matroidkit import catalog
 from matroidkit.cli import load_matroid, main
-from matroidkit.matroid import full_rank_table
+from matroidkit.iso import iso_key
+from matroidkit.matroid import from_graph, full_rank_table, is_isomorphism
 from matroidkit.search import SearchConfig, enumerate_kl_uniform
 
 
@@ -107,6 +108,21 @@ def test_dual_writes_loadable_text(capsys, tmp_path):
     code, out, _ = run(capsys, "dual", "catalog:MW3")
     assert code == 0
     assert out.startswith("2 3 6")
+
+
+def test_dual_of_a_graph_past_the_certify_cap(capsys, tmp_path):
+    # K7 has 21 edges, more than a rank table can be certified binary on, so
+    # its dual is taken on the incidence matrix
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    src = tmp_path / "k7.txt"
+    src.write_text(f"graph 7 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    out_file = tmp_path / "k7d.txt"
+    code, _, err = run(capsys, "dual", str(src), "-o", str(out_file))
+    assert code == 0, err
+    g = from_graph(7, edges)
+    want = g.to_linear().dual()
+    assert is_isomorphism(load_matroid(str(out_file)), want, {lab: lab for lab in want.labels})
+    assert iso_key(g.dual())[:3] == (21, 15, "d")
 
 
 def test_catalog_list_and_show(capsys):
@@ -215,6 +231,26 @@ def test_search_budget_checkpoint_resume(capsys, tmp_path):
                        "--resume", str(ck))
     assert code == 0
     assert "88 isomorphism classes" in out
+
+
+def test_malformed_checkpoint_is_an_error(capsys, tmp_path):
+    config = [3, 2, 2, False, False, None]
+    good = {"schema": 1, "config": config, "stack": [[1, 2]], "forms": [[], [1]],
+            "counts": [[0, 0, 1], [1, 1, 1]], "stats": {"nodes": 2}}
+    bad = [[], {"schema": 1, "config": config},
+           dict(good, stack=[[2, 1]]), dict(good, forms=[[1, 8]]), dict(good, stack=[[0]]),
+           dict(good, forms=[[True]]), dict(good, counts=[[1, 1]]),
+           dict(good, counts=[[0, 0, 1], [2, 1, 1]]), dict(good, stats={"nodes": "2"})]
+    ck = tmp_path / "ck.json"
+    for state in bad:
+        ck.write_text(json.dumps(state))
+        code, _, err = run(capsys, "search", "--rank", "3", "--k", "2", "--l", "2",
+                           "--resume", str(ck))
+        assert code == 2 and err.startswith("error: checkpoint"), (state, err)
+    ck.write_text(json.dumps(good))
+    code, out, _ = run(capsys, "search", "--rank", "3", "--k", "2", "--l", "2",
+                       "--resume", str(ck))
+    assert code == 0 and "isomorphism classes" in out
 
 
 def test_module_entry_point():

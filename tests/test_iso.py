@@ -24,6 +24,7 @@ from matroidkit.matroid import (
     Matroid,
     MatroidError,
     RankTableRep,
+    as_rank_table,
     binary_three_sum,
     from_graph,
     from_matrix,
@@ -270,6 +271,20 @@ def test_iso_key_via_dual_side():
     assert key[:3] == (16, 11, "d")
     shuffled = from_matrix(ag.rep.matrix.select_columns([5, 3, 8, 0, 12, 15, 1, 9, 2, 14, 7, 4, 11, 6, 13, 10]))
     assert iso_key(shuffled.dual()) == key
+    # the dual side reads the null space of one binary representation, so a
+    # rank table gives the key and orbits of the matrix it came from
+    table = as_rank_table(ag.dual())
+    assert iso_key(table) == key and element_orbits(table) == element_orbits(ag.dual())
+    # a 9-cycle with a chord triangle: rank 8, corank 4, as a graph, as its
+    # rank table and as its signed incidence matrix over GF(3)
+    edges = [(i, (i + 1) % 9) for i in range(9)] + [(0, 3), (3, 6), (0, 6)]
+    g = from_graph(9, edges)
+    signed = GFMatrix.from_columns(3, [[1 if x == u else 2 if x == v else 0 for x in range(9)]
+                                       for u, v in edges])
+    forms = [g, as_rank_table(g), from_matrix(signed)]
+    assert {iso_key(m) for m in forms} == {iso_key(g)} and iso_key(g)[:3] == (12, 8, "d")
+    orbits = element_orbits(g)
+    assert len(orbits) == 2 and all(element_orbits(m) == orbits for m in forms)
 
 
 def test_three_sums_of_p9_and_fano(p10):

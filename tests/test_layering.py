@@ -93,3 +93,25 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+REPRESENTATIONS = {"LinearRep", "RankTableRep", "GraphicRep", "GraftRep", "_GraphRep",
+                   "to_linear"}
+
+
+def test_only_matroid_names_a_representation():
+    # callers ask a Matroid, never which backend it has: the representation
+    # classes and to_linear are a detail of matroid.py
+    def names(node):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "matroid"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in names(node) if name in REPRESENTATIONS]
+    assert found == []
