@@ -165,11 +165,11 @@ def named(name):
 
 class CatalogEntry:
     """A constructed matroid together with the claims made about it.  The
-    claimed rank, size, and (when stated) simplicity, cosimplicity, and
+    claimed rank and size, (when stated) simplicity and cosimplicity, and
     binary-ness are all checked at construction time."""
 
     def __init__(self, name, params, matroid, note, *, rank, size,
-                 simple=None, cosimple=None, binary=True):
+                 simple=None, cosimple=None):
         if matroid.rank() != rank:
             raise MatroidError(f"{name}: rank {matroid.rank()} != claimed {rank}")
         if matroid.n != size:
@@ -178,7 +178,7 @@ class CatalogEntry:
             raise MatroidError(f"{name}: simplicity claim failed")
         if cosimple is not None and matroid.is_cosimple() != cosimple:
             raise MatroidError(f"{name}: cosimplicity claim failed")
-        if binary and not is_binary(matroid):
+        if not is_binary(matroid):
             raise MatroidError(f"{name}: not binary")
         self.name = name
         self.params = dict(params)

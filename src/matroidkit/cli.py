@@ -14,6 +14,7 @@ import sys
 from . import catalog
 from .gf import GFError, parse_matrix
 from .iso import (
+    DEFAULT_MINOR_BUDGET,
     BudgetExhausted,
     are_isomorphic,
     export_text,
@@ -292,7 +293,7 @@ def build_parser():
                                       "second as a minor")
     mn.add_argument("file")
     mn.add_argument("target")
-    mn.add_argument("--budget", type=int, default=5_000_000)
+    mn.add_argument("--budget", type=int, default=DEFAULT_MINOR_BUDGET)
     mn.add_argument("--json", action="store_true")
     mn.set_defaults(func=cmd_minor)
 
@@ -313,7 +314,7 @@ def build_parser():
     s.add_argument("--l", type=int, required=True)
     s.add_argument("--cosimple", action="store_true")
     s.add_argument("--3connected", dest="three_connected", action="store_true")
-    s.add_argument("--budget", type=int, default=5_000_000)
+    s.add_argument("--budget", type=int, default=SearchConfig.budget)
     s.add_argument("--checkpoint", help="write resumable state here")
     s.add_argument("--resume", help="resume from a checkpoint file")
     s.add_argument("--json", metavar="OUT", help="write the JSON report here")

@@ -3,7 +3,8 @@
 Matrices are immutable and small (at most 64 rows and 64 columns), so a
 set of columns always fits in a machine-word bit mask.  GF(2) gets a fast
 path: columns are packed into ints and eliminated word by word.  Each
-matrix keeps its reduced row echelon form (`rref`) once computed.  Rank
+matrix keeps its reduced row echelon form (`rref`) and its null space
+(`null_space`, the matrix of its dual) once computed.  Rank
 and span share one echelon kernel (`_echelon`, `_reduce`): columns are
 reduced against rows keyed by their leading position, through the field
 tables on plain lists for q != 2, with no matrix built per call.  The flat
@@ -99,6 +100,7 @@ def _fill(m, fld, rows):
     object.__setattr__(m, "_col_bits", None)
     object.__setattr__(m, "_columns", None)
     object.__setattr__(m, "_rref", None)
+    object.__setattr__(m, "_null", None)
 
 
 class GFMatrix:
@@ -106,10 +108,11 @@ class GFMatrix:
 
     `rows` is a tuple of row tuples.  The columns are cached as tuples
     (`columns`) and, for q = 2, as ints with bit i = row i (`col_bits`);
-    the reduced row echelon form is kept once computed (`rref`).
+    the reduced row echelon form (`rref`) and the null space (`null_space`)
+    are kept once computed.
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits", "_columns", "_rref")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits", "_columns", "_rref", "_null")
 
     def __init__(self, fld: FieldSpec, rows):
         if isinstance(fld, int):
@@ -396,20 +399,26 @@ def _flats(m: GFMatrix, k: int):
 
 
 def null_space(m: GFMatrix):
-    """Deterministic basis of {x : m x = 0}, one vector per non-pivot column."""
-    fld = m.field
-    red, rank, pivots = rref(m)
-    pivset = set(pivots)
+    """Matrix whose rows are a deterministic basis of {x : m x = 0}, one row
+    per non-pivot column (one zero row when there is none), computed once and
+    kept on m: the matrix of the dual matroid."""
+    kept = m._null
+    if kept is not None:
+        return kept
+    neg = m.field.neg
+    red, _, pivots = rref(m)
     basis = []
     for j in range(m.ncols):
-        if j in pivset:
+        if j in pivots:
             continue
         vec = [0] * m.ncols
         vec[j] = 1
-        for i, pj in enumerate(pivots):
-            vec[pj] = fld.neg[red.rows[i][j]]
+        for row, pj in zip(red.rows, pivots):
+            vec[pj] = neg[row[j]]
         basis.append(tuple(vec))
-    return tuple(basis)
+    kept = GFMatrix._trusted(m.field, tuple(basis) or ((0,) * m.ncols,))
+    object.__setattr__(m, "_null", kept)
+    return kept
 
 
 def point_to_vector(v: int, r: int):

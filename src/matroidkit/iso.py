@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 
-from .gf import GFMatrix, field, format_matrix, rref
+from .gf import GFMatrix, field, format_matrix, null_space, rref
 from .matroid import CERTIFY_CAP, Matroid, MatroidError, _bits, _classes, _find, _gf2_matrix
-from .matroid import _linear_dual, from_matrix, is_isomorphism
+from .matroid import from_matrix, is_isomorphism
 
 __all__ = [
     "BudgetExhausted",
@@ -32,7 +32,7 @@ __all__ = [
     "element_orbits",
 ]
 
-DEFAULT_MINOR_BUDGET = 2_000_000
+DEFAULT_MINOR_BUDGET = 5_000_000
 
 
 class BudgetExhausted(Exception):
@@ -283,10 +283,10 @@ def _canonical(m: Matroid):
     if r > 6:
         # A binary matroid has one GF(2) representation up to row operations,
         # and so has its dual, whose rows span the null space of m's.  So the
-        # rows `_rank_rows` reads off `_linear_dual(mat)` are those of any
+        # rows `_rank_rows` reads off `null_space(mat)` are those of any
         # binary representation of m* on any backend, and so are the key,
         # the point map and the automorphisms.
-        side, mat = "d", _linear_dual(mat)
+        side, mat = "d", null_space(mat)
     class_of_point = {}
     for e, p in enumerate(_rank_rows(mat).point_values()):
         class_of_point[p] = class_of_point.get(p, 0) | 1 << e

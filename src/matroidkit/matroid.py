@@ -14,8 +14,9 @@ one, series classes from its dual's columns, and fundamental circuits (so
 components and coloops) and the 2-separation test that `is_3connected`
 runs after `is_connected` from its one standard form, the `rref` kept on
 the GFMatrix.
-Duals of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
-larger table is certified binary), are null spaces; the others are tables.
+Each matrix keeps one null space (`gf.null_space`), its dual's matrix:
+the dual of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
+larger table is certified binary), is that matrix; the others are tables.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ class Matroid:
         # supports of nonzero cycle-space vectors, kept if inclusion-minimal
         basis = [
             sum(b << i for i, b in enumerate(vec))
-            for vec in null_space(self.rep.matrix)
+            for vec in null_space(self.rep.matrix).rows
         ]
         vecs = [0]
         for b in basis:
@@ -401,7 +402,7 @@ class Matroid:
         mat = self.rep.matrix
         if mat is None:
             return self.dual().parallel_classes()
-        return _column_classes(_linear_dual(mat))
+        return _column_classes(null_space(mat))
 
     def is_simple(self):
         """No loops and no parallel pair: every element is its own class."""
@@ -411,33 +412,31 @@ class Matroid:
         return len(self.series_classes()) == self.n
 
     def si(self):
-        """Simplification: drop loops and all but the first of each parallel class."""
-        keep = sum(cls & -cls for cls in self.parallel_classes())
-        return self.delete(self.full_mask ^ keep)
+        """Simplification: drop loops and all but the first of each parallel
+        class; self when that drops nothing."""
+        drop = self.full_mask ^ sum(cls & -cls for cls in self.parallel_classes())
+        return self.delete(drop) if drop else self
 
     def cosi(self):
         """Cosimplification: contract all but the first of every series class,
-        plus the coloops (contracting a coloop equals deleting it)."""
-        dual_keep = sum(cls & -cls for cls in self.series_classes())
-        return self.contract(self.full_mask ^ dual_keep)
+        plus the coloops (contracting a coloop equals deleting it); self when
+        that contracts nothing."""
+        drop = self.full_mask ^ sum(cls & -cls for cls in self.series_classes())
+        return self.contract(drop) if drop else self
 
     def reduced(self):
         """Alternate si/cosi until simple and cosimple."""
-        m = self
-        while True:
-            if not m.is_simple():
-                m = m.si()
-            elif not m.is_cosimple():
-                m = m.cosi()
-            else:
-                return m
+        last, m = None, self
+        while m is not last:
+            last, m = m, m.si().cosi()
+        return m
 
     # ---- duality
 
     def dual(self):
         rep, n = self.rep, self.n
         if rep.matrix is not None and (isinstance(rep, LinearRep) or n > CERTIFY_CAP):
-            return Matroid(LinearRep(_linear_dual(rep.matrix)), self.labels)
+            return Matroid(LinearRep(null_space(rep.matrix)), self.labels)
         full, rm = self.full_mask, self.rank()
         table = bytearray(1 << n)
         for mask in range(1 << n):
@@ -542,15 +541,6 @@ class Matroid:
 
     # ---- export
 
-    def to_linear(self):
-        """A Matroid with a Linear backend and the same rank function."""
-        rep = self.rep
-        if rep.matrix is None:
-            raise MatroidError("rank-table matroids have no canned linear form")
-        if isinstance(rep, LinearRep):
-            return self
-        return Matroid(LinearRep(rep.matrix), self.labels, name=self.name)
-
     def export_text(self):
         rep = self.rep
         if isinstance(rep, LinearRep):
@@ -561,11 +551,6 @@ class Matroid:
 
 
 # ---- linear backend helpers
-
-
-def _linear_dual(matrix):
-    rows = null_space(matrix)  # rank n leaves dual rank 0: one zero row
-    return GFMatrix._trusted(matrix.field, rows or ((0,) * matrix.ncols,))
 
 
 def _linear_minor(matrix, con_cols, keep_cols):
@@ -847,14 +832,13 @@ def binary_three_sum(m1: Matroid, m2: Matroid, t_labels):
         raise MatroidError("ground sets must overlap in exactly the three glue labels")
     if m1.n < 7 or m2.n < 7:
         raise MatroidError("3-sum needs at least 7 elements on each side")
-    a = m1.to_linear()
-    b = m2.to_linear()
-    if a.rep.matrix.field.q != 2 or b.rep.matrix.field.q != 2:
-        raise MatroidError("3-sum is defined here for binary matroids")
-    if not _is_triangle(a, a.mask_of(t)) or not _is_triangle(b, b.mask_of(t)):
+    a, b = _gf2_matrix(m1), _gf2_matrix(m2)
+    if a is None or b is None:
+        raise MatroidError("3-sum needs a GF(2) matrix, graph or graft on each side")
+    if not _is_triangle(m1, m1.mask_of(t)) or not _is_triangle(m2, m2.mask_of(t)):
         raise MatroidError("glue set must be a triangle of both sides")
-    new_labels = [lab for lab in a.labels if lab not in common]
-    new_labels += [lab for lab in b.labels if lab not in common]
+    new_labels = [lab for lab in m1.labels if lab not in common]
+    new_labels += [lab for lab in m2.labels if lab not in common]
     m = len(new_labels)
     pos = {lab: i for i, lab in enumerate(new_labels)}
     # combined coordinates: new ground set in bits 0..m-1, glue labels on top
@@ -870,31 +854,22 @@ def binary_three_sum(m1: Matroid, m2: Matroid, t_labels):
         return out
 
     piv = [0] * (m + 4)  # piv[b]: the echelon row whose top bit is bit b - 1
-    for side in (a, b):
-        for v in null_space(side.rep.matrix):
+    for side, mat in ((m1, a), (m2, b)):
+        for v in null_space(mat).rows:
             _reduce(field(2), piv, embed(side, v))
-    cycle_rows = [v for v in piv[1:m + 1] if v]
-    if cycle_rows:
-        k = GFMatrix(
-            field(2),
-            [tuple(v >> i & 1 for i in range(m)) for v in cycle_rows],
-        )
-        rows = null_space(k)
-    else:
-        rows = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    if not rows:
-        rows = [(0,) * m]
-    return Matroid(LinearRep(GFMatrix(field(2), rows)), new_labels)
+    # the result's matrix is the null space of its cycle rows (of one zero
+    # row, the identity, when there are none)
+    k = [tuple(v >> i & 1 for i in range(m)) for v in piv[1:m + 1] if v]
+    return Matroid(LinearRep(null_space(GFMatrix(field(2), k or [(0,) * m]))), new_labels)
 
 
 def is_binary_affine(m: Matroid):
     """True iff every circuit is even; cross-checked against the row-space test
     (the all-ones functional must lie in the row space of the matrix)."""
-    lin = m.to_linear()
-    if lin.rep.matrix.field.q != 2:
-        raise MatroidError("affine test is for binary matroids")
+    mat = _gf2_matrix(m)
+    if mat is None:
+        raise MatroidError("affine test needs a GF(2) matrix, graph or graft")
     by_circuits = all(c.bit_count() % 2 == 0 for c in m.circuits())
-    mat = lin.rep.matrix
     by_rows = rref(mat)[1] == rref(mat.stack_row((1,) * mat.ncols))[1]
     if by_circuits != by_rows:
         raise MatroidError("internal error: circuit and row-space affine tests disagree")

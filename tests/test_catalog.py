@@ -152,6 +152,8 @@ def test_entry_claims_are_checked():
     with pytest.raises(MatroidError):
         catalog.CatalogEntry("bad", {}, catalog.uniform(1, 2), "",
                              rank=1, size=2, simple=True)
+    with pytest.raises(MatroidError, match="not binary"):
+        catalog.CatalogEntry("bad", {}, catalog.uniform(2, 4), "", rank=2, size=4)
 
 
 def test_cor33_family_counts():

@@ -104,7 +104,7 @@ def test_rank_of_columns_matches_rref_over_gfq():
 
 
 def test_trusted_matrices_equal_validated_ones():
-    from matroidkit.matroid import _linear_dual, _linear_minor
+    from matroidkit.matroid import _linear_minor
 
     rng = random.Random(17)
     for q in (2, 3, 4, 5, 7):
@@ -114,7 +114,7 @@ def test_trusted_matrices_equal_validated_ones():
             order = rng.sample(range(ncols), ncols)
             con = sorted(rng.sample(range(ncols), rng.randint(0, ncols)))
             keep = [j for j in order if j not in con]
-            built = (rref(m)[0], m.select_columns(order), _linear_dual(m),
+            built = (rref(m)[0], m.select_columns(order), null_space(m),
                      _linear_minor(m, con, keep))
             for out in built:
                 ref = GFMatrix(q, out.rows)
@@ -143,8 +143,6 @@ def _assert_reduced(m):
 
 
 def test_rref_is_kept_on_the_matrix():
-    from matroidkit.matroid import _linear_dual
-
     rng = random.Random(23)
     for q in (2, 3, 4, 5, 7):
         for _ in range(20):
@@ -152,8 +150,8 @@ def test_rref_is_kept_on_the_matrix():
             m = GFMatrix(q, [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)])
             order = rng.sample(range(ncols), ncols)
             for out in (m, GFMatrix._trusted(m.field, m.rows), m.select_columns(order),
-                        _linear_dual(m)):
-                assert rref(out) is rref(out)
+                        null_space(m)):
+                assert rref(out) is rref(out) and null_space(out) is null_space(out)
                 assert rref(out) == rref(GFMatrix(q, out.rows))
                 _assert_reduced(out)
     # rank 0, and r x 0
@@ -165,17 +163,20 @@ def test_rref_is_kept_on_the_matrix():
 
 def test_null_space_is_a_kernel_basis():
     m = parse_matrix(P10_TEXT)
-    basis = null_space(m)
-    assert len(basis) == 5
-    for vec in basis:
+    dual = null_space(m)
+    assert (dual.nrows, dual.ncols) == (5, 10) and null_space(m) is dual
+    for vec in dual.rows:
         for row in m.rows:
             assert sum(a * b for a, b in zip(row, vec)) % 2 == 0
-    assert rref(GFMatrix(2, basis))[1] == 5
+    assert rref(dual)[1] == 5
+    # full column rank leaves a kernel of 0: one zero row keeps the column count
+    assert null_space(m.select_columns(range(5))).rows == ((0,) * 5,)
+    assert null_space(GFMatrix(field(3), [(1, 2), (0, 1), (2, 2)])).rows == ((0, 0),)
 
 
 def test_null_space_gf3():
     m = GFMatrix(field(3), [(1, 0, 2), (0, 1, 1)])
-    assert null_space(m) == ((1, 2, 1),)
+    assert null_space(m).rows == ((1, 2, 1),)
 
 
 def test_point_values():

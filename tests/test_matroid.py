@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidkit import catalog, matroid
-from matroidkit.gf import GFMatrix, _flats, field, parse_matrix, rank_of_columns
+from matroidkit.gf import GFMatrix, _flats, field, null_space, parse_matrix, rank_of_columns
 from matroidkit.matroid import (
     GraftRep,
     GraphicRep,
@@ -456,6 +456,11 @@ def test_three_sum_shape(p9, f7):
     assert s.is_simple() and s.is_cosimple()
     with pytest.raises(MatroidError):
         binary_three_sum(p9, f7, ["1", "2", "5"])  # overlap is not just the glue
+    # a rank table, binary or not, and a GF(3) matrix have no GF(2) matrix to sum
+    f7_gf3 = from_matrix(GFMatrix(field(3), f7.rep.matrix.rows), f7.labels)
+    for other in (as_rank_table(f7), f7_gf3):
+        with pytest.raises(MatroidError, match="GF\\(2\\) matrix, graph or graft"):
+            binary_three_sum(p9.relabel(glue), other.relabel(remap), ["t1", "t2", "t3"])
 
 
 def test_simple_cosimple(p10):
@@ -479,6 +484,21 @@ def test_si_cosi_reduced():
     assert red.n == 0
     f7 = from_matrix(parse_matrix(F7_TEXT))
     assert f7.reduced().n == 7  # already simple and cosimple
+    for m in (f7, as_rank_table(f7)):
+        assert m.si() is m and m.cosi() is m and m.reduced() is m
+    # reduced() is si then cosi until neither removes anything, the same
+    # alternation as si while not simple, else cosi while not cosimple
+    for m in _span_corpus():
+        ref = m
+        while True:
+            if not ref.is_simple():
+                ref = ref.si()
+            elif not ref.is_cosimple():
+                ref = ref.cosi()
+            else:
+                break
+        red = m.reduced()
+        assert red.labels == ref.labels and full_rank_table(red) == full_rank_table(ref), m
 
 
 def test_connectivity(p10):
@@ -660,7 +680,8 @@ def test_3connectivity_of_graphs_and_grafts_matches_their_rank_tables():
         assert isinstance(dual.rep, RankTableRep)
         want = m.name != doubled.name
         assert m.is_3connected() == as_rank_table(m).is_3connected() == want, m
-        assert dual.is_3connected() == m.to_linear().dual().is_3connected() == want, m
+        linear = from_matrix(m.rep.matrix, m.labels)
+        assert dual.is_3connected() == linear.dual().is_3connected() == want, m
 
 
 def test_graph_rank_calls_do_not_scale_with_the_vertex_header():
@@ -670,7 +691,8 @@ def test_graph_rank_calls_do_not_scale_with_the_vertex_header():
         try:
             nverts, edges, gamma = parse_graph_text(text)
             m = from_graph(nverts, edges) if gamma is None else graft_matroid(nverts, edges, gamma)
-            assert m.rank() == m.to_linear().rank() == rank and m.closure(0b11) == 0b111
+            assert m.rank() == from_matrix(m.rep.matrix, m.labels).rank() == rank
+            assert m.closure(0b11) == 0b111
             assert m.export_text() == text
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -680,15 +702,18 @@ def test_graph_rank_calls_do_not_scale_with_the_vertex_header():
 
 def test_graph_to_linear_builds_its_matrix_once():
     w4 = catalog.named("MW4")
-    first, second = w4.to_linear(), w4.with_name("again").to_linear()
-    assert first.rep.matrix is second.rep.matrix
-    assert first.rep.matrix == incidence_matrix(5, W4_EDGES)
+    assert w4.rep.matrix is w4.with_name("again").rep.matrix
+    assert w4.rep.matrix == incidence_matrix(5, W4_EDGES)
+    # a matrix's dual is its kept null space, through every copy
+    lin = from_matrix(w4.rep.matrix, w4.labels)
+    for m in (lin, lin.with_name("again")):
+        assert m.dual().rep.matrix is null_space(w4.rep.matrix)
 
 
 def test_graphic_backend():
     w4 = from_graph(5, W4_EDGES)
     assert (w4.n, w4.rank()) == (8, 4)
-    lin = w4.to_linear()
+    lin = from_matrix(w4.rep.matrix, w4.labels)
     assert all(lin.r(m) == w4.r(m) for m in range(1 << 8))
     d = w4.dual()
     assert isinstance(d.rep, RankTableRep)
@@ -710,7 +735,7 @@ def test_graft_backend():
     assert g.rank() == w3.rank()
     g1 = graft_matroid(4, K4_EDGES, [0])
     assert g1.rank() == w3.rank() + 1
-    lin = g1.to_linear()
+    lin = from_matrix(g1.rep.matrix, g1.labels)
     assert all(lin.r(m) == g1.r(m) for m in range(1 << 7))
     contracted = g1.contract(["g"])
     assert isinstance(contracted.rep, LinearRep)  # graft minors are taken on the matrix
@@ -731,7 +756,7 @@ def test_incidence_matrix_gamma_column():
 
 def test_graphs_past_64_vertices_keep_at_most_rank_rows():
     m = from_graph(80, [(2 * i, 2 * i + 1) for i in range(40)])
-    lin = m.to_linear()
+    lin = from_matrix(m.rep.matrix, m.labels)
     assert (lin.rep.matrix.nrows, lin.rank()) == (40, 40)
     assert is_isomorphism(m, m, {lab: lab for lab in m.labels})
     assert are_isomorphic(m, m) is not None
@@ -740,7 +765,7 @@ def test_graphs_past_64_vertices_keep_at_most_rank_rows():
     edges = [e for i in range(0, 66, 3) for e in ((i, i + 1), (i + 1, i + 2))]
     for gamma, rank in (([0], 45), ([0, 2], 44), ([0, 5, 69], 45)):
         g = graft_matroid(70, edges, gamma)
-        lin = g.to_linear()
+        lin = from_matrix(g.rep.matrix, g.labels)
         assert g.rank() == rank and lin.rep.matrix.nrows == rank
         rng = random.Random(rank)
         for mask in [g.full_mask, 1 << 44] + [rng.getrandbits(g.n) for _ in range(200)]:
@@ -778,6 +803,8 @@ def test_duality_swaps_deletion_and_contraction():
 def test_dual_past_the_table_cap_goes_through_the_matrix():
     path = from_graph(30, [(i, i + 1) for i in range(29)])  # 29 coloops
     assert path.dual().rank() == 0 and path.dual().labels == path.labels
+    assert path.dual().rep.matrix is null_space(path.rep.matrix)
+    assert path.with_name("again").dual().rep.matrix is null_space(path.rep.matrix)
     assert not path.is_cosimple()
     assert path.series_classes() == []
     assert path.cosi().n == 0 and path.reduced().n == 0
@@ -790,7 +817,7 @@ def test_dual_past_the_table_cap_goes_through_the_matrix():
 
 def test_full_rank_table_routes_agree():
     w4 = from_graph(5, W4_EDGES)
-    assert full_rank_table(w4) == full_rank_table(w4.to_linear())
+    assert full_rank_table(w4) == full_rank_table(from_matrix(w4.rep.matrix, w4.labels))
 
 
 def test_full_rank_table_walk_matches_the_rank_oracle():
@@ -882,6 +909,9 @@ def test_affine(f7):
     assert is_binary_affine(ag32)
     with pytest.raises(MatroidError):
         is_binary_affine(u_matroid(2, 4))
+    for other in (as_rank_table(f7), from_matrix(GFMatrix(field(3), f7.rep.matrix.rows))):
+        with pytest.raises(MatroidError, match="GF\\(2\\) matrix, graph or graft"):
+            is_binary_affine(other)
 
 
 def test_affine_cross_check_raises(f7, monkeypatch):
