@@ -12,13 +12,14 @@ import re
 from functools import lru_cache
 
 from .gf import GFMatrix, parse_matrix
-from .iso import element_orbits, is_binary, iso_key
+from .iso import element_orbits, iso_key
 from .matroid import (
     MatroidError,
     direct_sum,
     from_graph,
     from_matrix,
     graft_matroid,
+    is_binary,
     parallel_connection,
     uniform,
 )

@@ -17,7 +17,6 @@ from .iso import (
     DEFAULT_MINOR_BUDGET,
     BudgetExhausted,
     are_isomorphic,
-    export_text,
     has_minor,
 )
 from .matroid import (
@@ -198,7 +197,7 @@ def cmd_minor(args):
 
 
 def cmd_dual(args):
-    _write(export_text(load_matroid(args.file).dual()), args.output)
+    _write(load_matroid(args.file).dual().export_text(), args.output)
     return EXIT_TRUE
 
 
@@ -220,9 +219,9 @@ def cmd_catalog(args):
             flags.append("cosimple")
         print(f"{args.name}: rank {m.rank()}, {m.n} elements"
               + (", " + ", ".join(flags) if flags else ""))
-        sys.stdout.write(export_text(m))
+        sys.stdout.write(m.export_text())
         return EXIT_TRUE
-    _write(export_text(m), args.output)  # export
+    _write(m.export_text(), args.output)  # export
     return EXIT_TRUE
 
 

@@ -11,11 +11,11 @@ comparing sorted (image, weight) pairs.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 
-from .gf import GFMatrix, field, format_matrix, null_space, rref
-from .matroid import CERTIFY_CAP, Matroid, MatroidError, _bits, _classes, _find, _gf2_matrix
-from .matroid import from_matrix, is_isomorphism
+from .gf import GFMatrix, null_space, rref
+from .matroid import Matroid, MatroidError, _bits, _gf2_matrix, _joined_classes, _subsets
+from .matroid import binary_representation, is_binary, is_isomorphism
 
 __all__ = [
     "BudgetExhausted",
@@ -23,7 +23,6 @@ __all__ = [
     "is_canonical_point_set",
     "binary_canonical_form",
     "binary_representation",
-    "export_text",
     "is_binary",
     "iso_key",
     "fingerprint",
@@ -211,43 +210,6 @@ def _rank_rows(matrix):
     return GFMatrix._trusted(matrix.field, red.rows[:r] or ((0,) * matrix.ncols,))
 
 
-def binary_representation(m: Matroid):
-    """GF(2) matrix representing m (columns in element order), or None if m is
-    provably non-binary.  Certified against m on every subset (n <= CERTIFY_CAP)."""
-    mat = _gf2_matrix(m)
-    if mat is not None:
-        return mat
-    if m.n > CERTIFY_CAP:
-        raise MatroidError(f"cannot certify a binary representation beyond n = {CERTIFY_CAP}")
-    # row j of [I | A] is basis element j; column e is its fundamental circuit
-    basis, circuits = m.fundamental_circuits()
-    rows = [[0] * m.n for _ in range(max(basis.bit_count(), 1))]
-    for j, b in enumerate(_bits(basis)):
-        rows[j][b] = 1
-        for e, c in circuits.items():
-            rows[j][e] = c >> b & 1
-    mat = GFMatrix(field(2), rows)
-    if is_isomorphism(m, from_matrix(mat, labels=m.labels), {lab: lab for lab in m.labels}):
-        return mat
-    return None
-
-
-def export_text(m: Matroid):
-    """Text form of a matroid: its own backend format, or a GF(2) matrix when
-    the backend is a rank table.  Raises MatroidError when m has neither."""
-    try:
-        return m.export_text()
-    except MatroidError:
-        mat = binary_representation(m)
-        if mat is None:
-            raise
-        return format_matrix(mat)
-
-
-def is_binary(m: Matroid):
-    return binary_representation(m) is not None
-
-
 def binary_canonical_form(m: Matroid):
     """Canonical form of a simple binary matroid: the sorted indices (into the
     fixed projective point order of its rank) of the least GL-image, read
@@ -320,31 +282,32 @@ def iso_key(m: Matroid):
 # ---- fingerprints and generic isomorphism
 
 
+def _circuit_degrees(n, circuits, top):
+    """Per element i, the tuple whose entry s counts the circuits of size s
+    (0 <= s <= top) through i."""
+    deg = [[0] * (top + 1) for _ in range(n)]
+    for c in circuits:
+        s = c.bit_count()
+        for i in _bits(c):
+            deg[i][s] += 1
+    return [tuple(d) for d in deg]
+
+
 def fingerprint(m: Matroid):
     """Cheap isomorphism invariant: counts of small flats and circuits plus the
     multiset of per-element small-circuit degrees."""
     r, n = m.rank(), m.n
-    flat_counts = {}
-    for k in range(0, min(3, r) + 1):
-        for f in m.flats_of_rank(k):
-            key = (k, f.bit_count())
-            flat_counts[key] = flat_counts.get(key, 0) + 1
+    flat_counts = Counter((k, f.bit_count()) for k in range(min(3, r) + 1)
+                          for f in m.flats_of_rank(k))
     circuits = m.circuits(max_size=6)
-    spectrum = {}
-    degree = [[0] * 7 for _ in range(n)]
-    for c in circuits:
-        s = c.bit_count()
-        spectrum[s] = spectrum.get(s, 0) + 1
-        for i in _bits(c):
-            degree[i][s] += 1
     return (
         n,
         r,
         m.loops().bit_count(),
         m.coloops().bit_count(),
         tuple(sorted(flat_counts.items())),
-        tuple(sorted(spectrum.items())),
-        tuple(sorted(tuple(d) for d in degree)),
+        tuple(sorted(Counter(c.bit_count() for c in circuits).items())),
+        tuple(sorted(_circuit_degrees(n, circuits, 6))),
     )
 
 
@@ -362,17 +325,8 @@ def _generic_isomorphism(m1, m2):
     if sorted(c.bit_count() for c in c1) != sorted(c.bit_count() for c in c2):
         return None
     top = max((c.bit_count() for c in c1), default=0)
-
-    def degrees(m, circuits):
-        deg = [[0] * (top + 1) for _ in range(m.n)]
-        for c in circuits:
-            s = c.bit_count()
-            for i in _bits(c):
-                deg[i][s] += 1
-        return [tuple(d) for d in deg]
-
-    d1 = degrees(m1, c1)
-    d2 = degrees(m2, c2)
+    d1 = _circuit_degrees(m1.n, c1, top)
+    d2 = _circuit_degrees(m2.n, c2, top)
     if sorted(d1) != sorted(d2):
         return None
     c2set = set(c2)
@@ -481,7 +435,10 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     skipped.  The rest are filtered by the exact iso_key when m and the
     target are binary-backed and the target has rank or corank at most 6,
     and by fingerprint otherwise.  Every candidate counts against the
-    budget, skipped or not.  Raises BudgetExhausted."""
+    budget, skipped or not.  Raises BudgetExhausted, and MatroidError for a
+    budget below 1."""
+    if budget < 1:
+        raise MatroidError("budget must be positive")
     dr = m.rank() - target.rank()
     if dr < 0 or m.n < target.n:
         return None
@@ -492,10 +449,7 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     target_inv = invariant(target)
     simple, cosimple = target.is_simple(), target.is_cosimple()
     spent = 0
-    for combo in itertools.combinations(range(m.n), dr):
-        cmask = 0
-        for i in combo:
-            cmask |= 1 << i
+    for cmask in _subsets(m.n, dr):
         if m.r(cmask) != dr:
             continue
         mc = m.contract(cmask)
@@ -503,13 +457,10 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
             classes = mc.parallel_classes()
             loops = mc.full_mask ^ sum(classes)
             classes = [c for c in classes if c & c - 1]
-        for keep in itertools.combinations(range(mc.n), target.n):
+        for kmask in _subsets(mc.n, target.n):
             spent += 1
             if spent > budget:
                 raise BudgetExhausted(f"minor search exceeded {budget} candidates")
-            kmask = 0
-            for i in keep:
-                kmask |= 1 << i
             if simple and (kmask & loops or any((h := kmask & c) & h - 1 for c in classes)):
                 continue
             restr = mc.delete(mc.full_mask ^ kmask)
@@ -530,9 +481,6 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
 
 def element_orbits(m: Matroid):
     """Automorphism orbits of a binary matroid with rank or corank at most 6,
-    as label tuples: union-find over the generators _canonical keeps."""
-    parent = list(range(m.n))
-    for perm in _canonical(m)[3]:
-        for i, j in enumerate(perm):
-            parent[_find(parent, i)] = _find(parent, j)
-    return sorted(m.labels_of(c) for c in _classes(_find(parent, i) + 1 for i in range(m.n)))
+    as label tuples: the classes that the generators _canonical keeps join."""
+    pairs = (pair for perm in _canonical(m)[3] for pair in enumerate(perm))
+    return sorted(m.labels_of(c) for c in _joined_classes(m.n, pairs))

@@ -17,6 +17,8 @@ the GFMatrix.
 Each matrix keeps one null space (`gf.null_space`), its dual's matrix:
 the dual of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
 larger table is certified binary), is that matrix; the others are tables.
+A rank table's GF(2) matrix, when it has one, is `binary_representation`,
+certified subset by subset; `Matroid.export_text` is the one text form.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ __all__ = [
     "full_rank_table",
     "as_rank_table",
     "is_isomorphism",
+    "binary_representation",
+    "is_binary",
     "direct_sum",
     "parallel_connection",
     "binary_three_sum",
@@ -76,6 +80,11 @@ def _find(parent, x):
     return x
 
 
+def _subsets(n, k):
+    """Masks of the k-subsets of range(n) in combination order."""
+    return map(sum, itertools.combinations([1 << i for i in range(n)], k))
+
+
 def default_labels(n):
     return tuple(str(i + 1) for i in range(n))
 
@@ -97,7 +106,8 @@ class LinearRep:
 
 
 class RankTableRep:
-    """Dense rank table; table[mask] = rank of the subset mask."""
+    """Dense rank table; table[mask] = rank of the subset mask.  It has no
+    `rank`: Matroid.r reads the table."""
 
     __slots__ = ("nelts", "table")
     matrix = None  # no matrix: the Matroid methods read the table
@@ -113,9 +123,6 @@ class RankTableRep:
     @property
     def n(self):
         return self.nelts
-
-    def rank(self, mask):
-        return self.table[mask]
 
 
 class _GraphRep:
@@ -311,10 +318,7 @@ class Matroid:
                 out = _flats(mat, k)  # empty when k exceeds the rank
             elif 0 <= k <= self.rank():
                 found = {}  # insertion-ordered set
-                for combo in itertools.combinations(range(self.n), k):
-                    mask = 0
-                    for i in combo:
-                        mask |= 1 << i
+                for mask in _subsets(self.n, k):
                     if self.r(mask) == k:
                         found.setdefault(self.closure(mask))
                 out = tuple(found)
@@ -361,10 +365,7 @@ class Matroid:
             )
         found = []
         for size in range(1, top + 1):
-            for combo in itertools.combinations(range(self.n), size):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
+            for mask in _subsets(self.n, size):
                 if any(c & mask == c for c in found):
                     continue
                 # no smaller circuit inside, so dependent means minimal dependent
@@ -533,21 +534,22 @@ class Matroid:
     def components(self):
         """Masks of the connected components: the classes of the fundamental-
         circuit graph of one basis (Krogdahl 1977; Cunningham 1973)."""
-        parent = list(range(self.n))
-        for e, c in self.fundamental_circuits()[1].items():
-            for b in _bits(c):
-                parent[_find(parent, b)] = _find(parent, e)
-        return _classes(_find(parent, i) + 1 for i in range(self.n))
+        circuits = self.fundamental_circuits()[1]
+        return _joined_classes(self.n, ((b, e) for e, c in circuits.items() for b in _bits(c)))
 
     # ---- export
 
     def export_text(self):
+        """The text form: a graph's or graft's edge list, a matrix's own rows,
+        or a rank table's certified GF(2) matrix (`binary_representation`).
+        Raises MatroidError for a rank table with no such matrix."""
         rep = self.rep
-        if isinstance(rep, LinearRep):
-            return format_matrix(rep.matrix)
         if isinstance(rep, _GraphRep):
             return format_graph_text(rep.nverts, rep.edges, rep.gamma)
-        raise MatroidError("rank-table matroids have no text form")
+        mat = rep.matrix or binary_representation(self)
+        if mat is None:
+            raise MatroidError("rank-table matroids have no text form")
+        return format_matrix(mat)
 
 
 # ---- linear backend helpers
@@ -580,6 +582,14 @@ def _classes(keys):
         if key:
             groups[key] = groups.get(key, 0) | 1 << i
     return sorted(groups.values())
+
+
+def _joined_classes(n, pairs):
+    """Sorted masks of the classes of range(n) that the pairs (i, j) join."""
+    parent = list(range(n))
+    for i, j in pairs:
+        parent[_find(parent, i)] = _find(parent, j)
+    return _classes(_find(parent, i) + 1 for i in range(n))
 
 
 def _column_classes(matrix):
@@ -746,6 +756,31 @@ def is_isomorphism(m1: Matroid, m2: Matroid, mapping):
         if t1[mask] != t2[image]:
             return False
     return True
+
+
+def binary_representation(m: Matroid):
+    """GF(2) matrix representing m (columns in element order), or None if m is
+    provably non-binary.  Certified against m on every subset (n <= CERTIFY_CAP)."""
+    mat = _gf2_matrix(m)
+    if mat is not None:
+        return mat
+    if m.n > CERTIFY_CAP:
+        raise MatroidError(f"cannot certify a binary representation beyond n = {CERTIFY_CAP}")
+    # row j of [I | A] is basis element j; column e is its fundamental circuit
+    basis, circuits = m.fundamental_circuits()
+    rows = [[0] * m.n for _ in range(max(basis.bit_count(), 1))]
+    for j, b in enumerate(_bits(basis)):
+        rows[j][b] = 1
+        for e, c in circuits.items():
+            rows[j][e] = c >> b & 1
+    mat = GFMatrix(field(2), rows)
+    if is_isomorphism(m, from_matrix(mat, labels=m.labels), {lab: lab for lab in m.labels}):
+        return mat
+    return None
+
+
+def is_binary(m: Matroid):
+    return binary_representation(m) is not None
 
 
 def _fresh_labels(taken, labels):

@@ -22,14 +22,12 @@ from .iso import (
     NotBinary,
     _rank_rows,
     binary_canonical_form,
-    binary_representation,
     element_orbits,
-    export_text,
     has_minor,
     is_canonical_point_set,
     iso_key,
 )
-from .matroid import Matroid, MatroidError, _bits, _find, from_matrix
+from .matroid import Matroid, MatroidError, _bits, _find, binary_representation, from_matrix
 from .uniformity import _check_kl
 
 _CHECKPOINT_EVERY = 50_000  # nodes between periodic checkpoint writes
@@ -86,7 +84,7 @@ class SearchReport:
                 "budget": cfg.budget,
             },
             "f_value": self.f_value,
-            "representatives": [export_text(m) for m in self.representatives],
+            "representatives": [m.export_text() for m in self.representatives],
             "counts": [[r, n, c] for (r, n), c in sorted(self.counts.items())],
             "stats": dict(self.stats),
             "wall_time": round(self.wall_time, 3),
@@ -401,6 +399,19 @@ def compute_f(k, l, r_max=5):
 # ---- single-element extension / coextension searches
 
 
+def _one_per_class(candidates, pred):
+    """The candidates that pass pred, the first of each isomorphism class
+    (by iso_key), in order."""
+    out, seen = [], set()
+    for m in candidates:
+        if pred(m):
+            key = iso_key(m)
+            if key not in seen:
+                seen.add(key)
+                out.append(m)
+    return out
+
+
 def extensions(m: Matroid, predicate):
     """Single-element extensions of a simple binary matroid by unused points
     of its rank-r projective space, filtered by the predicate (a callable or
@@ -412,18 +423,8 @@ def extensions(m: Matroid, predicate):
     if not m.is_simple():
         raise MatroidError("extension search needs a simple input")
     vals = [i + 1 for i in binary_canonical_form(m)]
-    out, seen = [], set()
-    for v in range(1, 1 << r):
-        if v in vals:
-            continue
-        ext = from_matrix(GFMatrix.from_point_values(vals + [v], r))
-        if not pred(ext):
-            continue
-        key = iso_key(ext)
-        if key not in seen:
-            seen.add(key)
-            out.append(ext)
-    return out
+    return _one_per_class((from_matrix(GFMatrix.from_point_values(vals + [v], r))
+                           for v in range(1, 1 << r) if v not in vals), pred)
 
 
 def coextensions(m: Matroid, predicate):
@@ -446,20 +447,15 @@ def coextensions(m: Matroid, predicate):
     xlabel = "x"
     while xlabel in m.labels:
         xlabel += "x"
-    out, seen = [], set()
-    for combo in range(1 << len(free)):
+
+    def coext(combo):
         beta = [0] * n
         for idx, j in enumerate(free):
             beta[j] = combo >> idx & 1
-        coext = from_matrix(GFMatrix(2, rows + [tuple(beta) + (1,)]),
-                            labels=m.labels + (xlabel,))
-        if not pred(coext):
-            continue
-        key = iso_key(coext)
-        if key not in seen:
-            seen.add(key)
-            out.append(coext)
-    return out
+        return from_matrix(GFMatrix(2, rows + [tuple(beta) + (1,)]),
+                           labels=m.labels + (xlabel,))
+
+    return _one_per_class(map(coext, range(1 << len(free))), pred)
 
 
 # ---- census of 3-connected binary (2,2)-uniform matroids

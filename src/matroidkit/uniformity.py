@@ -55,7 +55,8 @@ def _check_kl(k, l):
 
 
 def _t_subsets(n, t):
-    """Masks of the t-subsets of range(n) in increasing order (Gosper's hack)."""
+    """Masks of the t-subsets of range(n) in increasing order (Gosper's hack).
+    Not matroid._subsets: this colex order fixes is_kl_uniform_minor's witnesses."""
     mask = (1 << t) - 1
     while not mask >> n:
         yield mask

@@ -156,10 +156,7 @@ def _check_p10_facts(cache):
 
 
 def _is22(m):
-    if m.rank() <= 6 or m.n - m.rank() <= 6:
-        side = m if m.rank() <= 6 else m.dual()
-        return kl_uniform_points(side, 2, 2)
-    return is_kl_uniform_flats(m, 2, 2)[0]
+    return kl_uniform_points(m if m.rank() <= 6 else m.dual(), 2, 2)
 
 
 def _check_spike_thresholds(cache):

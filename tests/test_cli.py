@@ -11,7 +11,7 @@ import pytest
 
 from matroidkit import catalog
 from matroidkit.cli import load_matroid, main
-from matroidkit.iso import iso_key
+from matroidkit.iso import are_isomorphic, iso_key
 from matroidkit.matroid import from_graph, from_matrix, full_rank_table, is_isomorphism
 from matroidkit.search import SearchConfig, enumerate_kl_uniform
 
@@ -96,6 +96,15 @@ def test_minor_command(capsys):
     code, out, _ = run(capsys, "minor", "catalog:MK33", "catalog:F7",
                        "--json")
     assert code == 1 and json.loads(out)["has_minor"] is False
+    code, out, _ = run(capsys, "minor", "catalog:P10", "catalog:MW4", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["has_minor"] is True
+    p10 = catalog.named("P10")
+    minor = p10.minor(contract=doc["contract"], delete=doc["delete"])
+    assert are_isomorphic(minor, catalog.named("MW4")) is not None
+    for budget in ("0", "-3"):
+        code, _, err = run(capsys, "minor", "catalog:P10", "catalog:MW4", "--budget", budget)
+        assert code == 2 and "budget must be positive" in err
 
 
 def test_dual_writes_loadable_text(capsys, tmp_path):

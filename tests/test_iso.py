@@ -322,6 +322,8 @@ def test_has_minor_negative_and_budget(f7):
     assert has_minor(f7, u_matroid(2, 4)) is None
     with pytest.raises(BudgetExhausted):
         has_minor(f7, u_matroid(2, 4), budget=3)
+    with pytest.raises(MatroidError, match="budget must be positive"):
+        has_minor(f7, u_matroid(2, 4), budget=0)
 
 
 def test_has_minor_self(f7):
@@ -516,8 +518,24 @@ def test_generic_isomorphism_on_non_binary():
     cert = are_isomorphic(a, b)
     assert cert is not None
     assert are_isomorphic(a, u_matroid(3, 4)) is None
-    # one binary, one not
+    # the double dual is a new rank table of the same matroid
     assert are_isomorphic(a, u_matroid(2, 4).dual().dual()) is not None
+    # one binary, one not
+    assert are_isomorphic(a, from_matrix(GFMatrix(2, [(1, 0, 1, 1), (0, 1, 1, 0)]))) is None
+    # both non-binary (a parallel pair beside U(2,4) over GF(3)): the
+    # fingerprints differ
+    gf3 = from_matrix(GFMatrix(3, [(1, 0, 1, 1, 1), (0, 1, 1, 2, 0)]))
+    assert are_isomorphic(u_matroid(2, 5), gf3) is None
+
+
+def test_isomorphism_past_the_certify_cap():
+    # PG(3,2) plus two loops: 17 elements, so the rank table's binary
+    # representation is unknown and the generic path finds the bijection
+    pg32 = GFMatrix.from_point_values(range(1, 16), 4)
+    m = from_matrix(GFMatrix(2, [row + (0, 0) for row in pg32.rows]))
+    table = as_rank_table(m)
+    cert = are_isomorphic(table, m)
+    assert cert is not None and is_isomorphism(table, m, cert)
 
 
 def test_empty_and_tiny():

@@ -944,8 +944,11 @@ def test_export_text(p10):
     )
     w4 = from_graph(5, W4_EDGES)
     assert parse_graph_text(w4.export_text())[0] == 5
-    with pytest.raises(MatroidError):
-        as_rank_table(p10).export_text()
+    # a binary rank table exports its certified GF(2) matrix, here P10's own
+    # rows (they are in [I | A] form); a non-binary one has no text form
+    assert as_rank_table(p10).export_text() == p10.export_text()
+    with pytest.raises(MatroidError, match="rank-table matroids have no text form"):
+        matroid.uniform(2, 4).export_text()
 
 
 def test_relabel(p10):
