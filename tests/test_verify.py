@@ -70,11 +70,6 @@ FAST_RUN = [
 ]
 
 
-@pytest.fixture(scope="module")
-def fast_run():
-    return run_checks(corpus_size=80)
-
-
 def test_registry_integrity():
     assert len(CHECK_IDS) == len(set(CHECK_IDS)) == 21
     info = check_info()
