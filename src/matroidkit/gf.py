@@ -1,15 +1,16 @@
 """Finite-field scalars and dense matrices over GF(q), q in {2, 3, 4, 5, 7}.
 
 Matrices are immutable and small (at most 64 rows and 64 columns), so a
-set of columns always fits in a machine-word bit mask.  GF(2) gets a fast
-path: columns are packed into ints and eliminated word by word.  Each
-matrix keeps its reduced row echelon form (`rref`) and its null space
-(`null_space`, the matrix of its dual) once computed.  Rank
-and span share one echelon kernel (`_echelon`, `_reduce`): columns are
-reduced against rows keyed by their leading position, through the field
-tables on plain lists for q != 2, with no matrix built per call.  The flat
-walk (`_flats`) carries each column's remainder down instead.  GF(4) is
-not a prime field; its tables are built from w^2 = w + 1 with elements
+set of columns always fits in a machine-word bit mask.  Each matrix keeps
+its reduced row echelon form (`rref`) and its null space (`null_space`,
+the matrix of its dual), both on rows, once computed.  Rank, span and
+flats read packed columns (`col_bits`): entry i in lane i of one int, of
+1 bit for GF(2), 2 for GF(4) and 4 for GF(3), GF(5) and GF(7).
+Characteristic 2 adds columns by xor; odd p adds them as ints, then every
+lane of the sum s that reached p, those with bit 3 of s + (8 - p) set,
+loses p.  One echelon kernel (`_echelon`, `_reduce`) serves rank and span,
+and the flat walk (`_flats`) carries each column's remainder down.  GF(4)
+is not a prime field; its tables are built from w^2 = w + 1 with elements
 encoded 0, 1, 2 = w, 3 = w + 1.
 """
 
@@ -54,23 +55,20 @@ class FieldSpec:
     mul: tuple
     neg: tuple
     inv: tuple
+    lanes: tuple  # lanes[r]: the packed-column layout of r rows (`_lane_layouts`)
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
 
 
 def _gf4_tables():
-    # encode a = a0 + a1*w by the int a0 + 2*a1; addition is xor
-    add = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
-    mul = [[0] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            a0, a1 = a & 1, a >> 1
-            b0, b1 = b & 1, b >> 1
-            c0 = (a0 * b0 + a1 * b1) & 1
-            c1 = (a0 * b1 + a1 * b0 + a1 * b1) & 1
-            mul[a][b] = c0 + 2 * c1
-    return add, tuple(tuple(row) for row in mul)
+    # encode a = a0 + a1*w by the int a0 + 2*a1; addition is xor, and w^2 = w + 1
+    def times(a, b):
+        a0, a1, b0, b1 = a & 1, a >> 1, b & 1, b >> 1
+        return (a0 & b0 ^ a1 & b1) | (a0 & b1 ^ a1 & b0 ^ a1 & b1) << 1
+
+    return (tuple(tuple(a ^ b for b in range(4)) for a in range(4)),
+            tuple(tuple(times(a, b) for b in range(4)) for a in range(4)))
 
 
 @lru_cache(maxsize=None)
@@ -80,16 +78,29 @@ def field(q: int) -> FieldSpec:
         raise GFError(f"unsupported field order {q}; supported: {SUPPORTED_ORDERS}")
     if q == 4:
         add, mul = _gf4_tables()
-        char = 2
     else:
         add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
         mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-        char = q
-    neg = tuple(next(b for b in range(q) if add[a][b] == 0) for a in range(q))
-    inv = tuple(
-        0 if a == 0 else next(b for b in range(q) if mul[a][b] == 1) for a in range(q)
-    )
-    return FieldSpec(q=q, char=char, add=add, mul=mul, neg=neg, inv=inv)
+    neg = tuple(row.index(0) for row in add)
+    inv = tuple(row.index(1) if a else 0 for a, row in enumerate(mul))
+    return FieldSpec(q=q, char=2 if q == 4 else q, add=add, mul=mul, neg=neg, inv=inv,
+                     lanes=_lane_layouts(q, neg, inv))
+
+
+def _lane_layouts(q, neg, inv):
+    """Per row count r, (p, fold, eights, lo, pk, heads, lead, shift, lane,
+    size, inv) for columns of r entries: p is 0 in characteristic 2; fold,
+    eights and pk hold 8 - p, 8 and p in every lane, lo the low bit of every
+    GF(4) lane; lanes have 2**shift bits and mask `lane`; an echelon basis
+    has `size` slots, heads[b] the first slot of the lane a column of bit
+    length b tops; lead[x] is -1/x and inv[x] is 1/x."""
+    shift, p = (q > 2) + q % 2, q % 2 and q
+    lane = (1 << (1 << shift)) - 1
+    heads = tuple(((b - 1) >> shift << shift) + 1 for b in range((MAX_DIM << shift) + 1))
+    lead = tuple(neg[a] for a in inv)
+    return tuple((p, (8 - p) * ones, 8 * ones, ones if q == 4 else 0, p * ones, heads, lead,
+                  shift, lane, (r << shift) + 1, inv)
+                 for r in range(MAX_DIM + 1) for ones in (((1 << (r << shift)) - 1) // lane,))
 
 
 def _fill(m, fld, rows):
@@ -107,9 +118,9 @@ class GFMatrix:
     """Immutable r x n matrix over GF(q).
 
     `rows` is a tuple of row tuples.  The columns are cached as tuples
-    (`columns`) and, for q = 2, as ints with bit i = row i (`col_bits`);
-    the reduced row echelon form (`rref`) and the null space (`null_space`)
-    are kept once computed.
+    (`columns`) and packed, entry i in lane i of an int (`col_bits`); the
+    reduced row echelon form (`rref`) and the null space (`null_space`) are
+    kept once computed.
     """
 
     __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits", "_columns", "_rref", "_null")
@@ -156,15 +167,12 @@ class GFMatrix:
 
     @property
     def col_bits(self):
-        """GF(2) only: tuple of column masks, bit i = row i."""
-        if self.field.q != 2:
-            raise GFError("col_bits is a GF(2) fast path")
+        """Tuple of packed columns: entry i of a column in lane i of its int."""
         cached = object.__getattribute__(self, "_col_bits")
         if cached is None:
-            cached = tuple(
-                sum(self.rows[i][j] << i for i in range(self.nrows))
-                for j in range(self.ncols)
-            )
+            shift = self.field.lanes[0][7]  # lanes of 2**shift bits
+            cached = tuple(sum(x << (i << shift) for i, x in enumerate(col))
+                           for col in zip(*self.rows))
             object.__setattr__(self, "_col_bits", cached)
         return cached
 
@@ -182,11 +190,7 @@ class GFMatrix:
         point values that from_point_values and subspace_masks take."""
         if self.field.q != 2:
             raise GFError("point values are a GF(2) notion here")
-        r = self.nrows
-        return tuple(
-            sum(self.rows[i][j] << (r - 1 - i) for i in range(r))
-            for j in range(self.ncols)
-        )
+        return GFMatrix._trusted(self.field, self.rows[::-1]).col_bits
 
     def select_columns(self, cols):
         """New matrix keeping the columns listed in `cols` (in that order)."""
@@ -253,73 +257,95 @@ def rref(m: GFMatrix):
     return kept
 
 
-def _reduce(fld: FieldSpec, piv, v, insert=True):
-    """Reduce column v against the echelon rows in piv.  Returns None when v
-    lies in their span; otherwise returns the slot of piv its remainder
-    belongs in and, with `insert`, keeps the remainder there as a new row.
-    GF(2) columns are packed ints and piv[b] is the row whose top bit is bit
-    b - 1; for q != 2 columns are sequences and piv[i] is the row with
-    leading entry 1 at position i."""
-    if fld.q == 2:
-        while v:
-            b = v.bit_length()
-            w = piv[b]
-            if not w:
+def _multiples(lanes, v):
+    """[0, v, 2v, ...]: c v at c for each scalar c, for packed column v; for
+    GF(4) from w(a0 + a1 w) = a1 + (a0 + a1) w."""
+    p, fold, eights, lo, _, _, _, _, _, _, _ = lanes
+    mult = [0, v]
+    if p:
+        s = v
+        for _ in range(p - 2):
+            s += v
+            s -= ((s + fold & eights) >> 3) * p
+            mult.append(s)
+    elif lo:
+        wv = v >> 1 & lo | ((v ^ v >> 1) & lo) << 1
+        mult += (wv, v ^ wv)
+    return mult
+
+
+def _scaled(lanes, v, c):
+    """c v for packed column v and a nonzero scalar c."""
+    if c == 1:
+        return v
+    p, fold, eights, _, pk, _, _, _, _, _, _ = lanes
+    if c == p - 1:
+        v = pk - v
+        return v - ((v + fold & eights) >> 3) * p
+    return _multiples(lanes, v)[c]
+
+
+def _monic(lanes, v):
+    """Nonzero packed column v scaled to a top lane of 1."""
+    return _scaled(lanes, v, lanes[10][v >> lanes[5][v.bit_length()] - 1])
+
+
+def _reduce(lanes, piv, v, insert=True):
+    """Reduce packed column v against the echelon basis piv: None if v lies in
+    its span, else the first slot of the lane its remainder u tops, where
+    `insert` keeps -u/x, x the value of that lane.  piv[b] serves top lanes
+    of bit length b; a lane's other slots, filled on first use, hold -u/x for
+    odd p (a step lowers the lane by 1), -w u/x for GF(4) (it clears a bit)."""
+    p, fold, eights, _, _, heads, lead, _, _, _, _ = lanes
+    while v:
+        b = v.bit_length()
+        t = piv[b]
+        if t is None:
+            h = heads[b]
+            first = piv[h]
+            if first is None:
                 if insert:
-                    piv[b] = v
-                return b
-            v ^= w
-        return None
-    add, mul, neg = fld.add, fld.mul, fld.neg
-    for i in range(len(v)):
-        x = v[i]
-        if not x:
-            continue
-        row = piv[i]
-        if row is None:
-            if insert:
-                s = mul[fld.inv[x]]
-                piv[i] = [s[y] for y in v]
-            return i
-        c = mul[neg[x]]
-        v = [add[a][c[b]] for a, b in zip(v, row)]
+                    piv[h] = _scaled(lanes, v, lead[v >> h - 1])
+                return h
+            t = piv[b] = first if p else _multiples(lanes, first)[2]
+        if p:
+            v += t
+            v -= ((v + fold & eights) >> 3) * p
+        else:
+            v ^= t
     return None
 
 
 def _echelon(m: GFMatrix, mask: int):
-    """(columns, piv, rank): m's columns as _reduce takes them, an echelon
-    basis of those selected by `mask`, and its size."""
+    """(lanes, columns, piv, rank): m's lane layout and packed columns, and
+    an echelon basis (`_reduce`) of the columns in `mask` with its size."""
     if mask < 0 or mask >> m.ncols:
         raise GFError(f"column mask {mask:#x} out of range for {m.ncols} columns")
-    fld = m.field
-    if fld.q == 2:
-        cols, piv = m.col_bits, [0] * (m.nrows + 1)
-    else:
-        cols, piv = m.columns, [None] * m.nrows
-    rank = 0
+    lanes = m.field.lanes[m.nrows]  # lanes[9]: the number of slots
+    cols, piv, rank = m._col_bits or m.col_bits, [None] * lanes[9], 0
     while mask:
         low = mask & -mask
         mask ^= low
-        if _reduce(fld, piv, cols[low.bit_length() - 1]) is not None:
+        if _reduce(lanes, piv, cols[low.bit_length() - 1]) is not None:
             rank += 1
-    return cols, piv, rank
+    return lanes, cols, piv, rank
 
 
 def rank_of_columns(m: GFMatrix, mask: int) -> int:
     """Rank of the set of columns selected by `mask` (bit j = column j)."""
-    return _echelon(m, mask)[2]
+    return _echelon(m, mask)[3]
 
 
 def span_of_columns(m: GFMatrix, mask: int) -> int:
     """Mask of the columns lying in the span of those selected by `mask`: one
     echelon basis of the selection, then each other column reduced once."""
-    cols, piv, _ = _echelon(m, mask)
+    lanes, cols, piv, _ = _echelon(m, mask)
     span = mask
     rest = ((1 << m.ncols) - 1) ^ mask
     while rest:
         low = rest & -rest
         rest ^= low
-        if _reduce(m.field, piv, cols[low.bit_length() - 1], insert=False) is None:
+        if _reduce(lanes, piv, cols[low.bit_length() - 1], insert=False) is None:
             span |= low
     return span
 
@@ -331,31 +357,27 @@ def _flats(m: GFMatrix, k: int):
 
     One depth-first walk over the (k-1)-subsets in combination order carries
     every column's remainder modulo span(P), P the prefix: the one that is
-    zero at each pivot position taken so far.  A column is independent of P
-    iff its remainder u is nonzero; a dependent prefix cuts its subtree.
-    Adding u takes as pivot its top bit i (GF(2)) or its first nonzero
-    position i, with u scaled to u_i = 1 (q != 2), and the child's list is
-    v - v_i*u for each v (v ^ u where v has bit i), zero again at every
-    pivot.  At a leaf each remainder is scaled to a leading 1 once: the
-    zero ones make cl(P), and for each later column e with a nonzero
-    remainder, cl(P + e) is cl(P) plus e's remainder class."""
-    fld, n = m.field, m.ncols
-    if k > _echelon(m, (1 << n) - 1)[2]:
+    zero at each pivot lane taken so far.  A column is independent of P iff
+    its remainder u is nonzero; a dependent prefix cuts its subtree.  Adding
+    u takes its top lane s, holding x, as pivot: the child's list adds
+    -y u/x to each v whose lane s holds y, which clears it.  At a leaf each
+    remainder is scaled to a top lane of 1 once (`_monic`): the zero ones
+    make cl(P), and for each later column e with a nonzero remainder,
+    cl(P + e) is cl(P) plus e's remainder class."""
+    n = m.ncols
+    lanes, cols, _, rank = _echelon(m, (1 << n) - 1)
+    if k > rank:
         return ()
-    two, add, mul, neg, inv = fld.q == 2, fld.add, fld.mul, fld.neg, fld.inv
+    p, fold, eights, _, _, heads, lead, sh, lane, _, _ = lanes
+    inner = (1 << sh) - 1  # the bits of a lane above its lowest
     found = {}  # insertion-ordered set
 
     def leaf(rem, start):
         cl, classes, keys, bit = 0, {}, [], 1
         for v in rem:
-            if not two:
-                for x in v:
-                    if x:
-                        v = tuple(map(mul[inv[x]].__getitem__, v))
-                        break
-                else:
-                    v = 0
             if v:
+                if v.bit_length() - 1 & inner:  # the top lane holds more than 1
+                    v = _monic(lanes, v)
                 classes[v] = classes.get(v, 0) | bit
             else:
                 cl |= bit
@@ -372,26 +394,17 @@ def _flats(m: GFMatrix, k: int):
             return
         for e in range(start, n - need):
             u = rem[e]
-            if two:
-                if u:
-                    top = 1 << u.bit_length() - 1
-                    walk([v ^ u if v & top else v for v in rem], e + 1, need - 1)
+            if not u:
                 continue
-            i = next((j for j, x in enumerate(u) if x), None)
-            if i is None:
-                continue
-            s = mul[inv[u[i]]]
-            u = [s[x] for x in u]
-            child = []
-            for v in rem:
-                x = v[i]
-                if x:
-                    c = mul[neg[x]]
-                    v = [add[a][c[b]] for a, b in zip(v, u)]
-                child.append(v)
+            s = heads[u.bit_length()] - 1
+            t = _multiples(lanes, _scaled(lanes, u, lead[u >> s]))
+            if p:
+                child = [w - ((w + fold & eights) >> 3) * p
+                         for v in rem for w in (v + t[v >> s & lane],)]
+            else:
+                child = [v ^ t[v >> s & lane] for v in rem]
             walk(child, e + 1, need - 1)
 
-    cols = m.col_bits if two else m.columns
     if k == 0:
         return (leaf(cols, n),)
     walk(cols, 0, k - 1)

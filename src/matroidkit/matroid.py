@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref, span_of_columns
-from .gf import _flats, _reduce
+from .gf import _echelon, _flats, _monic, _reduce
 
 __all__ = [
     "MatroidError",
@@ -566,15 +566,6 @@ def _linear_minor(matrix, con_cols, keep_cols):
     return GFMatrix._trusted(matrix.field, rows or ((0,) * len(keep_cols),))
 
 
-def _unit(fld, v):
-    """v scaled by the inverse of its first nonzero entry; None if v is zero."""
-    for x in v:
-        if x:
-            s = fld.mul[fld.inv[x]]
-            return tuple(s[y] for y in v)
-    return None
-
-
 def _classes(keys):
     """Sorted masks of the positions that share a key; a falsy key joins none."""
     groups = {}
@@ -594,10 +585,10 @@ def _joined_classes(n, pairs):
 
 def _column_classes(matrix):
     """Parallel classes of a matrix's columns: loops are the zero columns, and
-    two others are parallel iff they are equal on GF(2), or equal once
-    scaled to a leading 1 (`_unit`) on GF(q)."""
-    fld = matrix.field
-    return _classes(matrix.col_bits if fld.q == 2 else (_unit(fld, c) for c in matrix.columns))
+    two others are parallel iff their packed columns are equal once scaled
+    to a top lane of 1 (`gf._monic`)."""
+    lanes = matrix.field.lanes[matrix.nrows]
+    return _classes(c and _monic(lanes, c) for c in matrix.col_bits)
 
 
 def _has_2separation(matrix):
@@ -612,26 +603,28 @@ def _has_2separation(matrix):
     two proportional rows.  The case with the blocks swapped is this one
     on Y_N.  M* has the same lambda, so A is transposed to the smaller
     side: 2^min(r, n - r) steps."""
-    fld = matrix.field
     red, r, pivots = rref(matrix)
     rest = [j for j in range(matrix.ncols) if j not in pivots]
     rows = [[row[j] for j in rest] for row in red.rows[:r]]
     if r < len(rest):
-        rows = [list(col) for col in zip(*rows)]  # -A^T represents M*; signs do not matter
+        rows = list(zip(*rows))  # -A^T represents M*; signs do not matter
     k = len(rows[0])
-    support = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
     if k >= TABLE_CAP:
         raise MatroidError(f"2-separation search capped at min(r, n - r) < {TABLE_CAP}")
+    lanes = matrix.field.lanes[k]
+    shift, lane = lanes[7], lanes[8]
+    packed = [sum(x << (j << shift) for j, x in enumerate(row)) for row in rows]
+    support = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
     for xn in range((1 << k) - 1):
-        forced = [(row, s) for row, s in zip(rows, support) if s & ~xn]
+        forced = [(v, s) for v, s in zip(packed, support) if s & ~xn]
         if len(rows) - len(forced) + xn.bit_count() < 2:
             continue  # |X| < 2
         if len({s & xn for _, s in forced} - {0}) > 1:
             continue  # proportional vectors have one support
-        cols = [j for j in range(k) if xn >> j & 1]
-        if len({_unit(fld, [row[j] for j in cols]) for row, _ in forced} - {None}) <= 1:
+        part = sum(lane << (j << shift) for j in _bits(xn))  # X_N's lanes
+        if len({_monic(lanes, v & part) for v, s in forced if s & xn}) <= 1:
             return True
-    return len({_unit(fld, row) for row in rows}) < len(rows)
+    return len({_monic(lanes, v) for v in packed}) < len(rows)
 
 
 def incidence_matrix(nverts, edges, gamma=None):
@@ -645,12 +638,9 @@ def incidence_matrix(nverts, edges, gamma=None):
         vertex_rows[v] ^= 1 << j
     for v in gamma or ():
         vertex_rows[v] ^= 1 << len(edges)
-    piv = [0] * (ncols + 1)
-    rows = [
-        tuple(w >> j & 1 for j in range(ncols))
-        for w in vertex_rows
-        if _reduce(field(2), piv, w) is not None
-    ]
+    piv, lanes = [None] * (ncols + 1), field(2).lanes[0]  # 1-bit lanes: no per-row constants
+    rows = [tuple(w >> j & 1 for j in range(ncols))
+            for w in vertex_rows if _reduce(lanes, piv, w) is not None]
     return GFMatrix(field(2), rows or [(0,) * ncols])
 
 
@@ -695,17 +685,14 @@ def full_rank_table(m: Matroid):
     if mat is None:
         return m.rep.table
     table = bytearray(1 << n)
-    fld = mat.field
-    if fld.q == 2:
-        cols, piv, blank = mat.col_bits, [0] * (mat.nrows + 1), 0
-    else:
-        cols, piv, blank = mat.columns, [None] * mat.nrows, None
+    lanes, cols, piv, _ = _echelon(mat, 0)
+    blank = (None,) * (mat.field.q - 1).bit_length()  # a lane's slots (`gf._reduce`)
 
     def walk(mask, rank, top):
         # the children of mask add one element below its low bit
         for j in range(top):
             child = mask | 1 << j
-            slot = _reduce(fld, piv, cols[j])
+            slot = _reduce(lanes, piv, cols[j])
             if slot is None:
                 table[child] = rank
                 if j:
@@ -714,7 +701,7 @@ def full_rank_table(m: Matroid):
                 table[child] = rank + 1
                 if j:
                     walk(child, rank + 1, j)
-                piv[slot] = blank
+                piv[slot:slot + len(blank)] = blank
 
     walk(0, 0, n)
     return bytes(table)
@@ -888,10 +875,10 @@ def binary_three_sum(m1: Matroid, m2: Matroid, t_labels):
                 out |= 1 << pos[matroid.labels[i]]
         return out
 
-    piv = [0] * (m + 4)  # piv[b]: the echelon row whose top bit is bit b - 1
+    piv = [None] * (m + 4)  # piv[b]: the echelon row whose top bit is bit b - 1
     for side, mat in ((m1, a), (m2, b)):
         for v in null_space(mat).rows:
-            _reduce(field(2), piv, embed(side, v))
+            _reduce(field(2).lanes[0], piv, embed(side, v))
     # the result's matrix is the null space of its cycle rows (of one zero
     # row, the identity, when there are none)
     k = [tuple(v >> i & 1 for i in range(m)) for v in piv[1:m + 1] if v]
