@@ -5,13 +5,12 @@ set of columns always fits in a machine-word bit mask.  Each matrix keeps
 its reduced row echelon form (`rref`) and its null space (`null_space`,
 the matrix of its dual), both on rows, once computed.  Rank, span and
 flats read packed columns (`col_bits`): entry i in lane i of one int, of
-1 bit for GF(2), 2 for GF(4) and 4 for GF(3), GF(5) and GF(7).
-Characteristic 2 adds columns by xor; odd p adds them as ints, then every
-lane of the sum s that reached p, those with bit 3 of s + (8 - p) set,
-loses p.  One echelon kernel (`_echelon`, `_reduce`) serves rank and span,
-and the flat walk (`_flats`) carries each column's remainder down.  GF(4)
-is not a prime field; its tables are built from w^2 = w + 1 with elements
-encoded 0, 1, 2 = w, 3 = w + 1.
+1 bit for GF(2), 2 for GF(4) and 4 for GF(3), GF(5) and GF(7).  Xor adds
+in characteristic 2; odd p adds ints, then takes p off every lane of the
+sum s that reached p (bit 3 of s + (8 - p) set).  One echelon kernel
+(`_echelon`, `_reduce`) serves rank and span, and the flat walk (`_flats`)
+carries each column's remainder down.  GF(4) is not a prime field; its
+tables are built from w^2 = w + 1, elements encoded 0, 1, 2 = w, 3 = w + 1.
 """
 
 from __future__ import annotations
@@ -90,10 +89,9 @@ def field(q: int) -> FieldSpec:
 def _lane_layouts(q, neg, inv):
     """Per row count r, (p, fold, eights, lo, pk, heads, lead, shift, lane,
     size, inv) for columns of r entries: p is 0 in characteristic 2; fold,
-    eights and pk hold 8 - p, 8 and p in every lane, lo the low bit of every
-    GF(4) lane; lanes have 2**shift bits and mask `lane`; an echelon basis
-    has `size` slots, heads[b] the first slot of the lane a column of bit
-    length b tops; lead[x] is -1/x and inv[x] is 1/x."""
+    eights, pk and lo hold 8 - p, 8, p and (GF(4)) 1 in every lane, of 2**shift
+    bits and mask `lane`; an echelon basis has `size` slots, heads[b] the first
+    of the lane a column of bit length b tops; lead[x] = -1/x, inv[x] = 1/x."""
     shift, p = (q > 2) + q % 2, q % 2 and q
     lane = (1 << (1 << shift)) - 1
     heads = tuple(((b - 1) >> shift << shift) + 1 for b in range((MAX_DIM << shift) + 1))
@@ -340,8 +338,7 @@ def span_of_columns(m: GFMatrix, mask: int) -> int:
     """Mask of the columns lying in the span of those selected by `mask`: one
     echelon basis of the selection, then each other column reduced once."""
     lanes, cols, piv, _ = _echelon(m, mask)
-    span = mask
-    rest = ((1 << m.ncols) - 1) ^ mask
+    span, rest = mask, ((1 << m.ncols) - 1) ^ mask
     while rest:
         low = rest & -rest
         rest ^= low

@@ -226,13 +226,14 @@ def binary_canonical_form(m: Matroid):
 
 def _canonical(m: Matroid):
     """(key, mapping, class_of_point, autos) of a binary matroid with rank or
-    corank at most 6, computed once and kept on m.  The side of rank <= 6
-    (m, else m*) is canonicalized as GF(2) points weighted by parallel class
-    size: `key` is what iso_key returns, `mapping` sends each point to its
-    image, `class_of_point` maps it to its class as an element mask (0 to
-    the loops), and `autos` are element permutations (perm[i] the image of
-    i) that generate Aut(m): the search's symmetries lifted to elements, and
-    the swaps of neighbours inside each class."""
+    corank at most 6 (not of a rank table past CERTIFY_CAP, which
+    `binary_representation` refuses), computed once and kept on m.  The side
+    of rank <= 6 (m, else m*) is canonicalized as GF(2) points weighted by
+    parallel class size: `key` is what iso_key returns, `mapping` sends each
+    point to its image, `class_of_point` maps it to its class as an element
+    mask (0 to the loops), and `autos` are element permutations (perm[i] the
+    image of i) that generate Aut(m): the search's symmetries lifted to
+    elements, and the swaps of neighbours inside each class."""
     if m._canon is not None:
         return m._canon
     r, n = m.rank(), m.n

@@ -747,7 +747,9 @@ def is_isomorphism(m1: Matroid, m2: Matroid, mapping):
 
 def binary_representation(m: Matroid):
     """GF(2) matrix representing m (columns in element order), or None if m is
-    provably non-binary.  Certified against m on every subset (n <= CERTIFY_CAP)."""
+    provably non-binary, certified on every subset.  A rank table with
+    CERTIFY_CAP < n <= TABLE_CAP raises MatroidError naming CERTIFY_CAP, as its
+    export_text() does; are_isomorphic takes the exact, slow generic backtrack."""
     mat = _gf2_matrix(m)
     if mat is not None:
         return mat
