@@ -22,6 +22,7 @@ from matroidkit import catalog, gf, iso, matroid, search, uniformity
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# A change that means to alter an output updates its digest here and says why.
 DIGESTS = {
     "census": "85f8acaee1375564d6d94f48594b6ed9ca88496cdcc1be89b94342ac912f9063",
     "orderly": "f6a4c34b4199223f1e91e39bd8d5cced54989ad260b7d23e53d0f569288220bd",

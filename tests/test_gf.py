@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidkit import gf
 from matroidkit.gf import (
@@ -13,8 +16,10 @@ from matroidkit.gf import (
     point_to_vector,
     rank_of_columns,
     rref,
+    span_of_columns,
     subspace_masks,
 )
+from matroidkit.matroid import from_matrix, full_rank_table
 
 P10_TEXT = """
 2 5 10
@@ -120,8 +125,7 @@ def test_trusted_matrices_equal_validated_ones():
                 ref = GFMatrix(q, out.rows)
                 assert out == ref and hash(out) == hash(ref) and out.field is ref.field
                 assert (out.nrows, out.ncols, out.columns) == (ref.nrows, ref.ncols, ref.columns)
-                if q == 2:
-                    assert out.col_bits == ref.col_bits
+                assert out.col_bits == ref.col_bits
     with pytest.raises(GFError):
         m.select_columns([0] * (gf.MAX_DIM + 1))
 
@@ -217,3 +221,105 @@ def test_matrix_immutability():
     rref(m)
     with pytest.raises(AttributeError):
         m._rref = None
+
+
+# ---- packed columns: lane arithmetic against plain row reduction
+
+
+def test_col_bits_packs_one_lane_per_row():
+    # lanes of 1 bit for GF(2), 2 bits for GF(4), 4 bits for odd p
+    for q, width in ((2, 1), (3, 4), (4, 2), (5, 4), (7, 4)):
+        col = [(3 * i + 1) % q for i in range(gf.MAX_DIM)]
+        m = GFMatrix.from_columns(q, [col, [0] * gf.MAX_DIM])
+        assert m.col_bits == (sum(x << (width * i) for i, x in enumerate(col)), 0)
+
+
+def test_lane_multiples_match_the_field_tables():
+    # c v lane by lane, folded below p, for every scalar c and lane value
+    for q in (2, 3, 4, 5, 7):
+        f = field(q)
+        col = [i % q for i in range(gf.MAX_DIM)]
+        lanes = f.lanes[gf.MAX_DIM]
+        packed = GFMatrix.from_columns(q, [col]).col_bits[0]
+        for c, multiple in enumerate(gf._multiples(lanes, packed)):
+            want = GFMatrix.from_columns(q, [[f.mul[c][x] for x in col]]).col_bits[0]
+            assert multiple == want, (q, c)
+
+
+def _reference_rank(q, cols):
+    """Rank of column tuples over GF(q), by plain row reduction of their rows."""
+    f = field(q)
+    rows = [list(row) for row in zip(*cols)]
+    rank = 0
+    for j in range(len(cols)):
+        sel = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        s = f.mul[f.inv[rows[rank][j]]]
+        rows[rank] = [s[x] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = f.mul[f.neg[rows[i][j]]]
+                rows[i] = [f.add[a][c[b]] for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _assert_packed_kernels_match_the_reference(m):
+    """rank_of_columns, span_of_columns, _flats (order included) and
+    full_rank_table against rank tables from _reference_rank."""
+    q, n, cols = m.field.q, m.ncols, m.columns
+    ranks = [_reference_rank(q, [cols[j] for j in range(n) if mask >> j & 1])
+             for mask in range(1 << n)]
+    spans = [mask | sum(1 << j for j in range(n) if ranks[mask | 1 << j] == ranks[mask])
+             for mask in range(1 << n)]
+    for mask in range(1 << n):
+        assert rank_of_columns(m, mask) == ranks[mask], (m.rows, mask)
+        assert span_of_columns(m, mask) == spans[mask], (m.rows, mask)
+    assert full_rank_table(from_matrix(m)) == bytes(ranks)
+    for k in range(ranks[-1] + 2):
+        found = {}  # first met as the closure of an independent k-subset
+        for subset in itertools.combinations(range(n), k):
+            mask = sum(1 << j for j in subset)
+            if ranks[mask] == k:
+                found.setdefault(spans[mask])
+        assert gf._flats(m, k) == tuple(found), (m.rows, k)
+
+
+@st.composite
+def _gfq_matrices(draw):
+    """GF(3), GF(4), GF(5) and GF(7) matrices with up to 6 rows and 7 columns,
+    their entries mostly 0 or q - 1, so that sums reach the fold's top lane
+    value (6 + 6 = 12 for GF(7))."""
+    q = draw(st.sampled_from((3, 4, 5, 7)))
+    r, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.sampled_from((0, q - 1)), st.integers(0, q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    return GFMatrix(q, rows)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_gfq_matrices())
+def test_packed_kernels_match_row_reduction_on_random_gfq_matrices(m):
+    _assert_packed_kernels_match_the_reference(m)
+
+
+def test_packed_kernels_at_the_edges():
+    rng = random.Random(64)
+    for q in (2, 3, 4, 5, 7):
+        top = q - 1
+        edges = [
+            # 64 rows: the widest ints (256 bits for 4-bit lanes)
+            GFMatrix(q, [[rng.choice((0, top, rng.randrange(q))) for _ in range(5)]
+                         for _ in range(gf.MAX_DIM)]),
+            GFMatrix(q, [[top] * 4 for _ in range(gf.MAX_DIM)]),  # every lane at q - 1
+            GFMatrix(q, [[0] * 4 for _ in range(3)]),  # the zero matrix: rank 0
+            GFMatrix(q, [[top], [0], [1]]),  # a single column
+            GFMatrix(q, [[top, top, 1], [top, 1, top], [1, top, top]]),
+        ]
+        for m in edges:
+            _assert_packed_kernels_match_the_reference(m)
+    zero = GFMatrix(7, [[0] * 4 for _ in range(3)])
+    assert gf._flats(zero, 0) == (0b1111,) and gf._flats(zero, 1) == ()
+

@@ -21,6 +21,8 @@ from matroidkit.iso import (
     iso_key,
 )
 from matroidkit.matroid import (
+    CERTIFY_CAP,
+    TABLE_CAP,
     Matroid,
     MatroidError,
     RankTableRep,
@@ -528,7 +530,7 @@ def test_generic_isomorphism_on_non_binary():
     assert are_isomorphic(u_matroid(2, 5), gf3) is None
 
 
-def test_isomorphism_past_the_certify_cap():
+def test_isomorphism_past_the_certify_cap(monkeypatch):
     # PG(3,2) plus two loops: 17 elements, so the rank table's binary
     # representation is unknown and the generic path finds the bijection
     pg32 = GFMatrix.from_point_values(range(1, 16), 4)
@@ -536,6 +538,21 @@ def test_isomorphism_past_the_certify_cap():
     table = as_rank_table(m)
     cert = are_isomorphic(table, m)
     assert cert is not None and is_isomorphism(table, m, cert)
+    # CERTIFY_CAP < n <= TABLE_CAP: no certified matrix, so no text form, and
+    # are_isomorphic takes the exact generic backtrack, never a canonical form
+    assert CERTIFY_CAP < table.n <= TABLE_CAP
+    for call in (table.export_text, lambda: binary_representation(table)):
+        with pytest.raises(MatroidError, match=f"beyond n = {CERTIFY_CAP}$"):
+            call()
+    backtracks = []
+    generic = iso._generic_isomorphism
+    monkeypatch.setattr(iso, "_canonical", lambda m: pytest.fail("canonical form used"))
+    monkeypatch.setattr(iso, "_generic_isomorphism",
+                        lambda a, b: backtracks.append(1) or generic(a, b))
+    for a, b in ((table, m), (m, table)):
+        cert = are_isomorphic(a, b)
+        assert cert is not None and is_isomorphism(a, b, cert)
+    assert backtracks == [1, 1]
 
 
 def test_empty_and_tiny():
