@@ -12,6 +12,7 @@ comparing sorted (image, weight) pairs.
 from __future__ import annotations
 
 from collections import Counter
+from contextvars import ContextVar
 
 from .gf import GFMatrix, null_space, rref
 from .matroid import Matroid, MatroidError, _bits, _gf2_matrix, _joined_classes, _subsets
@@ -44,6 +45,11 @@ class NotBinary(MatroidError):
 
 class _Smaller(Exception):
     """Canonicity test found a strictly smaller image."""
+
+
+# (points, weights) -> _canon_search's result, for one census call (see
+# _canonical); None outside one
+_census_searches: ContextVar[dict | None] = ContextVar("census_searches", default=None)
 
 
 # ---- point-set canonicalization
@@ -233,7 +239,15 @@ def _canonical(m: Matroid):
     point to its image, `class_of_point` maps it to its class as an element
     mask (0 to the loops), and `autos` are element permutations (perm[i] the
     image of i) that generate Aut(m): the search's symmetries lifted to
-    elements, and the swaps of neighbours inside each class."""
+    elements, and the swaps of neighbours inside each class.
+
+    The search's result depends on its (points, weights) alone.  Inside one
+    `search.three_connected_census_22` call, matroids with the same inputs
+    share one search, and so one `mapping` dict and autos list, which are
+    read and never mutated.  The sharing ends with the call: it is never
+    process-wide, so a later call searches again and memory stays bounded
+    by one call's inputs.  Outside a census call each matroid searches for
+    itself."""
     if m._canon is not None:
         return m._canon
     r, n = m.rank(), m.n
@@ -254,8 +268,13 @@ def _canonical(m: Matroid):
     for e, p in enumerate(_rank_rows(mat).point_values()):
         class_of_point[p] = class_of_point.get(p, 0) | 1 << e
     pairs = sorted((p, c.bit_count()) for p, c in class_of_point.items() if p)
-    form, mapping, point_autos = _canon_search(
-        tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
+    inputs = (tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
+    searches = _census_searches.get()
+    if searches is None:
+        searches = {}  # outside a census call nothing is shared
+    if inputs not in searches:
+        searches[inputs] = _canon_search(*inputs)
+    form, mapping, point_autos = searches[inputs]
     autos = []
     for g in point_autos:
         perm = list(range(n))

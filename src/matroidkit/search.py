@@ -20,6 +20,7 @@ from .gf import GFMatrix, rref, subspace_masks
 from .iso import (
     BudgetExhausted,
     NotBinary,
+    _census_searches,
     _rank_rows,
     binary_canonical_form,
     element_orbits,
@@ -501,45 +502,54 @@ def three_connected_census_22():
     (b) direct orderly enumeration at rank <= 5 with simple, cosimple, and
     3-connected leaf filters, closed under duality (every member has rank
     or corank at most 5), plus the six matroids on at most 3 elements.
-    Raises when the two routes disagree."""
+    Raises when the two routes disagree.
+
+    The call's canonical searches share one dict (`iso._census_searches`),
+    so matroids on the same weighted point set are searched once per call.
+    The dict is set on entry and reset on exit, also on an exception, so no
+    later call reads an earlier call's searches."""
     t0 = time.time()
-    seeds = census_seeds()
-    census_a, closure_children = _minor_closure_3connected(seeds)
-    tiny = catalog.tiny_six()
-    for m in tiny:
-        if any(has_minor(s, m) is not None for s in seeds):
-            census_a.setdefault(iso_key(m), m)
-    cfg = SearchConfig(r=5, k=2, l=2, require_cosimple=True,
-                       require_3connected=True)
-    report = enumerate_kl_uniform(cfg)
-    census_b = {}
-    for m in report.representatives:
-        if m.n < 4:
-            continue
-        census_b.setdefault(iso_key(m), m)
-        d = m.dual()
-        census_b.setdefault(iso_key(d), d)
-    for m in tiny:
-        census_b.setdefault(iso_key(m), m)
-    if set(census_a) != set(census_b):
-        only_a = [census_a[k].name or str(k) for k in set(census_a) - set(census_b)]
-        only_b = [census_b[k].name or str(k) for k in set(census_b) - set(census_a)]
-        raise MatroidError(
-            f"census mismatch: minors-only {only_a}, enumeration-only {only_b}")
-    members = [census_b[k] for k in census_b]
-    members.sort(key=lambda m: (m.rank(), m.n, iso_key(m)))
-    counts = Counter((m.rank(), m.n) for m in members)
-    f_value = max(m.rank() for m in members if m.is_simple() and m.is_cosimple())
-    stats = dict(report.stats)
-    stats["census_size"] = len(members)
-    stats["closure_children"] = closure_children
-    return SearchReport(
-        config=cfg,
-        representatives=members,
-        forms=None,
-        counts=dict(counts),
-        max_rank=max(m.rank() for m in members),
-        f_value=f_value,
-        stats=stats,
-        wall_time=time.time() - t0,
-    )
+    token = _census_searches.set({})
+    try:
+        seeds = census_seeds()
+        census_a, closure_children = _minor_closure_3connected(seeds)
+        tiny = catalog.tiny_six()
+        for m in tiny:
+            if any(has_minor(s, m) is not None for s in seeds):
+                census_a.setdefault(iso_key(m), m)
+        cfg = SearchConfig(r=5, k=2, l=2, require_cosimple=True,
+                           require_3connected=True)
+        report = enumerate_kl_uniform(cfg)
+        census_b = {}
+        for m in report.representatives:
+            if m.n < 4:
+                continue
+            census_b.setdefault(iso_key(m), m)
+            d = m.dual()
+            census_b.setdefault(iso_key(d), d)
+        for m in tiny:
+            census_b.setdefault(iso_key(m), m)
+        if set(census_a) != set(census_b):
+            only_a = [census_a[k].name or str(k) for k in set(census_a) - set(census_b)]
+            only_b = [census_b[k].name or str(k) for k in set(census_b) - set(census_a)]
+            raise MatroidError(
+                f"census mismatch: minors-only {only_a}, enumeration-only {only_b}")
+        members = [census_b[k] for k in census_b]
+        members.sort(key=lambda m: (m.rank(), m.n, iso_key(m)))
+        counts = Counter((m.rank(), m.n) for m in members)
+        f_value = max(m.rank() for m in members if m.is_simple() and m.is_cosimple())
+        stats = dict(report.stats)
+        stats["census_size"] = len(members)
+        stats["closure_children"] = closure_children
+        return SearchReport(
+            config=cfg,
+            representatives=members,
+            forms=None,
+            counts=dict(counts),
+            max_rank=max(m.rank() for m in members),
+            f_value=f_value,
+            stats=stats,
+            wall_time=time.time() - t0,
+        )
+    finally:
+        _census_searches.reset(token)

@@ -15,11 +15,12 @@ from matroidkit.iso import (
     BudgetExhausted,
     NotBinary,
     _canon_search,
+    _census_searches,
     are_isomorphic,
     is_canonical_point_set,
     iso_key,
 )
-from matroidkit.matroid import MatroidError, from_matrix, is_binary_affine
+from matroidkit.matroid import MatroidError, from_matrix, is_binary_affine, is_isomorphism
 from matroidkit.search import (
     SearchConfig,
     SearchReport,
@@ -451,6 +452,71 @@ def test_census_members_are_uniform_and_3connected(census):
     for m in sample:
         assert m.is_3connected()
         assert is_kl_uniform_flats(m, 2, 2)[0]
+
+
+def test_census_shares_searches_within_one_call_only(monkeypatch):
+    # each call searches each distinct (points, weights) once (the parent
+    # searched 314 times on 133 inputs); a second call shares nothing with
+    # the first, and a shared result is never mutated by its readers
+    searched = []
+    memos = []
+
+    def counted(points, weights, target=None, autos=None):
+        if target is None:
+            searched.append((points, weights))
+        return _canon_search(points, weights, target, autos)
+
+    def enumerate_and_keep_memo(cfg):
+        memos.append(_census_searches.get())
+        return enumerate_kl_uniform(cfg)
+
+    monkeypatch.setattr("matroidkit.iso._canon_search", counted)
+    monkeypatch.setattr(search, "enumerate_kl_uniform", enumerate_and_keep_memo)
+    assert _census_searches.get() is None
+    for _ in range(2):
+        searched.clear()
+        search.three_connected_census_22()
+        assert _census_searches.get() is None
+        assert len(searched) == len(set(searched)) == 133
+    first, second = memos
+    assert first is not second and first == second
+    assert set(second) == set(searched)
+    for key, (form, mapping, autos) in second.items():
+        assert (form, mapping, autos) == _canon_search(*key)
+
+
+def test_census_resets_the_shared_searches_when_it_raises(monkeypatch):
+    inside = []
+
+    def fail(cfg):
+        inside.append(_census_searches.get())
+        raise RuntimeError("enumeration failed")
+
+    monkeypatch.setattr(search, "enumerate_kl_uniform", fail)
+    with pytest.raises(RuntimeError):
+        search.three_connected_census_22()
+    assert isinstance(inside[0], dict) and inside[0]
+    assert _census_searches.get() is None
+
+
+def test_census_matroids_sharing_a_search_get_a_certified_map(monkeypatch):
+    keyed = []
+
+    def recording_iso_key(m):
+        keyed.append(m)
+        return iso_key(m)
+
+    monkeypatch.setattr(search, "iso_key", recording_iso_key)
+    search.three_connected_census_22()
+    # with_name copies share the whole _canon tuple; a shared search shares
+    # only the point map
+    pairs = [(a, b) for i, a in enumerate(keyed) for b in keyed[i + 1:]
+             if a._canon is not b._canon and a._canon[1] is b._canon[1]
+             and a._canon[0] == b._canon[0]]
+    assert pairs
+    a, b = pairs[0]
+    mapping = are_isomorphic(a, b)
+    assert mapping is not None and is_isomorphism(a, b, mapping)
 
 
 def test_census_seeds_are_maximal():
