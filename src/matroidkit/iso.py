@@ -47,6 +47,11 @@ class _Smaller(Exception):
     """Canonicity test found a strictly smaller image."""
 
 
+class _Found(Exception):
+    """A directed search reached a leaf equal to its target; args[0] is the
+    leaf's point map."""
+
+
 # (points, weights) -> _canon_search's result, for one census call (see
 # _canonical); None outside one
 _census_searches: ContextVar[dict | None] = ContextVar("census_searches", default=None)
@@ -55,11 +60,19 @@ _census_searches: ContextVar[dict | None] = ContextVar("census_searches", defaul
 # ---- point-set canonicalization
 
 
-def _canon_search(points, weights, target=None, autos=None):
+def _canon_search(points, weights, target=None, autos=None, directed=False):
     """Minimize the sorted (image, weight) list over injective linear maps.
 
     Returns (best_pairs, best_map, autos).  With a target, raises _Smaller
     the moment any map provably beats it and otherwise confirms the target.
+    Directed, the target is another point set's form with the same multiset
+    of weights, and the search returns a point map or None: it makes the
+    test's comparisons, returns None at once when a smaller block or next
+    slot proves this set's form below the target, cuts a larger one, and
+    returns the map of the first leaf whose list equals the target (None
+    when every branch is cut).  It stops before a second equal leaf, the
+    first tie, so it records no autos and makes no orbit prune.  An empty
+    set matches the empty target with {}.
     autos collect the weight-preserving linear symmetries, as point maps,
     found on ties; a given autos list seeds the orbit prunes with symmetries
     already known (each indexable by every point) and is extended in place.
@@ -88,6 +101,8 @@ def _canon_search(points, weights, target=None, autos=None):
     """
     n = len(points)
     if n == 0:
+        if directed:
+            return None if target else {}
         return (), {}, []
     testing = target is not None
     if autos is None:
@@ -104,8 +119,6 @@ def _canon_search(points, weights, target=None, autos=None):
     best = [p << shift | rank[w] for p, w in target] if testing else None
     best_map = {p: p for p in points} if testing else None
     inv = best_map  # image -> point of the best map
-    if testing and best[0] >> shift > 1:
-        raise _Smaller  # every branch puts image 1 in the first slot
 
     def rec(prefix, tab, vec, forced, outside, fixing, seen):
         # tab[v] is the packed image of each v in span(prefix), -1 off it,
@@ -151,6 +164,8 @@ def _canon_search(points, weights, target=None, autos=None):
                     best_map = {x: child_tab[x] >> shift for x in points}
                     inv = {i: x for x, i in best_map.items()}
                 else:  # a tie, since the bounds above passed
+                    if directed:
+                        raise _Found({x: child_tab[x] >> shift for x in points})
                     autos.append({x: inv[child_tab[x] >> shift] for x in points})
                 if seen < len(autos):  # only a child or a tie finds autos
                     new = [g for g in autos[seen:] if all(g[q] == q for q in prefix)]
@@ -162,7 +177,18 @@ def _canon_search(points, weights, target=None, autos=None):
 
     tab = [-1] * size
     tab[0] = 0
-    rec([], tab, [0], [], sorted(points, key=lambda p: (wt[p], p)), list(autos), len(autos))
+    try:
+        if testing and best[0] >> shift > 1:
+            raise _Smaller  # every branch puts image 1 in the first slot
+        rec([], tab, [0], [], sorted(points, key=lambda p: (wt[p], p)), list(autos), len(autos))
+    except _Smaller:
+        if directed:
+            return None
+        raise
+    except _Found as found:
+        return found.args[0]
+    if directed:
+        return None
     mask = (1 << shift) - 1
     return tuple((x >> shift, values[x & mask]) for x in best), best_map, autos
 
@@ -230,26 +256,13 @@ def binary_canonical_form(m: Matroid):
     return tuple(v - 1 for v, _ in iso_key(m)[4])
 
 
-def _canonical(m: Matroid):
-    """(key, mapping, class_of_point, autos) of a binary matroid with rank or
-    corank at most 6 (not of a rank table past CERTIFY_CAP, which
-    `binary_representation` refuses), computed once and kept on m.  The side
-    of rank <= 6 (m, else m*) is canonicalized as GF(2) points weighted by
-    parallel class size: `key` is what iso_key returns, `mapping` sends each
-    point to its image, `class_of_point` maps it to its class as an element
-    mask (0 to the loops), and `autos` are element permutations (perm[i] the
-    image of i) that generate Aut(m): the search's symmetries lifted to
-    elements, and the swaps of neighbours inside each class.
-
-    The search's result depends on its (points, weights) alone.  Inside one
-    `search.three_connected_census_22` call, matroids with the same inputs
-    share one search, and so one `mapping` dict and autos list, which are
-    read and never mutated.  The sharing ends with the call: it is never
-    process-wide, so a later call searches again and memory stays bounded
-    by one call's inputs.  Outside a census call each matroid searches for
-    itself."""
-    if m._canon is not None:
-        return m._canon
+def _canon_inputs(m: Matroid):
+    """(head, class_of_point, (points, weights)) of a binary matroid with
+    rank or corank at most 6 (not of a rank table past CERTIFY_CAP, which
+    `binary_representation` refuses).  The side of rank <= 6 (m, else m*) is
+    read as GF(2) points weighted by parallel class size: `class_of_point`
+    maps each point to its class as an element mask (0 to the loops), and
+    head = (n, r, side, loops) begins the key."""
     r, n = m.rank(), m.n
     if min(r, n - r) > 6:
         raise MatroidError("iso_key needs rank or corank at most 6")
@@ -269,27 +282,34 @@ def _canonical(m: Matroid):
         class_of_point[p] = class_of_point.get(p, 0) | 1 << e
     pairs = sorted((p, c.bit_count()) for p, c in class_of_point.items() if p)
     inputs = (tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
+    return (n, r, side, class_of_point.get(0, 0).bit_count()), class_of_point, inputs
+
+
+def _canonical(m: Matroid):
+    """(key, mapping, class_of_point, autos) of m, from `_canon_inputs`'
+    points searched once and kept on m: `key` is the head followed by the
+    least weighted image (what iso_key returns), `mapping` sends each point
+    to its image, and `autos` are the search's point automorphisms, which
+    with the swaps inside each class generate Aut(m) (`element_orbits`
+    lifts them to elements).
+
+    The search's result depends on its (points, weights) alone.  Inside one
+    `search.three_connected_census_22` call, matroids with the same inputs
+    share one search, and so one `mapping` dict and autos list, which are
+    read and never mutated.  The sharing ends with the call: it is never
+    process-wide, so a later call searches again and memory stays bounded
+    by one call's inputs.  Outside a census call each matroid searches for
+    itself."""
+    if m._canon is not None:
+        return m._canon
+    head, class_of_point, inputs = _canon_inputs(m)
     searches = _census_searches.get()
     if searches is None:
         searches = {}  # outside a census call nothing is shared
     if inputs not in searches:
         searches[inputs] = _canon_search(*inputs)
-    form, mapping, point_autos = searches[inputs]
-    autos = []
-    for g in point_autos:
-        perm = list(range(n))
-        for p, q in g.items():
-            for i, j in zip(_bits(class_of_point[p]), _bits(class_of_point[q])):
-                perm[i] = j
-        autos.append(tuple(perm))
-    for cls in class_of_point.values():
-        members = list(_bits(cls))
-        for i, j in zip(members, members[1:]):
-            perm = list(range(n))
-            perm[i], perm[j] = j, i
-            autos.append(tuple(perm))
-    key = (n, r, side, class_of_point.get(0, 0).bit_count(), form)
-    m._canon = (key, mapping, class_of_point, autos)
+    form, mapping, autos = searches[inputs]
+    m._canon = (head + (form,), mapping, class_of_point, autos)
     return m._canon
 
 
@@ -425,10 +445,38 @@ def are_isomorphic(m1: Matroid, m2: Matroid):
 
 
 def _binary_iso(m1, m2):
-    key1, map1, classes1, _ = _canonical(m1)
-    key2, map2, classes2, _ = _canonical(m2)
-    if key1 != key2:
-        return None
+    """are_isomorphic for two binary matroids with rank or corank at most 6.
+    One side, m1 or whichever side already has `_canon`, is canonized.  A
+    side without `_canon` reads only its inputs and, when its head and
+    weights match, walks straight to that form (`_canon_search` directed)
+    and keeps nothing; a side with one reads its own.
+
+    The directed map is the one the side's own full search would keep, so
+    the label map is unchanged.  That search's `best_map` is the first leaf,
+    in DFS order, whose list equals the final minimum: a bound cut removes
+    only subtrees whose lists exceed the best so far, and an orbit prune
+    skips only a subtree isomorphic to an earlier one, which holds the
+    matching leaf.  The directed walk takes children in the same (weight,
+    point) order and cuts only subtrees that cannot reach the target, so its
+    first target leaf is that same leaf."""
+    key = _canonical(m2 if m1._canon is None and m2._canon is not None else m1)[0]
+    form = key[4]
+    sides = []
+    for m in (m1, m2):
+        if m._canon is not None:
+            if m._canon[0] != key:
+                return None
+            sides.append(m._canon[1:3])
+            continue
+        head, classes, (points, weights) = _canon_inputs(m)
+        # equal weights first: the directed search ranks the target's weights
+        if head != key[:4] or sorted(weights) != sorted(w for _, w in form):
+            return None
+        mapping = _canon_search(points, weights, target=form, directed=True)
+        if mapping is None:
+            return None
+        sides.append((mapping, classes))
+    (map1, classes1), (map2, classes2) = sides
     inv2 = {img: p for p, img in map2.items()}
     inv2[0] = 0  # loops to loops
     mapping = {}
@@ -454,9 +502,9 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     per C); with a cosimple target a built candidate that is not cosimple is
     skipped.  The rest are filtered by the exact iso_key when m and the
     target are binary-backed and the target has rank or corank at most 6,
-    and by fingerprint otherwise.  Every candidate counts against the
-    budget, skipped or not.  Raises BudgetExhausted, and MatroidError for a
-    budget below 1."""
+    and by fingerprint otherwise; the target is keyed only once a candidate
+    reaches that test.  Every candidate counts against the budget, skipped
+    or not.  Raises BudgetExhausted, and MatroidError for a budget below 1."""
     if budget < 1:
         raise MatroidError("budget must be positive")
     dr = m.rank() - target.rank()
@@ -466,7 +514,7 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     if (_gf2_matrix(m) is not None and _gf2_matrix(target) is not None
             and min(target.rank(), target.n - target.rank()) <= 6):
         invariant = iso_key
-    target_inv = invariant(target)
+    target_inv = None  # keyed when the first candidate reaches the test
     simple, cosimple = target.is_simple(), target.is_cosimple()
     spent = 0
     for cmask in _subsets(m.n, dr):
@@ -488,6 +536,8 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
                 continue
             if cosimple and not restr.is_cosimple():
                 continue
+            if target_inv is None:
+                target_inv = invariant(target)
             if invariant(restr) != target_inv:
                 continue
             if are_isomorphic(restr, target) is not None:
@@ -501,6 +551,15 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
 
 def element_orbits(m: Matroid):
     """Automorphism orbits of a binary matroid with rank or corank at most 6,
-    as label tuples: the classes that the generators _canonical keeps join."""
-    pairs = (pair for perm in _canonical(m)[3] for pair in enumerate(perm))
+    as label tuples.  Aut(m) is generated by the point automorphisms that
+    _canonical keeps, each lifted to elements by sending the members of
+    class p in order to those of class g(p), and by the swaps of neighbours
+    inside each class (the loops included), so its orbits are the classes
+    that those element pairs join."""
+    _, _, class_of_point, autos = _canonical(m)
+    pairs = [pair for g in autos for p, q in g.items()
+             for pair in zip(_bits(class_of_point[p]), _bits(class_of_point[q]))]
+    for cls in class_of_point.values():
+        members = list(_bits(cls))
+        pairs += zip(members, members[1:])
     return sorted(m.labels_of(c) for c in _joined_classes(m.n, pairs))

@@ -586,9 +586,12 @@ def _joined_classes(n, pairs):
 def _column_classes(matrix):
     """Parallel classes of a matrix's columns: loops are the zero columns, and
     two others are parallel iff their packed columns are equal once scaled
-    to a top lane of 1 (`gf._monic`)."""
+    to a top lane of 1 (`gf._monic`, skipped when the top lane holds 1, as
+    over GF(2) it always does)."""
     lanes = matrix.field.lanes[matrix.nrows]
-    return _classes(c and _monic(lanes, c) for c in matrix.col_bits)
+    inner = (1 << lanes[7]) - 1  # the bits of a lane above its lowest
+    return _classes(_monic(lanes, c) if c and c.bit_length() - 1 & inner else c
+                    for c in matrix.col_bits)
 
 
 def _has_2separation(matrix):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,7 @@ from matroidkit.matroid import (
     Matroid,
     MatroidError,
     RankTableRep,
+    _bits,
     as_rank_table,
     binary_three_sum,
     from_graph,
@@ -407,6 +409,30 @@ def test_has_minor_structural_filters_keep_the_fingerprint_witness():
     assert found >= 20
 
 
+def test_has_minor_keys_its_target_only_for_a_candidate(monkeypatch):
+    # every 3-subset of two parallel pairs holds a pair, so no candidate of
+    # the first host reaches the key test, and its target is never keyed
+    triangle = from_matrix(GFMatrix(2, [[1, 0, 1], [0, 1, 1]]))
+    pairs = from_matrix(GFMatrix(2, [[1, 1, 0, 0], [0, 0, 1, 1]]))
+    mw4 = catalog.named("MW4")
+    hosts = [e.matroid for e in catalog.entries() if e.matroid.n >= 8 and e.matroid.rank() >= 4]
+    hosts += _random_hosts(random.Random(59), 2, 12, (4, 5), (8, 9))
+    cases = [(pairs, triangle)] + [(m, mw4) for m in hosts]
+    expected = [_has_minor_by_fingerprint(m, target) for m, target in cases]
+    keyed = []
+    monkeypatch.setattr(iso, "iso_key", lambda m: keyed.append(m) or iso_key(m))
+    got, unkeyed = [], []
+    for m, target in cases:
+        keyed.clear()
+        got.append(has_minor(m, target))
+        # the target first, once, and only when a candidate is keyed
+        assert [k is target for k in keyed[:2]] == [True, False][:len(keyed)], m
+        if not keyed:
+            unkeyed.append(m)
+    assert got == expected
+    assert unkeyed[0] is pairs and sum(w is not None for w in got) >= 8 and None in got[1:]
+
+
 def test_has_minor_budget_counts_skipped_candidates():
     # P10 behind two copies of its element 4 and a loop: the first 1,794
     # candidates, most holding a parallel pair or the loop, are all spent
@@ -458,10 +484,25 @@ def test_element_orbits_match_marked_canonical_forms():
 
 
 def test_cached_automorphisms_are_automorphisms():
+    # _canonical keeps point maps; lift each to elements (class p onto class
+    # g(p), members in order), and add each swap of neighbours in a class
     for m in automorphism_corpus():
-        autos = _canonical(m)[3]
+        _, _, class_of_point, autos = _canonical(m)
         assert _canonical(m) is m._canon
-        for perm in autos:
+        perms = []
+        for g in autos:
+            perm = list(range(m.n))
+            for p, q in g.items():
+                for i, j in zip(_bits(class_of_point[p]), _bits(class_of_point[q])):
+                    perm[i] = j
+            perms.append(perm)
+        for cls in class_of_point.values():
+            members = list(_bits(cls))
+            for i, j in zip(members, members[1:]):
+                perm = list(range(m.n))
+                perm[i], perm[j] = j, i
+                perms.append(perm)
+        for perm in perms:
             mapping = {m.labels[i]: m.labels[j] for i, j in enumerate(perm)}
             assert is_isomorphism(m, m, mapping), m
 
@@ -476,8 +517,26 @@ def _gf2_rank(vectors):
     return len(piv)
 
 
-def _from_columns(cols, r):
-    return from_matrix(GFMatrix(2, [[c >> (r - 1 - i) & 1 for c in cols] for i in range(r)]))
+def _from_columns(cols, r, labels=None):
+    return from_matrix(GFMatrix(2, [[c >> (r - 1 - i) & 1 for c in cols] for i in range(r)]),
+                       labels=labels)
+
+
+def _moved(cols, r, rng):
+    """cols under a random invertible change of basis of GF(2)^r, shuffled."""
+    while True:
+        basis = [rng.randrange(1, 1 << r) for _ in range(r)]  # images of the unit vectors
+        if _gf2_rank(basis) == r:
+            break
+    moved = []
+    for c in cols:
+        w = 0
+        for i in range(r):
+            if c >> (r - 1 - i) & 1:
+                w ^= basis[i]
+        moved.append(w)
+    rng.shuffle(moved)
+    return moved
 
 
 def test_iso_key_invariant_under_basis_change_and_column_permutation():
@@ -489,19 +548,94 @@ def test_iso_key_invariant_under_basis_change_and_column_permutation():
         cols = [rng.randrange(1 << r) for _ in range(rng.randint(1, r + 6))]
         if len(cols) - _gf2_rank(cols) > 6:
             continue
-        basis = [rng.randrange(1, 1 << r) for _ in range(r)]  # images of the unit vectors
-        if _gf2_rank(basis) < r:
-            continue
-        moved = []
-        for c in cols:
-            w = 0
-            for i in range(r):
-                if c >> (r - 1 - i) & 1:
-                    w ^= basis[i]
-            moved.append(w)
-        rng.shuffle(moved)
-        assert iso_key(_from_columns(cols, r)) == iso_key(_from_columns(moved, r)), (cols, basis)
+        moved = _moved(cols, r, rng)
+        assert iso_key(_from_columns(cols, r)) == iso_key(_from_columns(moved, r)), (cols, moved)
         checked += 1
+
+
+def _directed_corpus(count):
+    """Pairs of GF(2) column lists (cols, other, rows): relabelled copies and
+    unrelated matrices of one shape, with loops and parallel classes, rank 0,
+    rank 7 or 8 read through the dual, and an empty dual side."""
+    rng = random.Random(2323)
+    pairs = []
+    while len(pairs) < count:
+        r = rng.choice((0, 1, 2, 3, 3, 4, 4, 5, 5, 6, 7, 8))
+        if r == 0:
+            n = rng.randint(1, 4)
+            pairs.append(([0] * n, [0] * n, 1))
+            continue
+        n = rng.randint(r, r + 6)
+        if 3 <= r <= 6 and rng.random() < 0.3:
+            # simple: every weight 1, so unrelated sets share head and weights
+            def draw():
+                return rng.sample(range(1, 1 << r), min(n, (1 << r) - 1))
+        else:
+            # few distinct values give loops and parallel classes
+            spread = rng.choice((1 << r, 1 << r, min(1 << r, r + 2)))
+
+            def draw():
+                return [rng.randrange(spread) for _ in range(n)]
+        cols = draw()
+        if r >= 7 and rng.random() < 0.15:
+            cols = [1 << i for i in range(r)]  # all coloops: the dual has no points
+        other = _moved(cols, r, rng) if rng.random() < 0.5 else draw()[:len(cols)]
+        pairs.append((cols, other, r))
+    return pairs
+
+
+def _fresh_pair(cols, other, rows):
+    labels = tuple(f"e{i}" for i in range(len(other)))
+    return _from_columns(cols, rows), _from_columns(other, rows, labels)
+
+
+def test_directed_isomorphism_keeps_the_map_of_two_canonical_searches():
+    # the reference canonizes both sides first, as are_isomorphic did before
+    # it walked one side straight to the other's form
+    found = heads_equal = 0
+    seen = Counter()
+    for i, (cols, other, rows) in enumerate(_directed_corpus(2000)):
+        a, b = _fresh_pair(cols, other, rows)
+        if a.rank() != b.rank() or min(a.rank(), a.n - a.rank()) > 6:
+            continue
+        key_a, map_a, classes_a, _ = _canonical(a)
+        key_b, map_b, classes_b, _ = _canonical(b)
+        seen.update({"rank 0": key_a[1] == 0, "dual": key_a[2] == "d",
+                     "empty dual": key_a[2] == "d" and not key_a[4],
+                     "loops": key_a[3] > 0, "parallel": any(w > 1 for _, w in key_a[4])})
+        expected = None
+        if key_a == key_b:
+            inv = {img: p for p, img in map_b.items()}
+            inv[0] = 0
+            expected = {}
+            for p, cls in classes_a.items():
+                expected.update(zip(a.labels_of(cls), b.labels_of(classes_b[inv[map_a.get(p, 0)]])))
+        elif key_a[:4] == key_b[:4] and sorted(w for _, w in key_a[4]) == sorted(
+                w for _, w in key_b[4]):
+            heads_equal += 1
+        x, y = _fresh_pair(cols, other, rows)
+        if i % 3 == 2:
+            _canonical(y)  # the canonized side is m2, so m1 walks to its form
+        directed, walked = (x, y) if i % 3 == 2 else (y, x)
+        assert are_isomorphic(x, y) == expected, (cols, other, rows)
+        assert directed._canon is None and walked._canon is not None
+        if expected is not None:
+            found += 1
+            assert is_isomorphism(x, y, expected)
+            assert iso_key(directed) == iso_key(walked)
+    assert found >= 1000 and heads_equal >= 100, (found, heads_equal)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_directed_isomorphism_on_the_edge_cases():
+    # rank 0; rank 7 with no dual points; parallel classes and loops
+    cases = [([0, 0, 0], 1), ([1 << i for i in range(7)], 7),
+             ([1 << i for i in range(7)] + [0], 7), ([1, 1, 2, 0, 3, 3], 2)]
+    for cols, rows in cases:
+        a, b = _fresh_pair(cols, cols[::-1], rows)
+        mapping = are_isomorphic(a, b)
+        assert mapping is not None and is_isomorphism(a, b, mapping)
+        assert b._canon is None and iso_key(b) == iso_key(a)
 
 
 def test_is_binary(f7):

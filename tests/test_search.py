@@ -461,10 +461,10 @@ def test_census_shares_searches_within_one_call_only(monkeypatch):
     searched = []
     memos = []
 
-    def counted(points, weights, target=None, autos=None):
+    def counted(points, weights, target=None, autos=None, directed=False):
         if target is None:
             searched.append((points, weights))
-        return _canon_search(points, weights, target, autos)
+        return _canon_search(points, weights, target, autos, directed)
 
     def enumerate_and_keep_memo(cfg):
         memos.append(_census_searches.get())
