@@ -616,26 +616,15 @@ def test_directed_isomorphism_keeps_the_map_of_two_canonical_searches():
         x, y = _fresh_pair(cols, other, rows)
         if i % 3 == 2:
             _canonical(y)  # the canonized side is m2, so m1 walks to its form
-        directed, walked = (x, y) if i % 3 == 2 else (y, x)
+        walked, canonized = (x, y) if i % 3 == 2 else (y, x)
         assert are_isomorphic(x, y) == expected, (cols, other, rows)
-        assert directed._canon is None and walked._canon is not None
+        assert walked._canon is None and canonized._canon is not None
         if expected is not None:
             found += 1
             assert is_isomorphism(x, y, expected)
-            assert iso_key(directed) == iso_key(walked)
+            assert iso_key(walked) == iso_key(canonized)
     assert found >= 1000 and heads_equal >= 100, (found, heads_equal)
     assert min(seen.values()) >= 20, seen
-
-
-def test_directed_isomorphism_on_the_edge_cases():
-    # rank 0; rank 7 with no dual points; parallel classes and loops
-    cases = [([0, 0, 0], 1), ([1 << i for i in range(7)], 7),
-             ([1 << i for i in range(7)] + [0], 7), ([1, 1, 2, 0, 3, 3], 2)]
-    for cols, rows in cases:
-        a, b = _fresh_pair(cols, cols[::-1], rows)
-        mapping = are_isomorphic(a, b)
-        assert mapping is not None and is_isomorphism(a, b, mapping)
-        assert b._canon is None and iso_key(b) == iso_key(a)
 
 
 def test_is_binary(f7):
