@@ -173,7 +173,7 @@ def _canon_search(points, weights, target=None, autos=None, directed=False):
                     if new:
                         fixing += new
                         covered = _closure(covered, fixing, list(_bits(covered)))
-            covered |= _closure(1 << p, fixing, [p])
+            covered |= _closure(1 << p, fixing, [p]) if fixing else 1 << p
 
     tab = [-1] * size
     tab[0] = 0
@@ -412,32 +412,33 @@ def _generic_isomorphism(m1, m2):
     return {m1.labels[i]: m2.labels[j] for i, j in assign.items()}
 
 
-def _binary_matrix_or_unknown(m):
-    """GFMatrix, None (provably non-binary), or 'unknown' (size cap)."""
-    try:
-        return binary_representation(m)
-    except MatroidError:
-        return "unknown"
-
-
 def are_isomorphic(m1: Matroid, m2: Matroid):
-    """Label bijection m1 -> m2 if isomorphic, else None.  Binary matroids go
-    through canonical forms; everything else through circuit backtracking."""
-    if (m1.n, m1.rank()) != (m2.n, m2.rank()):
+    """Label bijection m1 -> m2 if isomorphic, else None; the one place that
+    decides how a pair is tested.  A GF(2)-backed pair with rank or corank at
+    most 6 goes to canonical forms (`_binary_iso`).  Any other pair must
+    agree on `fingerprint`; then a pair certified binary with rank or corank
+    at most 6 goes to canonical forms, one binary side against a non-binary
+    one gives None, and the rest (a rank table past CERTIFY_CAP included)
+    take the circuit backtrack."""
+    r, n = m1.rank(), m1.n
+    if (n, r) != (m2.n, m2.rank()):
         return None
-    if m1.n == 0:
+    if n == 0:
         return {}
-    a = _binary_matrix_or_unknown(m1)
-    b = _binary_matrix_or_unknown(m2)
-    if a is None and b is None:
-        pass  # both non-binary: generic path
-    elif isinstance(a, GFMatrix) and isinstance(b, GFMatrix):
-        if min(m1.rank(), m1.n - m1.rank()) <= 6:
-            return _binary_iso(m1, m2)
-    elif a != "unknown" and b != "unknown":
-        return None  # one binary, one not
+    small = min(r, n - r) <= 6
+    if small and _gf2_matrix(m1) is not None and _gf2_matrix(m2) is not None:
+        return _binary_iso(m1, m2)
     if fingerprint(m1) != fingerprint(m2):
         return None
+    try:
+        a, b = binary_representation(m1), binary_representation(m2)
+    except MatroidError:
+        pass  # a rank table past CERTIFY_CAP: the generic path
+    else:
+        if (a is None) != (b is None):
+            return None
+        if a is not None and small:
+            return _binary_iso(m1, m2)
     mapping = _generic_isomorphism(m1, m2)
     if mapping is None:
         return None
@@ -500,21 +501,16 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     target a candidate is skipped before it is built when its kept set holds
     a loop of m/C or two elements of one parallel class of m/C (read once
     per C); with a cosimple target a built candidate that is not cosimple is
-    skipped.  The rest are filtered by the exact iso_key when m and the
-    target are binary-backed and the target has rank or corank at most 6,
-    and by fingerprint otherwise; the target is keyed only once a candidate
-    reaches that test.  Every candidate counts against the budget, skipped
-    or not.  Raises BudgetExhausted, and MatroidError for a budget below 1."""
+    skipped.  The rest are decided by `are_isomorphic(target, candidate)`:
+    on a binary pair it canonizes the target once, keeps the form on it, and
+    walks each candidate straight to that form.  Every candidate counts
+    against the budget, skipped or not.  Raises BudgetExhausted, and
+    MatroidError for a budget below 1."""
     if budget < 1:
         raise MatroidError("budget must be positive")
     dr = m.rank() - target.rank()
     if dr < 0 or m.n < target.n:
         return None
-    invariant = fingerprint
-    if (_gf2_matrix(m) is not None and _gf2_matrix(target) is not None
-            and min(target.rank(), target.n - target.rank()) <= 6):
-        invariant = iso_key
-    target_inv = None  # keyed when the first candidate reaches the test
     simple, cosimple = target.is_simple(), target.is_cosimple()
     spent = 0
     for cmask in _subsets(m.n, dr):
@@ -536,11 +532,7 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
                 continue
             if cosimple and not restr.is_cosimple():
                 continue
-            if target_inv is None:
-                target_inv = invariant(target)
-            if invariant(restr) != target_inv:
-                continue
-            if are_isomorphic(restr, target) is not None:
+            if are_isomorphic(target, restr) is not None:
                 dmask = m.full_mask ^ cmask ^ m.mask_of(restr.labels)
                 return cmask, dmask
     return None

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .matroid import Matroid, MatroidError, _bits, is_isomorphism, parallel_connection, uniform
+from .matroid import Matroid, MatroidError, _bits, _fresh_labels, is_isomorphism
+from .matroid import parallel_connection, uniform
 
 __all__ = [
     "FlatWitness",
@@ -246,9 +247,7 @@ def _try_u24(m, tri_labels, xl, yl, zl):
 
 
 def _rebuild_matches(m, n, base, xl, zl):
-    tmp = base + "~"
-    while tmp in m._pos or tmp in n._pos:
-        tmp += "~"
+    [tmp] = _fresh_labels({*m.labels, *n.labels}, [base])
     u = uniform(2, 4, labels=(base, xl, tmp, zl))
     rebuilt = parallel_connection(n, base, u, base)
     rebuilt = rebuilt.delete(rebuilt.mask_of((base,))).relabel({tmp: base})

@@ -411,26 +411,34 @@ def test_has_minor_structural_filters_keep_the_fingerprint_witness():
 
 def test_has_minor_keys_its_target_only_for_a_candidate(monkeypatch):
     # every 3-subset of two parallel pairs holds a pair, so no candidate of
-    # the first host reaches the key test, and its target is never keyed
+    # the first host reaches are_isomorphic, and nothing is searched; on the
+    # others the target (a fresh MW4 each) is canonized at most once and
+    # every candidate walks straight to its form
     triangle = from_matrix(GFMatrix(2, [[1, 0, 1], [0, 1, 1]]))
     pairs = from_matrix(GFMatrix(2, [[1, 1, 0, 0], [0, 0, 1, 1]]))
-    mw4 = catalog.named("MW4")
     hosts = [e.matroid for e in catalog.entries() if e.matroid.n >= 8 and e.matroid.rank() >= 4]
     hosts += _random_hosts(random.Random(59), 2, 12, (4, 5), (8, 9))
-    cases = [(pairs, triangle)] + [(m, mw4) for m in hosts]
+    cases = [(pairs, triangle)] + [(m, catalog.named("MW4")) for m in hosts]
     expected = [_has_minor_by_fingerprint(m, target) for m, target in cases]
-    keyed = []
-    monkeypatch.setattr(iso, "iso_key", lambda m: keyed.append(m) or iso_key(m))
-    got, unkeyed = [], []
+    searches = []
+    search = iso._canon_search
+    monkeypatch.setattr(iso, "_canon_search", lambda points, weights, **kw: searches.append(
+        (points, weights, kw)) or search(points, weights, **kw))
+    got, unsearched = [], []
     for m, target in cases:
-        keyed.clear()
+        searches.clear()
         got.append(has_minor(m, target))
-        # the target first, once, and only when a candidate is keyed
-        assert [k is target for k in keyed[:2]] == [True, False][:len(keyed)], m
-        if not keyed:
-            unkeyed.append(m)
+        full = [(p, w) for p, w, kw in searches if not kw]
+        walks = [kw for _, _, kw in searches if kw]
+        assert full in ([], [iso._canon_inputs(target)[2]]), m
+        assert all(kw.get("directed") for kw in walks), m
+        # a witness was walked to the target's form, searched once
+        assert got[-1] is None or full and walks, m
+        if not searches:
+            unsearched.append(m)
     assert got == expected
-    assert unkeyed[0] is pairs and sum(w is not None for w in got) >= 8 and None in got[1:]
+    assert unsearched[0] is pairs
+    assert sum(w is not None for w in got) >= 8 and None in got[1:]
 
 
 def test_has_minor_budget_counts_skipped_candidates():
@@ -637,7 +645,9 @@ def test_is_binary(f7):
     assert is_binary(as_rank_table(f7))
 
 
-def test_generic_isomorphism_on_non_binary():
+def test_generic_isomorphism_on_non_binary(monkeypatch, f7):
+    calls = []
+    monkeypatch.setattr(iso, "fingerprint", lambda m: calls.append(m) or fingerprint(m))
     a = u_matroid(2, 4)
     b = u_matroid(2, 4, labels=("w", "x", "y", "z"))
     cert = are_isomorphic(a, b)
@@ -651,6 +661,19 @@ def test_generic_isomorphism_on_non_binary():
     # fingerprints differ
     gf3 = from_matrix(GFMatrix(3, [(1, 0, 1, 1, 1), (0, 1, 1, 2, 0)]))
     assert are_isomorphic(u_matroid(2, 5), gf3) is None
+    # the four pairs of equal size and rank above were fingerprinted first; a
+    # GF(2)-backed pair never is, and a certified rank table goes on to
+    # canonical forms
+    assert len(calls) == 8
+    calls.clear()
+    assert are_isomorphic(f7, catalog.named("F7")) is not None and not calls
+    monkeypatch.setattr(iso, "_generic_isomorphism", lambda a, b: pytest.fail("backtrack used"))
+    table = as_rank_table(f7)
+    cert = are_isomorphic(table, f7)
+    assert cert is not None and is_isomorphism(table, f7, cert) and calls == [table, f7]
+    # has_minor asks are_isomorphic, so a rank-table host is fingerprinted
+    calls.clear()
+    assert has_minor(catalog.named("MW4").dual(), catalog.named("MW4")) == (0, 0) and calls
 
 
 def test_isomorphism_past_the_certify_cap(monkeypatch):
