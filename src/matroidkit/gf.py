@@ -8,9 +8,10 @@ flats read packed columns (`col_bits`): entry i in lane i of one int, of
 1 bit for GF(2), 2 for GF(4) and 4 for GF(3), GF(5) and GF(7).  Xor adds
 in characteristic 2; odd p adds ints, then takes p off every lane of the
 sum s that reached p (bit 3 of s + (8 - p) set).  One echelon kernel
-(`_echelon`, `_reduce`) serves rank and span, and the flat walk (`_flats`)
-carries each column's remainder down.  GF(4) is not a prime field; its
-tables are built from w^2 = w + 1, elements encoded 0, 1, 2 = w, 3 = w + 1.
+(`_echelon`, `_reduce`) serves rank and span, and one flat walk (`_flats`)
+carries each column's remainder down and lists the flats of every rank up
+to the one asked.  GF(4) is not a prime field; its tables are built from
+w^2 = w + 1, elements encoded 0, 1, 2 = w, 3 = w + 1.
 """
 
 from __future__ import annotations
@@ -348,28 +349,31 @@ def span_of_columns(m: GFMatrix, mask: int) -> int:
 
 
 def _flats(m: GFMatrix, k: int):
-    """Flats of rank k of m's column matroid, as a tuple of masks in the order
-    a scan of the k-subsets in combination order first meets them as
-    closures of independent sets; empty when k exceeds the rank.
+    """Flats of every rank 0 ... k of m's column matroid: entry j is a tuple of
+    the rank-j masks in the order a scan of the j-subsets in combination order
+    first meets them as closures of independent sets; () when k exceeds the
+    rank, found before anything is walked.
 
-    One depth-first walk over the (k-1)-subsets in combination order carries
-    every column's remainder modulo span(P), P the prefix: the one that is
-    zero at each pivot lane taken so far.  A column is independent of P iff
-    its remainder u is nonzero; a dependent prefix cuts its subtree.  Adding
-    u takes its top lane s, holding x, as pivot: the child's list adds
-    -y u/x to each v whose lane s holds y, which clears it.  At a leaf each
-    remainder is scaled to a top lane of 1 once (`_monic`): the zero ones
-    make cl(P), and for each later column e with a nonzero remainder,
-    cl(P + e) is cl(P) plus e's remainder class."""
+    One depth-first walk over the subsets of at most k - 1 columns in
+    combination order fills every rank.  It carries every column's remainder
+    modulo span(P), P the node: the one that is zero at each pivot lane taken
+    so far.  A column is independent of P iff its remainder u is nonzero; a
+    dependent node cuts its subtree.  Adding u takes its top lane s, holding
+    x, as pivot: the child's list adds -y u/x to each v whose lane s holds y,
+    which clears it.  At each node each remainder is scaled to a top lane of
+    1 once (`_monic`): the zero ones make cl(P), and for each later column e
+    with a nonzero remainder, cl(P + e), of rank |P| + 1, is cl(P) plus e's
+    remainder class.  The nodes of each size are met in combination order,
+    so each rank keeps the order its own walk would give."""
     n = m.ncols
     lanes, cols, _, rank = _echelon(m, (1 << n) - 1)
     if k > rank:
         return ()
     p, fold, eights, _, _, heads, lead, sh, lane, _, _ = lanes
     inner = (1 << sh) - 1  # the bits of a lane above its lowest
-    found = {}  # insertion-ordered set
+    flats = [{} for _ in range(k)]  # insertion-ordered sets of ranks 1 ... k
 
-    def leaf(rem, start):
+    def walk(rem, start, d):
         cl, classes, keys, bit = 0, {}, [], 1
         for v in rem:
             if v:
@@ -380,32 +384,27 @@ def _flats(m: GFMatrix, k: int):
                 cl |= bit
             keys.append(v)
             bit <<= 1
-        for v in keys[start:]:
-            if v:
-                found.setdefault(cl | classes[v])
+        if d < k:
+            found = flats[d]  # rank d + 1
+            for v in keys[start:]:
+                if v:
+                    found.setdefault(cl | classes[v])
+        if d + 1 < k:  # the children list rank d + 2
+            for e in range(start, n - 1):  # a child needs a later column
+                u = rem[e]
+                if not u:
+                    continue
+                s = heads[u.bit_length()] - 1
+                t = _multiples(lanes, _scaled(lanes, u, lead[u >> s]))
+                if p:
+                    child = [w - ((w + fold & eights) >> 3) * p
+                             for v in rem for w in (v + t[v >> s & lane],)]
+                else:
+                    child = [v ^ t[v >> s & lane] for v in rem]
+                walk(child, e + 1, d + 1)
         return cl
 
-    def walk(rem, start, need):
-        if not need:
-            leaf(rem, start)
-            return
-        for e in range(start, n - need):
-            u = rem[e]
-            if not u:
-                continue
-            s = heads[u.bit_length()] - 1
-            t = _multiples(lanes, _scaled(lanes, u, lead[u >> s]))
-            if p:
-                child = [w - ((w + fold & eights) >> 3) * p
-                         for v in rem for w in (v + t[v >> s & lane],)]
-            else:
-                child = [v ^ t[v >> s & lane] for v in rem]
-            walk(child, e + 1, need - 1)
-
-    if k == 0:
-        return (leaf(cols, n),)
-    walk(cols, 0, k - 1)
-    return tuple(found)
+    return ((walk(cols, 0, 0),), *map(tuple, flats))
 
 
 def null_space(m: GFMatrix):

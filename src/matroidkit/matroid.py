@@ -308,23 +308,26 @@ class Matroid:
     def flats_of_rank(self, k):
         """Every flat of rank exactly k, in the order a scan of the k-subsets
         in combination order first meets them as closures of independent
-        sets.  A matrix takes gf's echelon walk, a rank table that scan.
-        Computed once per rank; each call gets a new list."""
+        sets.  A matrix takes gf's echelon walk: one walk fills every rank up
+        to the highest asked, and a later ask of a lower rank reads its kept
+        list.  A rank table runs that scan once per rank.  Each call gets a
+        new list."""
         flats = self._span[1]
         out = flats.get(k)
         if out is None:
             mat = self.rep.matrix
             if mat is not None and k >= 0:
-                out = _flats(mat, k)  # empty when k exceeds the rank
+                for j, got in enumerate(_flats(mat, k)):  # none when k exceeds the rank
+                    flats.setdefault(j, got)
             elif 0 <= k <= self.rank():
                 found = {}  # insertion-ordered set
                 for mask in _subsets(self.n, k):
                     if self.r(mask) == k:
                         found.setdefault(self.closure(mask))
-                out = tuple(found)
-            if not out:
+                flats[k] = tuple(found)
+            out = flats.get(k)
+            if out is None:
                 raise MatroidError(f"flat rank {k} out of range")
-            flats[k] = out
         return list(out)
 
     # ---- circuits

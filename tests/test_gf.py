@@ -267,8 +267,9 @@ def _reference_rank(q, cols):
 
 
 def _assert_packed_kernels_match_the_reference(m):
-    """rank_of_columns, span_of_columns, _flats (order included) and
-    full_rank_table against rank tables from _reference_rank."""
+    """rank_of_columns, span_of_columns, _flats (every rank of each walk,
+    order included) and full_rank_table against rank tables from
+    _reference_rank."""
     q, n, cols = m.field.q, m.ncols, m.columns
     ranks = [_reference_rank(q, [cols[j] for j in range(n) if mask >> j & 1])
              for mask in range(1 << n)]
@@ -278,13 +279,16 @@ def _assert_packed_kernels_match_the_reference(m):
         assert rank_of_columns(m, mask) == ranks[mask], (m.rows, mask)
         assert span_of_columns(m, mask) == spans[mask], (m.rows, mask)
     assert full_rank_table(from_matrix(m)) == bytes(ranks)
-    for k in range(ranks[-1] + 2):
+    by_rank = []
+    for k in range(ranks[-1] + 1):
         found = {}  # first met as the closure of an independent k-subset
         for subset in itertools.combinations(range(n), k):
             mask = sum(1 << j for j in subset)
             if ranks[mask] == k:
                 found.setdefault(spans[mask])
-        assert gf._flats(m, k) == tuple(found), (m.rows, k)
+        by_rank.append(tuple(found))
+        assert gf._flats(m, k) == tuple(by_rank), (m.rows, k)  # every rank j <= k
+    assert gf._flats(m, ranks[-1] + 1) == ()
 
 
 @st.composite
@@ -321,5 +325,5 @@ def test_packed_kernels_at_the_edges():
         for m in edges:
             _assert_packed_kernels_match_the_reference(m)
     zero = GFMatrix(7, [[0] * 4 for _ in range(3)])
-    assert gf._flats(zero, 0) == (0b1111,) and gf._flats(zero, 1) == ()
+    assert gf._flats(zero, 0) == ((0b1111,),) and gf._flats(zero, 1) == ()
 

@@ -220,8 +220,9 @@ def test_flats_of_rank_matches_the_uncached_scan():
             assert m.flats_of_rank(k) == _flats_by_scan(m, k), (m, k)
     for m in _scaled_corpus(63):
         r = m.rank()
+        scans = tuple(tuple(_flats_by_scan(m, k)) for k in range(r + 1))
         for k in (0, r):  # the walk's two ends: no prefix, and a full basis
-            assert _flats(m.rep.matrix, k) == tuple(_flats_by_scan(m, k)), (m, k)
+            assert _flats(m.rep.matrix, k) == scans[:k + 1], (m, k)
         assert _flats(m.rep.matrix, r + 1) == ()
 
 
@@ -263,6 +264,35 @@ def test_flats_cache_hands_out_fresh_lists(p10):
     assert named.flats_of_rank(2) == first
     named.closure(0b11)
     assert m._span is named._span and 0b11 in m._span[0]
+
+
+def test_flats_of_rank_is_the_same_in_any_ask_order():
+    rng = random.Random(25)
+    for q in (2, 3, 4):
+        for _ in range(8):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 8)
+            mat = GFMatrix(q, [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)])
+            r = from_matrix(mat).rank()
+            want = [_flats_by_scan(from_matrix(mat), k) for k in range(r + 1)]
+            up, down = from_matrix(mat), from_matrix(mat)
+            assert [up.flats_of_rank(k) for k in range(r + 1)] == want, mat
+            assert [down.flats_of_rank(k) for k in range(r, -1, -1)] == want[::-1], mat
+            assert [from_matrix(mat).flats_of_rank(k) for k in range(r + 1)] == want, mat
+            # the top rank asked through a copy fills every rank of the shared cache
+            m = from_matrix(mat)
+            assert m.with_name("copy").flats_of_rank(r) == want[r]
+            assert sorted(m._span[1]) == list(range(r + 1))
+            assert [m.flats_of_rank(k) for k in range(r + 1)] == want, mat
+
+
+def test_flats_of_rank_past_the_rank_keeps_nothing(p10, f7):
+    for m in (from_matrix(p10.rep.matrix), from_graph(5, W4_EDGES), as_rank_table(f7)):
+        r = m.rank()
+        with pytest.raises(MatroidError):
+            m.flats_of_rank(r + 1)
+        assert m._span[1] == {}
+        for k in range(r + 1):
+            assert m.flats_of_rank(k) == _flats_by_scan(m, k), (m, k)
 
 
 def test_span_oracles_make_no_rank_calls(monkeypatch, p10):
