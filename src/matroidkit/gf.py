@@ -8,10 +8,12 @@ flats read packed columns (`col_bits`): entry i in lane i of one int, of
 1 bit for GF(2), 2 for GF(4) and 4 for GF(3), GF(5) and GF(7).  Xor adds
 in characteristic 2; odd p adds ints, then takes p off every lane of the
 sum s that reached p (bit 3 of s + (8 - p) set).  One echelon kernel
-(`_echelon`, `_reduce`) serves rank and span, and one flat walk (`_flats`)
-carries each column's remainder down and lists the flats of every rank up
-to the one asked.  GF(4) is not a prime field; its tables are built from
-w^2 = w + 1, elements encoded 0, 1, 2 = w, 3 = w + 1.
+(`_echelon`, `_reduce`) serves rank and span.  Three depth-first walks
+carry every column's remainder modulo the span of the node down one child
+step (`_child_step`): the flats of every rank up to the one asked (`_flats`),
+the colex scan of the minor decider (`_colex_nullities`) and the circuits
+of a matrix (`_circuits`).  GF(4) is not a prime field; its tables are
+built from w^2 = w + 1, elements encoded 0, 1, 2 = w, 3 = w + 1.
 """
 
 from __future__ import annotations
@@ -348,6 +350,25 @@ def span_of_columns(m: GFMatrix, mask: int) -> int:
     return span
 
 
+def _child_step(lanes):
+    """The child step of the walks, for packed columns of this layout:
+    clear(rem, u) is the remainders rem of a node, each reduced by the
+    nonzero remainder u of the column the child adds.  u's top lane s,
+    holding x, is the pivot: each v whose lane s holds y gains -y u/x, which
+    clears lane s (u itself becomes 0)."""
+    p, fold, eights, _, _, heads, lead, _, lane, _, _ = lanes
+
+    def clear(rem, u):
+        s = heads[u.bit_length()] - 1
+        t = _multiples(lanes, _scaled(lanes, u, lead[u >> s]))
+        if p:
+            return [w - ((w + fold & eights) >> 3) * p
+                    for v in rem for w in (v + t[v >> s & lane],)]
+        return [v ^ t[v >> s & lane] for v in rem]
+
+    return clear
+
+
 def _flats(m: GFMatrix, k: int):
     """Flats of every rank 0 ... k of m's column matroid: entry j is a tuple of
     the rank-j masks in the order a scan of the j-subsets in combination order
@@ -357,20 +378,19 @@ def _flats(m: GFMatrix, k: int):
     One depth-first walk over the subsets of at most k - 1 columns in
     combination order fills every rank.  It carries every column's remainder
     modulo span(P), P the node: the one that is zero at each pivot lane taken
-    so far.  A column is independent of P iff its remainder u is nonzero; a
-    dependent node cuts its subtree.  Adding u takes its top lane s, holding
-    x, as pivot: the child's list adds -y u/x to each v whose lane s holds y,
-    which clears it.  At each node each remainder is scaled to a top lane of
-    1 once (`_monic`): the zero ones make cl(P), and for each later column e
-    with a nonzero remainder, cl(P + e), of rank |P| + 1, is cl(P) plus e's
-    remainder class.  The nodes of each size are met in combination order,
-    so each rank keeps the order its own walk would give."""
+    so far (`_child_step`).  A column is independent of P iff its remainder
+    is nonzero; a dependent node cuts its subtree.  At each node each
+    remainder is scaled to a top lane of 1 once (`_monic`): the zero ones make
+    cl(P), and for each later column e with a nonzero remainder, cl(P + e),
+    of rank |P| + 1, is cl(P) plus e's remainder class.  The nodes of each
+    size are met in combination order, so each rank keeps the order its own
+    walk would give."""
     n = m.ncols
     lanes, cols, _, rank = _echelon(m, (1 << n) - 1)
     if k > rank:
         return ()
-    p, fold, eights, _, _, heads, lead, sh, lane, _, _ = lanes
-    inner = (1 << sh) - 1  # the bits of a lane above its lowest
+    inner = (1 << lanes[7]) - 1  # the bits of a lane above its lowest
+    clear = _child_step(lanes)
     flats = [{} for _ in range(k)]  # insertion-ordered sets of ranks 1 ... k
 
     def walk(rem, start, d):
@@ -391,20 +411,96 @@ def _flats(m: GFMatrix, k: int):
                     found.setdefault(cl | classes[v])
         if d + 1 < k:  # the children list rank d + 2
             for e in range(start, n - 1):  # a child needs a later column
-                u = rem[e]
-                if not u:
-                    continue
-                s = heads[u.bit_length()] - 1
-                t = _multiples(lanes, _scaled(lanes, u, lead[u >> s]))
-                if p:
-                    child = [w - ((w + fold & eights) >> 3) * p
-                             for v in rem for w in (v + t[v >> s & lane],)]
-                else:
-                    child = [v ^ t[v >> s & lane] for v in rem]
-                walk(child, e + 1, d + 1)
+                if rem[e]:
+                    walk(clear(rem, rem[e]), e + 1, d + 1)
         return cl
 
     return ((walk(cols, 0, 0),), *map(tuple, flats))
+
+
+def _colex_nullities(m: GFMatrix, t: int):
+    """Yield (nullity, mask) for each independent t-set of m's columns whose
+    closure has a larger nullity than that of every independent t-set before
+    it in colex order, the increasing order of masks: the running-maximum
+    records, from nullity 1 up.  The first t-set whose closure has nullity
+    at least l is the first record that reaches l.
+
+    One depth-first walk adds elements from the top down: the largest in
+    increasing order, then each next one below the one before, also in
+    increasing order, so the t-sets are met in colex order.  It carries every
+    column's remainder modulo span(P), P the node, as `_flats` does
+    (`_child_step`).  A zero remainder at the chosen element e means P + e is
+    dependent, and so is every t-set below it, none of which a scan of the
+    t-sets in colex order counts: the cut skips only those.  At a node of
+    t - 1 elements each remainder is scaled to a top lane of 1 once; then for
+    each e below the node's least element with a nonzero remainder, cl(P + e)
+    is the zero remainders plus e's remainder class, so its nullity costs
+    O(1)."""
+    lanes, cols = m.field.lanes[m.nrows], m._col_bits or m.col_bits
+    inner = (1 << lanes[7]) - 1  # the bits of a lane above its lowest
+    clear = _child_step(lanes)
+    best = 0
+
+    def walk(rem, mask, top, d):
+        nonlocal best
+        if d < t - 1:
+            for e in range(t - 1 - d, top):  # room for t - 1 - d elements below e
+                if rem[e]:
+                    yield from walk(clear(rem, rem[e]), mask | 1 << e, e, d + 1)
+            return
+        zeros, size, keys = 0, {}, []
+        for v in rem:
+            if v:
+                if v.bit_length() - 1 & inner:  # the top lane holds more than 1
+                    v = _monic(lanes, v)
+                size[v] = size.get(v, 0) + 1
+            else:
+                zeros += 1
+            keys.append(v)
+        for e in range(top):
+            v = keys[e]
+            if v and zeros + size[v] - t > best:
+                best = zeros + size[v] - t
+                yield best, mask | 1 << e
+
+    if t:
+        yield from walk(list(cols), 0, m.ncols, 0)
+    elif cols.count(0):  # the empty set, whose closure is the loops
+        yield cols.count(0), 0
+
+
+def _circuits(m: GFMatrix, size: int):
+    """Masks of the circuits of at most `size` columns of m, in no order.
+
+    Column j is tagged with a 1 in lane j of n low lanes, below its own
+    entries, so a tagged column has n + nrows lanes: at most MAX_DIM, the
+    widest layout (`Matroid.circuits` scans subsets past that).  One
+    depth-first walk over the independent sets P in combination order
+    carries every tagged column's remainder modulo span(P) (`_child_step`,
+    whose pivots lie in the matrix lanes); its tag lanes record the
+    combination of P it subtracts.
+    A later column e whose matrix lanes reduce to zero lies in span(P), and
+    the support of its tag lanes is the one circuit in P + e.  Every circuit
+    C is met as P + max(C) with P = C - max(C), independent and of at most
+    size - 1 elements, so the walk goes that deep and no deeper.  A circuit's
+    tag is its one linear dependency scaled to 1 at max(C), so equal tags
+    are one circuit, and each circuit is read once from the set of tags."""
+    n, lanes = m.ncols, m.field.lanes[m.nrows + m.ncols]
+    sh, lane, clear = lanes[7], lanes[8], _child_step(lanes)
+    low = n << sh  # the bits of the tag lanes
+    tags = set()
+
+    def walk(rem, start, d):
+        for e in range(start, n):
+            u = rem[e]
+            if not u >> low:
+                tags.add(u)
+            elif d + 1 < size and e + 1 < n:  # P + e and a later column fit in size
+                walk(clear(rem, u), e + 1, d + 1)
+
+    if size > 0:
+        walk([c << low | 1 << (j << sh) for j, c in enumerate(m._col_bits or m.col_bits)], 0, 0)
+    return [sum(1 << j for j in range(n) if u >> (j << sh) & lane) for u in tags]
 
 
 def null_space(m: GFMatrix):

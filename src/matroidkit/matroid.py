@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref, span_of_columns
-from .gf import _echelon, _flats, _monic, _reduce
+from .gf import MAX_DIM, _circuits, _colex_nullities, _echelon, _flats, _monic, _reduce
 
 __all__ = [
     "MatroidError",
@@ -83,6 +83,19 @@ def _find(parent, x):
 def _subsets(n, k):
     """Masks of the k-subsets of range(n) in combination order."""
     return map(sum, itertools.combinations([1 << i for i in range(n)], k))
+
+
+def _t_subsets(n, t):
+    """Masks of the t-subsets of range(n) in increasing order (Gosper's hack).
+    Not _subsets: this colex order fixes is_kl_uniform_minor's witnesses."""
+    mask = (1 << t) - 1
+    while not mask >> n:
+        yield mask
+        if not mask:
+            return
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
 def default_labels(n):
@@ -233,7 +246,7 @@ class Matroid:
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._memo = {}
         self._canon = None  # iso._canonical's data, computed on first use
-        self._span = ({}, {})  # closures by mask, flats (tuples) by rank
+        self._span = ({}, {}, {})  # closures by mask, flats (tuples) by rank, colex scans by t
 
     def __repr__(self):
         tag = self.name or type(self.rep).__name__
@@ -330,14 +343,71 @@ class Matroid:
                 raise MatroidError(f"flat rank {k} out of range")
         return list(out)
 
+    def first_independent_set(self, t, l):
+        """The first independent t-set in colex order (increasing masks,
+        `_t_subsets`) whose closure has nullity at least l, or None.  Each t
+        has one resumable scan, kept with the closures (`with_name` copies
+        share it): the running-maximum records (nullity, first mask) it has
+        met, and its position.  An ask reads the first record that reaches l,
+        or walks on from there.  A matrix takes gf's walk (`_colex_nullities`),
+        a rank table scans the t-sets.  No closure of a t-set has nullity
+        above n - r, so a larger l walks nothing."""
+        if l > self.n - self.rank():
+            return None
+        scans = self._span[2]
+        if t not in scans:
+            mat = self.rep.matrix
+            scans[t] = [], _colex_nullities(mat, t) if mat is not None else self._scan_nullities(t)
+        records, walk = scans[t]
+        for nullity, mask in records:
+            if nullity >= l:
+                return mask
+        try:
+            for nullity, mask in walk:
+                records.append((nullity, mask))
+                if nullity >= l:
+                    return mask
+        except BaseException:
+            del scans[t]  # an interrupted walk cannot resume
+            raise
+        return None
+
+    def _scan_nullities(self, t):
+        """The records of `first_independent_set` from a scan of the t-sets."""
+        best = 0
+        for mask in _t_subsets(self.n, t):
+            if self.r(mask) == t:
+                nullity = self.closure(mask).bit_count() - t
+                if nullity > best:
+                    best = nullity
+                    yield nullity, mask
+
     # ---- circuits
 
     def circuits(self, max_size=None):
-        """All minimal dependent sets up to max_size, sorted by (size, mask)."""
+        """All minimal dependent sets up to max_size, sorted by (size, mask).
+        A binary matrix, graph or graft with corank at most 16 reads the
+        supports of its cycle space, at any n up to 64.  Any other matrix
+        walks its independent sets with each column tagged in a lane of its
+        own (`gf._circuits`) when its rows and columns fit the MAX_DIM lanes
+        of the widest layout; past that, and on a rank table, subsets are
+        scanned.  Without max_size, the walk and the scan are capped at 20
+        elements."""
         mat = self.rep.matrix
         if mat is not None and mat.field.q == 2 and self.n - self.rank() <= 16:
             return self._circuits_from_cycle_space(max_size)
-        return self._circuits_by_scan(max_size)
+        top = self.rank() + 1
+        if max_size is not None:
+            top = min(top, max_size)
+        elif self.n > CIRCUIT_SCAN_CAP:
+            raise MatroidError(
+                f"full circuit scan capped at n <= {CIRCUIT_SCAN_CAP}; pass max_size"
+            )
+        if mat is not None and mat.nrows + self.n <= MAX_DIM:
+            found = _circuits(mat, top)
+        else:
+            found = self._circuits_by_scan(top)
+        return tuple(sorted(found, key=lambda v: (v.bit_count(), v)))
 
     def _circuits_from_cycle_space(self, max_size):
         # supports of nonzero cycle-space vectors, kept if inclusion-minimal
@@ -358,14 +428,9 @@ class Matroid:
                 kept.append(v)
         return tuple(sorted(kept, key=lambda v: (v.bit_count(), v)))
 
-    def _circuits_by_scan(self, max_size):
-        top = self.rank() + 1
-        if max_size is not None:
-            top = min(top, max_size)
-        if max_size is None and self.n > CIRCUIT_SCAN_CAP:
-            raise MatroidError(
-                f"full circuit scan capped at n <= {CIRCUIT_SCAN_CAP}; pass max_size"
-            )
+    def _circuits_by_scan(self, top):
+        """The circuits of at most top elements, in scan order: each size's
+        subsets in combination order."""
         found = []
         for size in range(1, top + 1):
             for mask in _subsets(self.n, size):
@@ -374,7 +439,7 @@ class Matroid:
                 # no smaller circuit inside, so dependent means minimal dependent
                 if self.r(mask) < size:
                     found.append(mask)
-        return tuple(sorted(found, key=lambda v: (v.bit_count(), v)))
+        return found
 
     # ---- loops, parallel and series structure
 

@@ -55,19 +55,6 @@ def _check_kl(k, l):
         raise MatroidError("k and l must be positive")
 
 
-def _t_subsets(n, t):
-    """Masks of the t-subsets of range(n) in increasing order (Gosper's hack).
-    Not matroid._subsets: this colex order fixes is_kl_uniform_minor's witnesses."""
-    mask = (1 << t) - 1
-    while not mask >> n:
-        yield mask
-        if not mask:
-            return
-        low = mask & -mask
-        ripple = mask + low
-        mask = (((ripple ^ mask) >> 2) // low) | ripple
-
-
 def is_kl_uniform_flats(m: Matroid, k: int, l: int):
     """(True, None) or (False, FlatWitness) by scanning rank-(r-k) flats."""
     _check_kl(k, l)
@@ -81,30 +68,28 @@ def is_kl_uniform_flats(m: Matroid, k: int, l: int):
 
 
 def is_kl_uniform_minor(m: Matroid, k: int, l: int):
-    """(True, None) or (False, MinorWitness): scan independent sets I of size
-    r-k in mask order for closures of nullity >= l, then assemble the minor
-    (contract I; keep k spanning elements and l dependent ones)."""
+    """(True, None) or (False, MinorWitness): the first independent set I of
+    size r-k in mask order whose closure has nullity >= l
+    (`Matroid.first_independent_set`, one resumable scan per r-k), then the
+    minor assembled (contract I; keep k spanning elements and l dependent
+    ones)."""
     _check_kl(k, l)
     r = m.rank()
     if k > r:
         return True, None
     t = r - k
-    full = m.full_mask
-    for mask in _t_subsets(m.n, t):
-        if m.r(mask) != t:
-            continue
-        cl = m.closure(mask)
-        if cl.bit_count() - t < l:
-            continue
-        loops = sum(1 << i for i in islice(_bits(cl ^ mask), l))
-        keep = mask
-        for i in _bits(full ^ cl):
-            if keep.bit_count() == t + k:
-                break
-            if m.r(keep | 1 << i) > m.r(keep):
-                keep |= 1 << i
-        return False, MinorWitness(mask, full ^ keep ^ loops)
-    return True, None
+    mask = m.first_independent_set(t, l)
+    if mask is None:
+        return True, None
+    full, cl = m.full_mask, m.closure(mask)
+    loops = sum(1 << i for i in islice(_bits(cl ^ mask), l))
+    keep = mask
+    for i in _bits(full ^ cl):
+        if keep.bit_count() == t + k:
+            break
+        if m.r(keep | 1 << i) > m.r(keep):
+            keep |= 1 << i
+    return False, MinorWitness(mask, full ^ keep ^ loops)
 
 
 def is_22_uniform_circuits(m: Matroid):

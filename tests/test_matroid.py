@@ -359,6 +359,81 @@ def test_circuit_routes_agree(p9):
     assert p9.circuits() == tbl.circuits()
 
 
+def _by_size(masks):
+    return tuple(sorted(masks, key=lambda v: (v.bit_count(), v)))
+
+
+def test_circuit_walk_matches_the_scan():
+    rng = random.Random(26)
+    corpus = []
+    for q in (3, 4, 5, 7):
+        for _ in range(12):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 8)
+            cols = [[rng.randrange(q) for _ in range(nrows)] for _ in range(ncols)]
+            cols.append([0] * nrows)  # a loop
+            scale = field(q).mul[rng.randrange(1, q)]
+            cols.append([scale[x] for x in cols[rng.randrange(ncols)]])  # a parallel column
+            rng.shuffle(cols)
+            corpus.append(from_matrix(GFMatrix.from_columns(q, cols)))
+    # GF(2) past corank 16 walks too
+    wide = [[rng.randrange(2) for _ in range(20)] for _ in range(2)]
+    corpus.append(from_matrix(GFMatrix(2, wide)))
+    for m in corpus:
+        r = m.rank()
+        for size in range(1, r + 2):
+            assert m.circuits(max_size=size) == _by_size(m._circuits_by_scan(size)), (m, size)
+        assert m.circuits() == m.circuits(max_size=r + 1)
+        assert m.circuits(max_size=0) == ()
+
+
+def _circuits_by_definition(m, size):
+    """Dependent sets of at most size elements whose every one-smaller
+    subset is independent, from the rank oracle alone."""
+    return _by_size(mask for k in range(1, size + 1) for mask in matroid._subsets(m.n, k)
+                    if m.r(mask) < k and all(m.r(mask ^ 1 << i) == k - 1 for i in range(m.n)
+                                             if mask >> i & 1))
+
+
+def test_circuits_at_the_lane_edge():
+    # a tagged column has n + nrows lanes: 64 walks, and 72 and 128 take the scan
+    rng = random.Random(64)
+    for ncols, nrows, size in ((56, 8, 3), (64, 8, 3), (64, 64, 2)):
+        cols = [[rng.randrange(3) for _ in range(nrows)] for _ in range(ncols - 4)]
+        cols += [[0] * nrows, [0] * nrows, cols[5], [2 * x % 3 for x in cols[9]]]
+        m = from_matrix(GFMatrix.from_columns(3, cols))
+        got = m.circuits(max_size=size)
+        assert got == _circuits_by_definition(m, size), (ncols, nrows)
+        n = ncols
+        assert {1 << n - 4, 1 << n - 3, 1 << 5 | 1 << n - 2, 1 << 9 | 1 << n - 1} <= set(got)
+
+
+def _greedy_basis(m, flat):
+    basis = 0
+    for i in range(m.n):
+        if flat >> i & 1 and m.r(basis | 1 << i) > basis.bit_count():
+            basis |= 1 << i
+    return basis
+
+
+def _flats_by_greedy_basis(m, k):
+    """The rank-k flats sorted by the combination-order position of their
+    greedy bases.  By Gale's theorem the greedy basis (elements taken in
+    index order) is a flat's lexicographically least basis, so this is the
+    order in which a scan of the k-sets first meets each flat as a closure."""
+    flats = {_closure_by_rank_loop(m, sum(1 << i for i in combo))
+             for combo in itertools.combinations(range(m.n), k)
+             if m.r(sum(1 << i for i in combo)) == k}
+    return sorted(flats, key=lambda f: [i for i in range(m.n) if _greedy_basis(m, f) >> i & 1])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_gfq_matroids())
+def test_flats_order_is_the_greedy_basis_order(m):
+    for side in (m, as_rank_table(m)):
+        for k in range(side.rank() + 1):
+            assert side.flats_of_rank(k) == _flats_by_greedy_basis(side, k), (side, k)
+
+
 def test_minors(p10):
     w4 = p10.minor(contract="5", delete=["10"])
     assert (w4.n, w4.rank()) == (8, 4)

@@ -11,6 +11,7 @@ from matroidkit.matroid import (
     Matroid,
     MatroidError,
     RankTableRep,
+    as_rank_table,
     direct_sum,
     from_graph,
     from_matrix,
@@ -157,6 +158,45 @@ def test_oracle_agreement_and_duality_on_random_corpus():
                 assert flats == is_kl_uniform_flats(md, l, k)[0]
                 if (k, l) == (2, 2) and m.n <= 16:
                     assert flats == is_22_uniform_circuits(m)
+
+
+KL_PAIRS = [(k, l) for k in range(1, 6) for l in range(1, 7 - k)]
+
+
+def _minor_decider_corpus():
+    """GF(2), GF(3) and GF(5) matrices with a loop, a coloop (a row of its
+    own) and a column parallel to another, plus the graph MW4 and the graft
+    R10."""
+    rng = random.Random(26)
+    corpus = [catalog.named("MW4"), catalog.named("R10")]
+    for q in (2, 3, 5):
+        for _ in range(10):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+            cols = [[rng.randrange(q) for _ in range(nrows)] + [0] for _ in range(ncols)]
+            cols.append([0] * (nrows + 1))
+            cols.append([0] * nrows + [1])
+            cols.append([x * rng.randrange(1, q) % q for x in cols[rng.randrange(ncols)]])
+            rng.shuffle(cols)
+            corpus.append(from_matrix(GFMatrix.from_columns(q, cols)))
+    return corpus
+
+
+def test_minor_decider_gives_a_matrix_and_its_rank_table_the_same_witnesses():
+    at_rank = 0  # asks with k = r: the one empty t-set, its closure the loops
+    for m in _minor_decider_corpus():
+        table = as_rank_table(m)
+        want = {(k, l): is_kl_uniform_minor(table, k, l) for k, l in KL_PAIRS}
+        assert {(k, l): is_kl_uniform_minor(m, k, l) for k, l in KL_PAIRS} == want, m
+        at_rank += sum(not want[k, l][0] for k, l in KL_PAIRS if k == m.rank())
+        # l descending after l ascending, on one copy: the kept records answer
+        fresh = Matroid(m.rep, m.labels)
+        again = fresh.with_name("copy")
+        for k in range(1, 6):
+            ls = list(range(1, 7 - k))
+            for l in ls + ls[::-1]:
+                assert is_kl_uniform_minor(again, k, l) == want[k, l], (m, k, l)
+        assert set(fresh._span[2]) == {m.rank() - k for k in range(1, min(5, m.rank()) + 1)}
+    assert at_rank
 
 
 def test_monotonicity_and_minor_closure():
