@@ -9,11 +9,12 @@ flats read packed columns (`col_bits`): entry i in lane i of one int, of
 in characteristic 2; odd p adds ints, then takes p off every lane of the
 sum s that reached p (bit 3 of s + (8 - p) set).  One echelon kernel
 (`_echelon`, `_reduce`) serves rank and span.  Three depth-first walks
-carry every column's remainder modulo the span of the node down one child
-step (`_child_step`): the flats of every rank up to the one asked (`_flats`),
-the colex scan of the minor decider (`_colex_nullities`) and the circuits
-of a matrix (`_circuits`).  GF(4) is not a prime field; its tables are
-built from w^2 = w + 1, elements encoded 0, 1, 2 = w, 3 = w + 1.
+carry remainders modulo the span of the node down one child step
+(`_child_step`): the flats of every rank up to the one asked (`_flats`, one
+node per flat, one remainder per class of columns), the colex scan of the
+minor decider (`_colex_nullities`) and the circuits of a matrix
+(`_circuits`), one remainder per column.  GF(4) is not a prime field; its
+tables are built from w^2 = w + 1, elements encoded 0, 1, 2 = w, 3 = w + 1.
 """
 
 from __future__ import annotations
@@ -375,47 +376,46 @@ def _flats(m: GFMatrix, k: int):
     first meets them as closures of independent sets; () when k exceeds the
     rank, found before anything is walked.
 
-    One depth-first walk over the subsets of at most k - 1 columns in
-    combination order fills every rank.  It carries every column's remainder
-    modulo span(P), P the node: the one that is zero at each pivot lane taken
-    so far (`_child_step`).  A column is independent of P iff its remainder
-    is nonzero; a dependent node cuts its subtree.  At each node each
-    remainder is scaled to a top lane of 1 once (`_monic`): the zero ones make
-    cl(P), and for each later column e with a nonzero remainder, cl(P + e),
-    of rank |P| + 1, is cl(P) plus e's remainder class.  The nodes of each
-    size are met in combination order, so each rank keeps the order its own
-    walk would give."""
+    That first set is the flat's greedy basis (D. Gale, J. Combin. Theory 4,
+    1968), so one depth-first walk over greedy bases in combination order,
+    to depth k - 1, lists each flat once and in that order.  A node P, the
+    greedy basis of cl(P), sorts the columns outside cl(P) into classes of
+    remainders modulo span(P) equal up to a scalar, and keeps one remainder,
+    scaled to a top lane of 1 (`_monic`), and the mask of each class, in
+    order of least element.  For e > max(P), cl(P + e) is cl(P) plus e's
+    class, and P + e is its greedy basis iff e is the least element of the
+    class: one flat and one child per class whose least element is past
+    max(P).  The child step (`_child_step`) is linear, so one remainder
+    serves a class: e's becomes zero and joins cl, and the others merge
+    where they meet."""
     n = m.ncols
     lanes, cols, _, rank = _echelon(m, (1 << n) - 1)
     if k > rank:
         return ()
     inner = (1 << lanes[7]) - 1  # the bits of a lane above its lowest
     clear = _child_step(lanes)
-    flats = [{} for _ in range(k)]  # insertion-ordered sets of ranks 1 ... k
+    flats = [[] for _ in range(k)]  # ranks 1 ... k
 
-    def walk(rem, start, d):
-        cl, classes, keys, bit = 0, {}, [], 1
-        for v in rem:
+    def walk(rem, masks, cl, below, d):  # below: the columns up to max(P)
+        merged = {}  # the classes of P: rem's nonzero remainders, scaled
+        for v, part in zip(rem, masks):
             if v:
                 if v.bit_length() - 1 & inner:  # the top lane holds more than 1
                     v = _monic(lanes, v)
-                classes[v] = classes.get(v, 0) | bit
-            else:
-                cl |= bit
-            keys.append(v)
-            bit <<= 1
-        if d < k:
-            found = flats[d]  # rank d + 1
-            for v in keys[start:]:
-                if v:
-                    found.setdefault(cl | classes[v])
-        if d + 1 < k:  # the children list rank d + 2
-            for e in range(start, n - 1):  # a child needs a later column
-                if rem[e]:
-                    walk(clear(rem, rem[e]), e + 1, d + 1)
-        return cl
+                merged[v] = merged.get(v, 0) | part
+        rem, masks = list(merged), list(merged.values())
+        found, last = flats[d], len(masks) - 1  # rank d + 1
+        for i, mask in enumerate(masks):
+            if not mask & below:
+                found.append(cl | mask)
+                if d + 1 < k and i < last:  # a child needs a later class
+                    low = mask & -mask
+                    walk(clear(rem, rem[i]), masks, cl | mask, low | low - 1, d + 1)
 
-    return ((walk(cols, 0, 0),), *map(tuple, flats))
+    loops = sum(1 << j for j, v in enumerate(cols) if not v)
+    if k:
+        walk(cols, [1 << j for j in range(n)], loops, 0, 0)
+    return ((loops,), *map(tuple, flats))
 
 
 def _colex_nullities(m: GFMatrix, t: int):
@@ -428,7 +428,7 @@ def _colex_nullities(m: GFMatrix, t: int):
     One depth-first walk adds elements from the top down: the largest in
     increasing order, then each next one below the one before, also in
     increasing order, so the t-sets are met in colex order.  It carries every
-    column's remainder modulo span(P), P the node, as `_flats` does
+    column's remainder modulo span(P), P the node, down the one child step
     (`_child_step`).  A zero remainder at the chosen element e means P + e is
     dependent, and so is every t-set below it, none of which a scan of the
     t-sets in colex order counts: the cut skips only those.  At a node of

@@ -321,10 +321,11 @@ class Matroid:
     def flats_of_rank(self, k):
         """Every flat of rank exactly k, in the order a scan of the k-subsets
         in combination order first meets them as closures of independent
-        sets.  A matrix takes gf's echelon walk: one walk fills every rank up
-        to the highest asked, and a later ask of a lower rank reads its kept
-        list.  A rank table runs that scan once per rank.  Each call gets a
-        new list."""
+        sets: the combination order of their greedy bases.  A matrix takes
+        gf's walk over greedy bases, one node per flat: one walk fills every
+        rank up to the highest asked, and a later ask of a lower rank reads
+        its kept list.  A rank table runs that scan once per rank.  Each call
+        gets a new list."""
         flats = self._span[1]
         out = flats.get(k)
         if out is None:

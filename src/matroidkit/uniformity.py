@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .matroid import Matroid, MatroidError, _bits, _fresh_labels, is_isomorphism
-from .matroid import parallel_connection, uniform
+from .matroid import CIRCUIT_SCAN_CAP, parallel_connection, uniform
 
 __all__ = [
     "FlatWitness",
@@ -56,10 +56,11 @@ def _check_kl(k, l):
 
 
 def is_kl_uniform_flats(m: Matroid, k: int, l: int):
-    """(True, None) or (False, FlatWitness) by scanning rank-(r-k) flats."""
+    """(True, None) or (False, FlatWitness) by scanning rank-(r-k) flats.  No
+    flat has nullity above n - r, so a larger l walks nothing."""
     _check_kl(k, l)
     r = m.rank()
-    if k > r:
+    if k > r or l > m.n - r:
         return True, None
     bad = [f for f in m.flats_of_rank(r - k) if f.bit_count() - (r - k) >= l]
     if not bad:
@@ -93,9 +94,14 @@ def is_kl_uniform_minor(m: Matroid, k: int, l: int):
 
 
 def is_22_uniform_circuits(m: Matroid):
-    """True iff every pair of distinct circuits has union of rank >= r(M)-1."""
-    circuits = m.circuits()
+    """True iff every pair of distinct circuits has union of rank >= r(M)-1.
+    r(C1 | C2) >= r(C2) = |C2| - 1, so a pair holding a circuit of r or more
+    elements cannot fail: only the circuits of at most r - 1 elements are
+    paired.  Past CIRCUIT_SCAN_CAP elements every circuit is asked for, so
+    a matroid whose full circuit scan `Matroid.circuits` refuses is refused."""
     r = m.rank()
+    cap = None if m.n > CIRCUIT_SCAN_CAP else r - 1
+    circuits = [c for c in m.circuits(max_size=cap) if c.bit_count() < r]
     for i, c1 in enumerate(circuits):
         for c2 in circuits[i + 1 :]:
             if m.r(c1 | c2) < r - 1:

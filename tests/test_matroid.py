@@ -226,6 +226,31 @@ def test_flats_of_rank_matches_the_uncached_scan():
         assert _flats(m.rep.matrix, r + 1) == ()
 
 
+def test_flats_walk_on_scalar_multiples_and_loops():
+    """GF(4) and GF(7) matrices whose columns are scalar multiples of a few,
+    with loops, where the walk's classes are largest and merge most: every
+    rank up to the rank + 1 matches the scan, and no rank lists a flat twice."""
+    rng = random.Random(27)
+    ranks = set()
+    for q in (4, 7):
+        mul = field(q).mul
+        for _ in range(30):
+            nrows = rng.randint(1, 4)
+            base = [[rng.randrange(q) for _ in range(nrows)] for _ in range(rng.randint(1, 5))]
+            cols = [[mul[rng.randrange(1, q)][x] for x in rng.choice(base)]
+                    for _ in range(rng.randint(2, 10))]
+            cols[rng.randrange(len(cols))] = [0] * nrows
+            m = from_matrix(GFMatrix.from_columns(q, cols))
+            r = m.rank()
+            scans = tuple(tuple(_flats_by_scan(m, k)) for k in range(r + 1))
+            for k in range(r + 2):
+                got = _flats(m.rep.matrix, k)
+                assert got == (scans[:k + 1] if k <= r else ()), (m, k)
+                assert all(len(set(flats)) == len(flats) for flats in got), (m, k)
+            ranks.add(r)
+    assert ranks >= {0, 1, 2, 3, 4}
+
+
 @st.composite
 def _gfq_matroids(draw):
     """Random GF(q) matrices with r <= 5 rows and n <= 9 columns, drawn from a

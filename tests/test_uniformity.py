@@ -1,6 +1,7 @@
 """Uniformity oracles, their agreement, and the structure classifiers."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,8 @@ from matroidkit import catalog
 from matroidkit.gf import GFMatrix, parse_matrix
 from matroidkit.iso import are_isomorphic, has_minor
 from matroidkit.matroid import (
+    CIRCUIT_SCAN_CAP,
+    GraphicRep,
     Matroid,
     MatroidError,
     RankTableRep,
@@ -141,6 +144,70 @@ def test_two_wheels_fail_22_by_circuits():
     two = direct_sum(w3, w3)
     assert not is_22_uniform_circuits(two)
     assert not is_kl_uniform_flats(two, 2, 2)[0]
+
+
+def _22_by_all_circuit_pairs(m):
+    circuits, r = m.circuits(), m.rank()
+    return all(m.r(c1 | c2) >= r - 1 for c1, c2 in combinations(circuits, 2))
+
+
+def test_circuit_pairs_past_r_minus_1_elements_cannot_fail():
+    """is_22_uniform_circuits pairs only the circuits of at most r - 1
+    elements; a plain loop over every pair of circuits must agree, on random
+    GF(2), GF(3) and GF(5) matrices of rank 0 to 4 with loops and parallel
+    pairs, and on the catalog graphs and their rank-table duals."""
+    rng = random.Random(27)
+    corpus = [from_matrix(parse_matrix("2 2 4\n1 0 0 0\n0 1 0 0\n")),  # only loops fail
+              from_matrix(parse_matrix("2 1 4\n1 1 1 0\n"))]
+    for q in (2, 3, 5):
+        for _ in range(40):
+            nrows = rng.randint(1, 4)
+            cols = [[rng.randrange(q) for _ in range(nrows)] for _ in range(rng.randint(1, 8))]
+            for _ in range(rng.randint(0, 2)):
+                cols.append([0] * nrows)
+            for _ in range(rng.randint(0, 2)):
+                cols.append([x * rng.randrange(1, q) % q for x in rng.choice(cols)])
+            rng.shuffle(cols)
+            corpus.append(from_matrix(GFMatrix.from_columns(q, cols)))
+    graphs = [e.matroid for e in catalog.entries() if isinstance(e.matroid.rep, GraphicRep)]
+    corpus += graphs + [g.dual() for g in graphs]
+    assert {m.rank() for m in corpus} >= {0, 1, 2, 3, 4}
+    assert any(isinstance(m.rep, RankTableRep) for m in corpus)
+    verdicts = set()
+    for m in corpus:
+        want = _22_by_all_circuit_pairs(m)
+        assert is_22_uniform_circuits(m) == want, m
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_circuit_pairs_keep_the_full_scan_cap():
+    """Past CIRCUIT_SCAN_CAP elements a matroid whose full circuit scan is
+    refused is refused here too, at any rank; at rank 0 and 1 no pair fails."""
+    n = CIRCUIT_SCAN_CAP + 1
+    rng = random.Random(28)
+    gf3 = GFMatrix(3, [[rng.randrange(3) for _ in range(n)] for _ in range(4)])
+    rank1 = GFMatrix(3, [[rng.randrange(3) for _ in range(n)]])
+    table = Matroid(RankTableRep(n, bytes(min(m.bit_count(), 2) for m in range(1 << n))))
+    for m in (from_matrix(gf3), from_matrix(rank1), table):
+        with pytest.raises(MatroidError, match="capped"):
+            m.circuits()
+        with pytest.raises(MatroidError, match="capped"):
+            is_22_uniform_circuits(m)
+    for text in ("2 1 3\n0 0 0\n", "3 1 4\n1 2 0 1\n", "5 2 3\n0 0 0\n0 0 0\n"):
+        m = from_matrix(parse_matrix(text))
+        assert m.rank() <= 1 and len(m.circuits()) > 1
+        assert is_22_uniform_circuits(m) and _22_by_all_circuit_pairs(m)
+
+
+def test_flats_decider_walks_nothing_when_l_passes_the_nullity():
+    """No flat has nullity above n - r, so a larger l is answered unwalked."""
+    free = from_matrix(parse_matrix("2 3 3\n1 0 0\n0 1 0\n0 0 1\n"))
+    assert is_kl_uniform_flats(free, 1, 1) == (True, None)
+    assert free._span[1] == {}
+    p10 = from_matrix(parse_matrix(P10_TEXT))
+    assert is_kl_uniform_flats(p10, 2, 6) == (True, None) and p10._span[1] == {}
+    assert is_kl_uniform_flats(p10, 2, 5) == (True, None) and p10._span[1]
 
 
 def test_oracle_agreement_and_duality_on_random_corpus():
