@@ -356,8 +356,15 @@ def _child_step(lanes):
     clear(rem, u) is the remainders rem of a node, each reduced by the
     nonzero remainder u of the column the child adds.  u's top lane s,
     holding x, is the pivot: each v whose lane s holds y gains -y u/x, which
-    clears lane s (u itself becomes 0)."""
-    p, fold, eights, _, _, heads, lead, _, lane, _, _ = lanes
+    clears lane s (u itself becomes 0).  In 1-bit lanes (GF(2)) x = y = 1
+    and -1 = 1, so that is u added to each v with bit s set."""
+    p, fold, eights, _, _, heads, lead, shift, lane, _, _ = lanes
+    if not shift:
+        def clear(rem, u):
+            s = u.bit_length() - 1
+            return [v ^ u if v >> s & 1 else v for v in rem]
+
+        return clear
 
     def clear(rem, u):
         s = heads[u.bit_length()] - 1

@@ -10,10 +10,10 @@ module: callers ask a `Matroid`, and build uniform matroids with
 `uniform`.  Their own rank oracles answer `rank`; closures, flats,
 circuits, minors, direct sums, dense rank tables and parallel classes
 (loops are the elements in none) are read from the matrix when there is
-one, series classes from its dual's columns, and fundamental circuits (so
-components and coloops) and the 2-separation test that `is_3connected`
-runs after `is_connected` from its one standard form, the `rref` kept on
-the GFMatrix.
+one (`least_flats` from the columns outside the coloops), series classes
+from its dual's columns, and fundamental circuits (so components and
+coloops) and the 2-separation test that `is_3connected` runs after
+`is_connected` from its one standard form, the `rref` kept on the GFMatrix.
 Each matrix keeps one null space (`gf.null_space`), its dual's matrix:
 the dual of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
 larger table is certified binary), is that matrix; the others are tables.
@@ -96,6 +96,21 @@ def _t_subsets(n, t):
         low = mask & -mask
         ripple = mask + low
         mask = (((ripple ^ mask) >> 2) // low) | ripple
+
+
+def _least_by_nullity(flats, j, top):
+    """least[l], for l = 0 ... top: the least of the rank-j masks in flats
+    with nullity at least l, or None; top bounds every nullity."""
+    least = [None] * (top + 1)
+    for f in flats:
+        v = f.bit_count() - j
+        if least[v] is None or f < least[v]:
+            least[v] = f
+    for l in range(top - 1, -1, -1):  # the least over nullities l, l + 1, ...
+        f = least[l + 1]
+        if f is not None and (least[l] is None or f < least[l]):
+            least[l] = f
+    return least
 
 
 def default_labels(n):
@@ -246,7 +261,8 @@ class Matroid:
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._memo = {}
         self._canon = None  # iso._canonical's data, computed on first use
-        self._span = ({}, {}, {})  # closures by mask, flats (tuples) by rank, colex scans by t
+        # closures by mask; flats (tuples) by rank and least_flats' tables; colex scans by t
+        self._span = ({}, {}, {})
 
     def __repr__(self):
         tag = self.name or type(self.rep).__name__
@@ -372,6 +388,57 @@ class Matroid:
             del scans[t]  # an interrupted walk cannot resume
             raise
         return None
+
+    def least_flats(self, t):
+        """best[l], for l = 0 ... n - r: the least mask of a rank-t flat with
+        nullity at least l, or None.  One table per t, kept with the flats
+        (`with_name` copies share it).
+
+        Let C be the coloops, c = |C|.  A coloop lies in no circuit, so M is
+        M \\ C plus c free elements, and its rank-t flats are F | S: F a flat
+        of M \\ C of rank j, max(0, t - c) <= j <= min(t, r - c), and S any
+        t - j coloops, with nullity(F | S) = nullity(F).  The bits of F and S
+        are disjoint, so their masks add, and deleting C keeps the order of
+        the other elements: for each j, the least F | S with nullity at least
+        l is the least such F, spread back to the ground set, plus the t - j
+        lowest coloops.  A matrix walks the flats of its columns outside C
+        (`gf._flats`, a column submatrix) to rank min(t, r - c), keeps for
+        each rank j it reached the least flat per nullity, and walks again
+        only for a deeper rank.  A rank table reads `flats_of_rank(t)`, with
+        c = 0."""
+        kept = self._span[1]
+        best = kept.get(("least", t))
+        if best is not None:
+            return best
+        r = self.rank()
+        if not 0 <= t <= r:
+            raise MatroidError(f"flat rank {t} out of range")
+        top, mat = self.n - r, self.rep.matrix
+        if mat is None:
+            best = _least_by_nullity(self.flats_of_rank(t), t, top)
+        else:
+            part = kept.get("part")  # C, the elements outside C, M \ C's least flats by rank
+            if part is None:
+                coloops = self.coloops()
+                part = kept["part"] = coloops, [i for i in range(self.n) if not coloops >> i & 1], []
+            coloops, keep, parts = part
+            c = self.n - len(keep)
+            depth = min(t, r - c)
+            if len(parts) <= depth:
+                sub = mat.select_columns(keep) if c else mat
+                parts[:] = [_least_by_nullity(flats, j, top)
+                            for j, flats in enumerate(_flats(sub, depth))]
+            low = [1 << i for i in _bits(coloops)]
+            best = [None] * (top + 1)
+            for j in range(max(0, t - c), depth + 1):
+                extra = sum(low[:t - j])
+                for l, f in enumerate(parts[j]):
+                    if f is not None:
+                        f = sum(1 << keep[i] for i in _bits(f)) | extra if c else f
+                        if best[l] is None or f < best[l]:
+                            best[l] = f
+        best = kept["least", t] = tuple(best)
+        return best
 
     def _scan_nullities(self, t):
         """The records of `first_independent_set` from a scan of the t-sets."""

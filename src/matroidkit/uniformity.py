@@ -56,16 +56,18 @@ def _check_kl(k, l):
 
 
 def is_kl_uniform_flats(m: Matroid, k: int, l: int):
-    """(True, None) or (False, FlatWitness) by scanning rank-(r-k) flats.  No
-    flat has nullity above n - r, so a larger l walks nothing."""
+    """(True, None), or (False, FlatWitness) of the least rank-(r-k) flat
+    with nullity at least l: entry l of `Matroid.least_flats(r - k)`, one
+    table per r - k.  No flat has nullity above n - r, so a larger l
+    walks nothing."""
     _check_kl(k, l)
     r = m.rank()
     if k > r or l > m.n - r:
         return True, None
-    bad = [f for f in m.flats_of_rank(r - k) if f.bit_count() - (r - k) >= l]
-    if not bad:
+    flat = m.least_flats(r - k)[l]
+    if flat is None:
         return True, None
-    return False, FlatWitness(min(bad))
+    return False, FlatWitness(flat)
 
 
 def is_kl_uniform_minor(m: Matroid, k: int, l: int):

@@ -309,6 +309,22 @@ def test_packed_kernels_match_row_reduction_on_random_gfq_matrices(m):
     _assert_packed_kernels_match_the_reference(m)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_gf2_child_step_is_the_generic_formula(data):
+    """The 1-bit child step (u added where bit s is set) against the one
+    every other layout takes: -y u/x at lane s, read from u's multiples."""
+    r = data.draw(st.integers(1, gf.MAX_DIM))
+    u = data.draw(st.integers(1, (1 << r) - 1))
+    rem = data.draw(st.lists(st.integers(0, (1 << r) - 1), max_size=12)) + [u]
+    lanes = field(2).lanes[r]
+    _, _, _, _, _, heads, lead, _, lane, _, _ = lanes
+    s = heads[u.bit_length()] - 1
+    t = gf._multiples(lanes, gf._scaled(lanes, u, lead[u >> s]))
+    got = gf._child_step(lanes)(rem, u)
+    assert got == [v ^ t[v >> s & lane] for v in rem] and got[-1] == 0
+
+
 def test_packed_kernels_at_the_edges():
     rng = random.Random(64)
     for q in (2, 3, 4, 5, 7):

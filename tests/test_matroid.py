@@ -360,6 +360,36 @@ def test_linear_flats_make_no_rank_or_closure_calls(monkeypatch, p10):
         wide.flats_of_rank(31)
 
 
+def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10):
+    walked = []
+
+    def wrapped(mat, k):
+        walked.append((mat.ncols, k))
+        return _flats(mat, k)
+
+    monkeypatch.setattr(matroid, "_flats", wrapped)
+    # P10 (rank 5) beside two coloops, in rows of their own, and a loop
+    cols = [list(c) + [0, 0] for c in p10.rep.matrix.columns]
+    cols[3:3] = [[0] * 5 + [1, 0], [0] * 7]
+    cols.append([0] * 6 + [1])
+    m = from_matrix(GFMatrix.from_columns(2, cols))
+    n, r, c = 13, 7, 2
+    assert (m.n, m.rank(), m.coloops().bit_count()) == (n, r, c)
+    for t in range(r, -1, -1):  # the deepest first: one walk serves every t
+        m.least_flats(t)
+    assert walked == [(n - c, r - c)]
+    walked.clear()
+    fresh = from_matrix(m.rep.matrix)
+    for t in range(r + 1):  # the shallowest first: a walk per deeper part rank
+        assert fresh.least_flats(t) == m.least_flats(t)
+    assert walked == [(n - c, min(t, r - c)) for t in range(r - c + 1)]
+    assert not any(isinstance(key, int) for key in fresh._span[1])  # no flat list kept
+    walked.clear()
+    dual = m.dual()  # M*'s one coloop is M's loop
+    dual.least_flats(dual.rank() - 1)
+    assert walked == [(n - 1, dual.rank() - 1)]  # min(t, r* - c) with t = r* - 1, c = 1
+
+
 def test_circuits(f7, p9, p10):
     tri = [c for c in f7.circuits() if c.bit_count() == 3]
     assert len(tri) == 7

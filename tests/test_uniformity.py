@@ -210,6 +210,76 @@ def test_flats_decider_walks_nothing_when_l_passes_the_nullity():
     assert is_kl_uniform_flats(p10, 2, 5) == (True, None) and p10._span[1]
 
 
+def _least_failing_flat(m, k, l):
+    """Entry l of least_flats(r - k) the plain way: every rank-(r - k) flat of
+    a fresh copy with nullity at least l, and the least of them."""
+    r = m.rank()
+    fresh = Matroid(m.rep, m.labels)
+    bad = [f for f in fresh.flats_of_rank(r - k) if f.bit_count() - (r - k) >= l]
+    return (False, FlatWitness(min(bad))) if bad else (True, None)
+
+
+def _coloop_corpus():
+    """GF(2), GF(3), GF(4), GF(5) and GF(7) matrices with loops, coloops
+    (rows of their own) and columns parallel to others, in shuffled order."""
+    rng = random.Random(28)
+    corpus = []
+    for q in (2, 3, 4, 5, 7):
+        for _ in range(12):
+            nrows, c = rng.randint(1, 4), rng.randint(0, 3)
+            cols = [[rng.randrange(q) for _ in range(nrows)] + [0] * c
+                    for _ in range(rng.randint(1, 6))]
+            cols += [[0] * (nrows + c) for _ in range(rng.randint(0, 2))]
+            cols += [[x * rng.randrange(1, q) % q for x in rng.choice(cols)]
+                     for _ in range(rng.randint(0, 2))]
+            cols += [[0] * (nrows + i) + [1] + [0] * (c - i - 1) for i in range(c)]
+            rng.shuffle(cols)
+            corpus.append(from_matrix(GFMatrix.from_columns(q, cols)))
+    return corpus
+
+
+def test_least_flats_give_the_least_failing_flat_of_a_fresh_copy():
+    rng = random.Random(7)
+    asks = [(k, l) for k in range(1, 7) for l in range(1, 8)]
+    with_coloops = 0
+    for m0 in _coloop_corpus():
+        for m in (m0, m0.dual()):
+            with_coloops += bool(m.coloops())
+            rng.shuffle(asks)
+            for k, l in asks:
+                want = _least_failing_flat(m, k, l) if k <= m.rank() else (True, None)
+                assert is_kl_uniform_flats(m, k, l) == want, (m.rep.matrix.rows, k, l)
+    assert with_coloops > 40
+
+
+def test_least_flats_at_the_edges():
+    free = from_matrix(parse_matrix("3 3 3\n1 0 0\n0 2 0\n0 0 1\n"))  # every element a coloop
+    assert [free.least_flats(t) for t in range(4)] == [(0,), (0b1,), (0b11,), (0b111,)]
+    zero = from_matrix(parse_matrix("5 2 3\n0 0 0\n0 0 0\n"))  # rank 0: three loops
+    assert zero.least_flats(0) == (0b111,) * 4
+    assert is_kl_uniform_flats(zero, 1, 1) == (True, None)
+    with pytest.raises(MatroidError):
+        zero.least_flats(1)
+    # a coloop (element 3) beside a triangle whose element 0 has a parallel
+    # element 4, as a matrix and as a rank table
+    m = from_matrix(parse_matrix("2 3 5\n1 0 1 0 1\n0 1 1 0 0\n0 0 0 1 0\n"))
+    table = as_rank_table(m)
+    assert table.coloops() == m.coloops() == 0b1000
+    for t in range(m.rank() + 1):
+        assert table.least_flats(t) == m.least_flats(t)
+    # rank 2: {1, 3} is the least flat; {0, 1, 2, 4} (nullity 2) beats {0, 3, 4} (nullity 1)
+    assert m.least_flats(2) == (0b1010, 0b10111, 0b10111)
+    for k in range(1, 4):
+        for l in range(1, 3):
+            assert is_kl_uniform_flats(table, k, l) == _least_failing_flat(m, k, l)
+    # a with_name copy shares the tables, whichever side asks first
+    p10 = from_matrix(parse_matrix(P10_TEXT))
+    copy = p10.with_name("copy")
+    assert copy.least_flats(2) is p10.least_flats(2)
+    assert p10.least_flats(3) is copy.least_flats(3)
+    assert is_kl_uniform_flats(copy, 2, 2) == _least_failing_flat(p10, 2, 2)
+
+
 def test_oracle_agreement_and_duality_on_random_corpus():
     corpus = random_corpus(40)
     corpus.append(from_matrix(parse_matrix(F7_TEXT)))
