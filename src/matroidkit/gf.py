@@ -10,11 +10,12 @@ in characteristic 2; odd p adds ints, then takes p off every lane of the
 sum s that reached p (bit 3 of s + (8 - p) set).  One echelon kernel
 (`_echelon`, `_reduce`) serves rank and span.  Three depth-first walks
 carry remainders modulo the span of the node down one child step
-(`_child_step`): the flats of every rank up to the one asked (`_flats`, one
-node per flat, one remainder per class of columns), the colex scan of the
-minor decider (`_colex_nullities`) and the circuits of a matrix
-(`_circuits`), one remainder per column.  GF(4) is not a prime field; its
-tables are built from w^2 = w + 1, elements encoded 0, 1, 2 = w, 3 = w + 1.
+(`_child_step`): the flats of a column mask, every rank up to the one
+asked (`_flats`, one node per flat, one remainder per class of columns),
+the colex scan of the minor decider (`_colex_nullities`) and the circuits
+of a matrix (`_circuits`), one remainder per column.  GF(4) is not a
+prime field; its tables are built from w^2 = w + 1, elements encoded 0, 1,
+2 = w, 3 = w + 1.
 """
 
 from __future__ import annotations
@@ -377,11 +378,11 @@ def _child_step(lanes):
     return clear
 
 
-def _flats(m: GFMatrix, k: int):
-    """Flats of every rank 0 ... k of m's column matroid: entry j is a tuple of
-    the rank-j masks in the order a scan of the j-subsets in combination order
-    first meets them as closures of independent sets; () when k exceeds the
-    rank, found before anything is walked.
+def _flats(m: GFMatrix, k: int, cols: int):
+    """Flats of every rank 0 ... k (at most the rank of `cols`, else empty)
+    of the columns in the mask `cols`: entry j is a tuple of the rank-j masks
+    in the order a scan of the j-subsets in combination order first meets
+    them as closures of independent sets.
 
     That first set is the flat's greedy basis (D. Gale, J. Combin. Theory 4,
     1968), so one depth-first walk over greedy bases in combination order,
@@ -394,11 +395,8 @@ def _flats(m: GFMatrix, k: int):
     class: one flat and one child per class whose least element is past
     max(P).  The child step (`_child_step`) is linear, so one remainder
     serves a class: e's becomes zero and joins cl, and the others merge
-    where they meet."""
-    n = m.ncols
-    lanes, cols, _, rank = _echelon(m, (1 << n) - 1)
-    if k > rank:
-        return ()
+    where they meet.  No column outside `cols` is read."""
+    lanes, packed = m.field.lanes[m.nrows], m._col_bits or m.col_bits
     inner = (1 << lanes[7]) - 1  # the bits of a lane above its lowest
     clear = _child_step(lanes)
     flats = [[] for _ in range(k)]  # ranks 1 ... k
@@ -419,9 +417,10 @@ def _flats(m: GFMatrix, k: int):
                     low = mask & -mask
                     walk(clear(rem, rem[i]), masks, cl | mask, low | low - 1, d + 1)
 
-    loops = sum(1 << j for j, v in enumerate(cols) if not v)
+    inside = [j for j in range(m.ncols) if cols >> j & 1]
+    loops = sum(1 << j for j in inside if not packed[j])
     if k:
-        walk(cols, [1 << j for j in range(n)], loops, 0, 0)
+        walk([packed[j] for j in inside], [1 << j for j in inside], loops, 0, 0)
     return ((loops,), *map(tuple, flats))
 
 

@@ -10,15 +10,16 @@ module: callers ask a `Matroid`, and build uniform matroids with
 `uniform`.  Their own rank oracles answer `rank`; closures, flats,
 circuits, minors, direct sums, dense rank tables and parallel classes
 (loops are the elements in none) are read from the matrix when there is
-one (`least_flats` from the columns outside the coloops), series classes
+one (`least_flats` walks the columns outside the coloops), series classes
 from its dual's columns, and fundamental circuits (so components and
 coloops) and the 2-separation test that `is_3connected` runs after
 `is_connected` from its one standard form, the `rref` kept on the GFMatrix.
 Each matrix keeps one null space (`gf.null_space`), its dual's matrix:
 the dual of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
-larger table is certified binary), is that matrix; the others are tables.
-A rank table's GF(2) matrix, when it has one, is `binary_representation`,
-certified subset by subset; `Matroid.export_text` is the one text form.
+larger table is certified binary), is that matrix.  Every other derived
+rank table (duals, sums, certificates) is read from `full_rank_table`.
+A rank table's GF(2) matrix, when it has one, is `binary_representation`;
+`Matroid.export_text` is the one text form.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 TABLE_CAP = 25
-CERTIFY_CAP = 16  # largest rank table checked subset by subset for a binary representation
+CERTIFY_CAP = 16  # largest rank table whose binary representation is certified
 CIRCUIT_SCAN_CAP = 20
 
 
@@ -337,27 +338,28 @@ class Matroid:
     def flats_of_rank(self, k):
         """Every flat of rank exactly k, in the order a scan of the k-subsets
         in combination order first meets them as closures of independent
-        sets: the combination order of their greedy bases.  A matrix takes
-        gf's walk over greedy bases, one node per flat: one walk fills every
-        rank up to the highest asked, and a later ask of a lower rank reads
-        its kept list.  A rank table runs that scan once per rank.  Each call
-        gets a new list."""
+        sets: the combination order of their greedy bases.  A k past the
+        rank (a matrix's read from its columns, not the memo) raises before
+        any walk.  A matrix takes gf's walk over greedy bases, one node per
+        flat: one walk fills every rank up to the highest asked, and a later
+        ask of a lower rank reads its kept list.  A rank table runs that scan
+        once per rank.  Each call gets a new list."""
         flats = self._span[1]
         out = flats.get(k)
         if out is None:
-            mat = self.rep.matrix
-            if mat is not None and k >= 0:
-                for j, got in enumerate(_flats(mat, k)):  # none when k exceeds the rank
+            mat, full = self.rep.matrix, self.full_mask
+            if not 0 <= k <= (self.rank() if mat is None else rank_of_columns(mat, full)):
+                raise MatroidError(f"flat rank {k} out of range")
+            if mat is not None:
+                for j, got in enumerate(_flats(mat, k, full)):
                     flats.setdefault(j, got)
-            elif 0 <= k <= self.rank():
+                out = flats[k]
+            else:
                 found = {}  # insertion-ordered set
                 for mask in _subsets(self.n, k):
                     if self.r(mask) == k:
                         found.setdefault(self.closure(mask))
-                flats[k] = tuple(found)
-            out = flats.get(k)
-            if out is None:
-                raise MatroidError(f"flat rank {k} out of range")
+                out = flats[k] = tuple(found)
         return list(out)
 
     def first_independent_set(self, t, l):
@@ -400,12 +402,11 @@ class Matroid:
         t - j coloops, with nullity(F | S) = nullity(F).  The bits of F and S
         are disjoint, so their masks add, and deleting C keeps the order of
         the other elements: for each j, the least F | S with nullity at least
-        l is the least such F, spread back to the ground set, plus the t - j
-        lowest coloops.  A matrix walks the flats of its columns outside C
-        (`gf._flats`, a column submatrix) to rank min(t, r - c), keeps for
-        each rank j it reached the least flat per nullity, and walks again
-        only for a deeper rank.  A rank table reads `flats_of_rank(t)`, with
-        c = 0."""
+        l is the least such F plus the t - j lowest coloops.  A matrix walks
+        the flats of its columns outside C (`gf._flats` over the mask E - C,
+        masks of the ground set) to rank min(t, r - c), keeps for each rank j
+        it reached the least flat per nullity, and walks again only for a
+        deeper rank.  A rank table reads `flats_of_rank(t)`, with c = 0."""
         kept = self._span[1]
         best = kept.get(("least", t))
         if best is not None:
@@ -417,24 +418,22 @@ class Matroid:
         if mat is None:
             best = _least_by_nullity(self.flats_of_rank(t), t, top)
         else:
-            part = kept.get("part")  # C, the elements outside C, M \ C's least flats by rank
+            part = kept.get("part")  # C and M \ C's least flats by rank
             if part is None:
-                coloops = self.coloops()
-                part = kept["part"] = coloops, [i for i in range(self.n) if not coloops >> i & 1], []
-            coloops, keep, parts = part
-            c = self.n - len(keep)
+                part = kept["part"] = self.coloops(), []
+            coloops, parts = part
+            c = coloops.bit_count()
             depth = min(t, r - c)
             if len(parts) <= depth:
-                sub = mat.select_columns(keep) if c else mat
-                parts[:] = [_least_by_nullity(flats, j, top)
-                            for j, flats in enumerate(_flats(sub, depth))]
+                walked = _flats(mat, depth, self.full_mask ^ coloops)
+                parts[:] = [_least_by_nullity(flats, j, top) for j, flats in enumerate(walked)]
             low = [1 << i for i in _bits(coloops)]
             best = [None] * (top + 1)
             for j in range(max(0, t - c), depth + 1):
                 extra = sum(low[:t - j])
                 for l, f in enumerate(parts[j]):
                     if f is not None:
-                        f = sum(1 << keep[i] for i in _bits(f)) | extra if c else f
+                        f |= extra
                         if best[l] is None or f < best[l]:
                             best[l] = f
         best = kept["least", t] = tuple(best)
@@ -494,7 +493,7 @@ class Matroid:
                 break
             if not any(k & v == k for k in kept):
                 kept.append(v)
-        return tuple(sorted(kept, key=lambda v: (v.bit_count(), v)))
+        return tuple(kept)  # in the cycles' (size, mask) order
 
     def _circuits_by_scan(self, top):
         """The circuits of at most top elements, in scan order: each size's
@@ -571,13 +570,13 @@ class Matroid:
     # ---- duality
 
     def dual(self):
+        """A matrix's kept null space, or a table r*(X) = |X| + r(E - X) -
+        r(E) read from `full_rank_table` reversed."""
         rep, n = self.rep, self.n
         if rep.matrix is not None and (isinstance(rep, LinearRep) or n > CERTIFY_CAP):
             return Matroid(LinearRep(null_space(rep.matrix)), self.labels)
-        full, rm = self.full_mask, self.rank()
-        table = bytearray(1 << n)
-        for mask in range(1 << n):
-            table[mask] = mask.bit_count() + self.r(full ^ mask) - rm
+        rest = full_rank_table(self)[::-1]  # rest[mask] = r(E - mask)
+        table = bytes(mask.bit_count() + x - rest[0] for mask, x in enumerate(rest))
         return Matroid(RankTableRep(n, table), self.labels)
 
     # ---- minors
@@ -886,9 +885,10 @@ def is_isomorphism(m1: Matroid, m2: Matroid, mapping):
 
 def binary_representation(m: Matroid):
     """GF(2) matrix representing m (columns in element order), or None if m is
-    provably non-binary, certified on every subset.  A rank table with
-    CERTIFY_CAP < n <= TABLE_CAP raises MatroidError naming CERTIFY_CAP, as its
-    export_text() does; are_isomorphic takes the exact, slow generic backtrack."""
+    provably non-binary; [I | A] is certified by comparing two rank tables
+    (`full_rank_table`).  A rank table with CERTIFY_CAP < n <= TABLE_CAP
+    raises MatroidError naming CERTIFY_CAP, as its export_text() does;
+    are_isomorphic takes the exact, slow generic backtrack."""
     mat = _gf2_matrix(m)
     if mat is not None:
         return mat
@@ -902,9 +902,7 @@ def binary_representation(m: Matroid):
         for e, c in circuits.items():
             rows[j][e] = c >> b & 1
     mat = GFMatrix(field(2), rows)
-    if is_isomorphism(m, from_matrix(mat, labels=m.labels), {lab: lab for lab in m.labels}):
-        return mat
-    return None
+    return mat if full_rank_table(from_matrix(mat)) == full_rank_table(m) else None
 
 
 def is_binary(m: Matroid):
@@ -922,7 +920,8 @@ def _fresh_labels(taken, labels):
 
 
 def direct_sum(m1: Matroid, m2: Matroid):
-    """Disjoint union; m2's labels get primes appended on collision."""
+    """Disjoint union; m2's labels get primes appended on collision.  A rank
+    table holds one row of m1's table plus r2 per entry r2 of m2's."""
     taken = set(m1.labels)
     labels = list(m1.labels) + _fresh_labels(taken, m2.labels)
     a, b = m1.rep.matrix, m2.rep.matrix
@@ -935,10 +934,9 @@ def direct_sum(m1: Matroid, m2: Matroid):
     n = m1.n + m2.n
     if n > TABLE_CAP:
         raise MatroidError("direct sum too large for a rank table")
-    table = bytearray(1 << n)
-    full1 = m1.full_mask
-    for mask in range(1 << n):
-        table[mask] = m1.r(mask & full1) + m2.r(mask >> m1.n)
+    t1, table = full_rank_table(m1), bytearray()
+    for r2 in full_rank_table(m2):
+        table += bytes(r1 + r2 for r1 in t1)
     return Matroid(RankTableRep(n, table), labels)
 
 

@@ -287,8 +287,8 @@ def _assert_packed_kernels_match_the_reference(m):
             if ranks[mask] == k:
                 found.setdefault(spans[mask])
         by_rank.append(tuple(found))
-        assert gf._flats(m, k) == tuple(by_rank), (m.rows, k)  # every rank j <= k
-    assert gf._flats(m, ranks[-1] + 1) == ()
+        assert gf._flats(m, k, (1 << n) - 1) == tuple(by_rank), (m.rows, k)  # every rank j <= k
+    assert gf._flats(m, ranks[-1] + 1, (1 << n) - 1) == (*by_rank, ())  # no flat past the rank
 
 
 @st.composite
@@ -341,5 +341,6 @@ def test_packed_kernels_at_the_edges():
         for m in edges:
             _assert_packed_kernels_match_the_reference(m)
     zero = GFMatrix(7, [[0] * 4 for _ in range(3)])
-    assert gf._flats(zero, 0) == ((0b1111,),) and gf._flats(zero, 1) == ()
+    assert gf._flats(zero, 0, 0b1111) == ((0b1111,),)
+    assert gf._flats(zero, 1, 0b1111) == ((0b1111,), ())  # no flat past the rank
 

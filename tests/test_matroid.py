@@ -222,8 +222,8 @@ def test_flats_of_rank_matches_the_uncached_scan():
         r = m.rank()
         scans = tuple(tuple(_flats_by_scan(m, k)) for k in range(r + 1))
         for k in (0, r):  # the walk's two ends: no prefix, and a full basis
-            assert _flats(m.rep.matrix, k) == scans[:k + 1], (m, k)
-        assert _flats(m.rep.matrix, r + 1) == ()
+            assert _flats(m.rep.matrix, k, m.full_mask) == scans[:k + 1], (m, k)
+        assert _flats(m.rep.matrix, r + 1, m.full_mask) == (*scans, ())
 
 
 def test_flats_walk_on_scalar_multiples_and_loops():
@@ -244,8 +244,8 @@ def test_flats_walk_on_scalar_multiples_and_loops():
             r = m.rank()
             scans = tuple(tuple(_flats_by_scan(m, k)) for k in range(r + 1))
             for k in range(r + 2):
-                got = _flats(m.rep.matrix, k)
-                assert got == (scans[:k + 1] if k <= r else ()), (m, k)
+                got = _flats(m.rep.matrix, k, m.full_mask)
+                assert got == (scans[:k + 1] if k <= r else (*scans, ())), (m, k)
                 assert all(len(set(flats)) == len(flats) for flats in got), (m, k)
             ranks.add(r)
     assert ranks >= {0, 1, 2, 3, 4}
@@ -270,7 +270,7 @@ def _gfq_matroids(draw):
 def test_flats_and_deciders_agree_on_random_gfq_matrices(m):
     for k in range(m.rank() + 1):  # k = 0 and k = rank included
         assert m.flats_of_rank(k) == _flats_by_scan(m, k)
-    assert _flats(m.rep.matrix, m.rank() + 1) == ()
+    assert _flats(m.rep.matrix, m.rank() + 1, m.full_mask)[-1] == ()
     dual = m.dual()
     for k in range(1, 5):
         for l in range(1, 6 - k):
@@ -363,9 +363,9 @@ def test_linear_flats_make_no_rank_or_closure_calls(monkeypatch, p10):
 def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10):
     walked = []
 
-    def wrapped(mat, k):
-        walked.append((mat.ncols, k))
-        return _flats(mat, k)
+    def wrapped(mat, k, cols):
+        walked.append((cols, k))
+        return _flats(mat, k, cols)
 
     monkeypatch.setattr(matroid, "_flats", wrapped)
     # P10 (rank 5) beside two coloops, in rows of their own, and a loop
@@ -375,19 +375,110 @@ def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10)
     m = from_matrix(GFMatrix.from_columns(2, cols))
     n, r, c = 13, 7, 2
     assert (m.n, m.rank(), m.coloops().bit_count()) == (n, r, c)
+    rest = m.full_mask ^ m.coloops()  # the columns outside the coloops
     for t in range(r, -1, -1):  # the deepest first: one walk serves every t
         m.least_flats(t)
-    assert walked == [(n - c, r - c)]
+    assert walked == [(rest, r - c)]
     walked.clear()
     fresh = from_matrix(m.rep.matrix)
     for t in range(r + 1):  # the shallowest first: a walk per deeper part rank
         assert fresh.least_flats(t) == m.least_flats(t)
-    assert walked == [(n - c, min(t, r - c)) for t in range(r - c + 1)]
+    assert walked == [(rest, min(t, r - c)) for t in range(r - c + 1)]
     assert not any(isinstance(key, int) for key in fresh._span[1])  # no flat list kept
     walked.clear()
     dual = m.dual()  # M*'s one coloop is M's loop
     dual.least_flats(dual.rank() - 1)
-    assert walked == [(n - 1, dual.rank() - 1)]  # min(t, r* - c) with t = r* - 1, c = 1
+    assert walked == [(dual.full_mask ^ dual.coloops(), dual.rank() - 1)]  # min(t, r* - c), c = 1
+    assert dual.coloops().bit_count() == 1
+
+
+def _flats_of_submatrix(mat, k, cols):
+    """The flats walk of a column mask as a column submatrix: `_flats` over
+    all columns of the submatrix, each mask spread back to mat's columns."""
+    keep = [j for j in range(mat.ncols) if cols >> j & 1]
+    walked = _flats(mat.select_columns(keep), k, (1 << len(keep)) - 1)
+    return tuple(tuple(sum(1 << keep[i] for i in range(len(keep)) if f >> i & 1) for f in flats)
+                 for flats in walked)
+
+
+def test_flats_of_a_column_mask_match_the_submatrix_walk():
+    """GF(2), GF(3), GF(4), GF(5) and GF(7) matrices with loops, coloops (a
+    row of their own) and parallel columns, walked over random column
+    masks, the mask without the coloops and the full mask."""
+    rng = random.Random(30)
+    loops_left_out = 0
+    for q in (2, 3, 4, 5, 7):
+        mul = field(q).mul
+        for _ in range(12):
+            nrows = rng.randint(1, 4)
+            cols = [[rng.randrange(q) for _ in range(nrows)] for _ in range(rng.randint(1, 6))]
+            cols += [[mul[rng.randrange(1, q)][x] for x in rng.choice(cols)] for _ in range(2)]
+            cols += [[0] * nrows] * rng.randint(1, 2)
+            rng.shuffle(cols)
+            cols = [c + [0] for c in cols]  # one coloop, in a row of its own
+            cols.insert(rng.randrange(len(cols) + 1), [0] * nrows + [1])
+            m = from_matrix(GFMatrix.from_columns(q, cols))
+            mat, loops = m.rep.matrix, m.loops()
+            assert m.coloops() and loops
+            masks = [m.full_mask, m.full_mask ^ m.coloops(), 0]
+            masks += [rng.randrange(1 << m.n) for _ in range(6)]
+            for cols in masks:
+                r = rank_of_columns(mat, cols)
+                for k in (0, r // 2, r, r + 1):
+                    want = _flats_of_submatrix(mat, k, cols)
+                    assert _flats(mat, k, cols) == want, (mat.rows, k, cols)
+                loops_left_out += bool(loops & ~cols)
+    assert loops_left_out > 20
+
+
+def _graph_rank(nverts, edges, mask):
+    """|V| less the components of (V, X), by a union-find of its own."""
+    parent = list(range(nverts))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    rank = 0
+    for j, (u, v) in enumerate(edges):
+        if mask >> j & 1 and root(u) != root(v):
+            parent[root(u)] = root(v)
+            rank += 1
+    return rank
+
+
+K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
+
+
+def test_derived_tables_come_from_the_dense_table_and_leave_the_memo_alone():
+    """dual() and direct_sum() of a 16-edge graph, and of smaller graphs and
+    rank tables, against a brute-force rank check: r*(X) = |X| + r(E - X) -
+    r(E), and the sum's rank is r1(X1) + r2(X2) with m1 in the low bits."""
+    graph = from_graph(8, K44_EDGES)
+    dual = graph.dual()
+    assert len(graph._memo) <= 1
+    full = graph.full_mask
+    ranks = [_graph_rank(8, K44_EDGES, mask) for mask in range(1 << 16)]
+    assert dual.rep.table == bytes(mask.bit_count() + ranks[full ^ mask] - 7
+                                   for mask in range(1 << 16))
+    graph = from_graph(8, K44_EDGES)
+    both = direct_sum(graph, matroid.uniform(0, 1))
+    assert len(graph._memo) <= 1
+    assert both.rep.table == bytes(ranks) * 2
+    w4, u23 = from_graph(5, W4_EDGES), u_matroid(2, 3)
+    w4_rank = [_graph_rank(5, W4_EDGES, mask) for mask in range(1 << 8)].__getitem__
+
+    def u23_rank(mask):
+        return min(mask.bit_count(), 2)
+
+    for m, rank in ((w4, w4_rank), (as_rank_table(w4), w4_rank), (u23, u23_rank)):
+        want = bytes(mask.bit_count() + rank(m.full_mask ^ mask) - rank(m.full_mask)
+                     for mask in range(1 << m.n))
+        assert m.dual().rep.table == want, m
+    for m1, r1, m2, r2 in ((w4, w4_rank, u23, u23_rank), (u23, u23_rank, w4, w4_rank)):
+        want = bytes(r1(mask & m1.full_mask) + r2(mask >> m1.n) for mask in range(1 << 11))
+        assert direct_sum(m1, m2).rep.table == want, (m1, m2)
 
 
 def test_circuits(f7, p9, p10):
