@@ -8,12 +8,12 @@ flats read packed columns (`col_bits`): entry i in lane i of one int, of
 1 bit for GF(2), 2 for GF(4) and 4 for GF(3), GF(5) and GF(7).  Xor adds
 in characteristic 2; odd p adds ints, then takes p off every lane of the
 sum s that reached p (bit 3 of s + (8 - p) set).  One echelon kernel
-(`_echelon`, `_reduce`) serves rank and span.  Three depth-first walks
+(`_echelon`, `_reduce`) serves rank and span.  Two depth-first walks
 carry remainders modulo the span of the node down one child step
-(`_child_step`): the flats of a column mask, every rank up to the one
-asked (`_flats`, one node per flat, one remainder per class of columns),
-the colex scan of the minor decider (`_colex_nullities`) and the circuits
-of a matrix (`_circuits`), one remainder per column.  GF(4) is not a
+(`_child_step`): the flats of a column mask and their greedy bases, every
+rank up to the one asked (`_flats`, one node per flat, one remainder per
+class of columns), and the circuits of a matrix (`_circuits`), one
+remainder per column.  GF(4) is not a
 prime field; its tables are built from w^2 = w + 1, elements encoded 0, 1,
 2 = w, 3 = w + 1.
 """
@@ -379,10 +379,12 @@ def _child_step(lanes):
 
 
 def _flats(m: GFMatrix, k: int, cols: int):
-    """Flats of every rank 0 ... k (at most the rank of `cols`, else empty)
-    of the columns in the mask `cols`: entry j is a tuple of the rank-j masks
-    in the order a scan of the j-subsets in combination order first meets
-    them as closures of independent sets.
+    """(flats, bases): the flats of every rank 0 ... k (at most the rank of
+    `cols`, else empty) of the columns in the mask `cols`, and beside each
+    its greedy basis.  Entry j of flats is a tuple of the rank-j masks in
+    the order a scan of the j-subsets in combination order first meets them
+    as closures of independent sets; entry j of bases holds their greedy
+    bases in the same order.
 
     That first set is the flat's greedy basis (D. Gale, J. Combin. Theory 4,
     1968), so one depth-first walk over greedy bases in combination order,
@@ -392,16 +394,16 @@ def _flats(m: GFMatrix, k: int, cols: int):
     scaled to a top lane of 1 (`_monic`), and the mask of each class, in
     order of least element.  For e > max(P), cl(P + e) is cl(P) plus e's
     class, and P + e is its greedy basis iff e is the least element of the
-    class: one flat and one child per class whose least element is past
-    max(P).  The child step (`_child_step`) is linear, so one remainder
-    serves a class: e's becomes zero and joins cl, and the others merge
-    where they meet.  No column outside `cols` is read."""
+    class: one flat, basis P + e and one child per class whose least element
+    is past max(P).  The child step (`_child_step`) is linear, so one
+    remainder serves a class: e's becomes zero and joins cl, and the others
+    merge where they meet.  No column outside `cols` is read."""
     lanes, packed = m.field.lanes[m.nrows], m._col_bits or m.col_bits
     inner = (1 << lanes[7]) - 1  # the bits of a lane above its lowest
     clear = _child_step(lanes)
-    flats = [[] for _ in range(k)]  # ranks 1 ... k
+    flats, bases = [[] for _ in range(k)], [[] for _ in range(k)]  # ranks 1 ... k
 
-    def walk(rem, masks, cl, below, d):  # below: the columns up to max(P)
+    def walk(rem, masks, cl, basis, d):  # basis: P, the greedy basis of cl
         merged = {}  # the classes of P: rem's nonzero remainders, scaled
         for v, part in zip(rem, masks):
             if v:
@@ -409,70 +411,20 @@ def _flats(m: GFMatrix, k: int, cols: int):
                     v = _monic(lanes, v)
                 merged[v] = merged.get(v, 0) | part
         rem, masks = list(merged), list(merged.values())
-        found, last = flats[d], len(masks) - 1  # rank d + 1
+        last = len(masks) - 1
         for i, mask in enumerate(masks):
-            if not mask & below:
-                found.append(cl | mask)
+            low = mask & -mask
+            if low > basis:  # the class's least element is past max(P)
+                flats[d].append(cl | mask)  # rank d + 1
+                bases[d].append(basis | low)
                 if d + 1 < k and i < last:  # a child needs a later class
-                    low = mask & -mask
-                    walk(clear(rem, rem[i]), masks, cl | mask, low | low - 1, d + 1)
+                    walk(clear(rem, rem[i]), masks, cl | mask, basis | low, d + 1)
 
     inside = [j for j in range(m.ncols) if cols >> j & 1]
     loops = sum(1 << j for j in inside if not packed[j])
     if k:
         walk([packed[j] for j in inside], [1 << j for j in inside], loops, 0, 0)
-    return ((loops,), *map(tuple, flats))
-
-
-def _colex_nullities(m: GFMatrix, t: int):
-    """Yield (nullity, mask) for each independent t-set of m's columns whose
-    closure has a larger nullity than that of every independent t-set before
-    it in colex order, the increasing order of masks: the running-maximum
-    records, from nullity 1 up.  The first t-set whose closure has nullity
-    at least l is the first record that reaches l.
-
-    One depth-first walk adds elements from the top down: the largest in
-    increasing order, then each next one below the one before, also in
-    increasing order, so the t-sets are met in colex order.  It carries every
-    column's remainder modulo span(P), P the node, down the one child step
-    (`_child_step`).  A zero remainder at the chosen element e means P + e is
-    dependent, and so is every t-set below it, none of which a scan of the
-    t-sets in colex order counts: the cut skips only those.  At a node of
-    t - 1 elements each remainder is scaled to a top lane of 1 once; then for
-    each e below the node's least element with a nonzero remainder, cl(P + e)
-    is the zero remainders plus e's remainder class, so its nullity costs
-    O(1)."""
-    lanes, cols = m.field.lanes[m.nrows], m._col_bits or m.col_bits
-    inner = (1 << lanes[7]) - 1  # the bits of a lane above its lowest
-    clear = _child_step(lanes)
-    best = 0
-
-    def walk(rem, mask, top, d):
-        nonlocal best
-        if d < t - 1:
-            for e in range(t - 1 - d, top):  # room for t - 1 - d elements below e
-                if rem[e]:
-                    yield from walk(clear(rem, rem[e]), mask | 1 << e, e, d + 1)
-            return
-        zeros, size, keys = 0, {}, []
-        for v in rem:
-            if v:
-                if v.bit_length() - 1 & inner:  # the top lane holds more than 1
-                    v = _monic(lanes, v)
-                size[v] = size.get(v, 0) + 1
-            else:
-                zeros += 1
-            keys.append(v)
-        for e in range(top):
-            v = keys[e]
-            if v and zeros + size[v] - t > best:
-                best = zeros + size[v] - t
-                yield best, mask | 1 << e
-
-    if t:
-        yield from walk(list(cols), 0, m.ncols, 0)
-    elif cols.count(0):  # the empty set, whose closure is the loops
-        yield cols.count(0), 0
+    return ((loops,), *map(tuple, flats)), ((0,), *map(tuple, bases))
 
 
 def _circuits(m: GFMatrix, size: int):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref, span_of_columns
-from .gf import MAX_DIM, _circuits, _colex_nullities, _echelon, _flats, _monic, _reduce
+from .gf import MAX_DIM, _circuits, _echelon, _flats, _monic, _reduce
 
 __all__ = [
     "MatroidError",
@@ -99,14 +99,15 @@ def _t_subsets(n, t):
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def _least_by_nullity(flats, j, top):
-    """least[l], for l = 0 ... top: the least of the rank-j masks in flats
-    with nullity at least l, or None; top bounds every nullity."""
+def _least_by_nullity(flats, j, top, keys=None):
+    """least[l], for l = 0 ... top: the least keys[i] (flats[i] by default)
+    over the rank-j masks flats[i] with nullity at least l, or None; top
+    bounds every nullity."""
     least = [None] * (top + 1)
-    for f in flats:
+    for f, key in zip(flats, flats if keys is None else keys):
         v = f.bit_count() - j
-        if least[v] is None or f < least[v]:
-            least[v] = f
+        if least[v] is None or key < least[v]:
+            least[v] = key
     for l in range(top - 1, -1, -1):  # the least over nullities l, l + 1, ...
         f = least[l + 1]
         if f is not None and (least[l] is None or f < least[l]):
@@ -262,7 +263,8 @@ class Matroid:
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._memo = {}
         self._canon = None  # iso._canonical's data, computed on first use
-        # closures by mask; flats (tuples) by rank and least_flats' tables; colex scans by t
+        # closures by mask; flats (tuples) by rank and least_flats' tables; a
+        # rank table's scans of the t-sets by t (a matrix reads least_flats)
         self._span = ({}, {}, {})
 
     def __repr__(self):
@@ -351,7 +353,7 @@ class Matroid:
             if not 0 <= k <= (self.rank() if mat is None else rank_of_columns(mat, full)):
                 raise MatroidError(f"flat rank {k} out of range")
             if mat is not None:
-                for j, got in enumerate(_flats(mat, k, full)):
+                for j, got in enumerate(_flats(mat, k, full)[0]):
                     flats.setdefault(j, got)
                 out = flats[k]
             else:
@@ -364,19 +366,26 @@ class Matroid:
 
     def first_independent_set(self, t, l):
         """The first independent t-set in colex order (increasing masks,
-        `_t_subsets`) whose closure has nullity at least l, or None.  Each t
-        has one resumable scan, kept with the closures (`with_name` copies
-        share it): the running-maximum records (nullity, first mask) it has
-        met, and its position.  An ask reads the first record that reaches l,
-        or walks on from there.  A matrix takes gf's walk (`_colex_nullities`),
-        a rank table scans the t-sets.  No closure of a t-set has nullity
-        above n - r, so a larger l walks nothing."""
-        if l > self.n - self.rank():
+        `_t_subsets`) whose closure has nullity at least l, or None.
+
+        The independent t-sets spanning a rank-t flat F are its bases, and
+        the greedy basis of F is the least of them (Gale), so this is the
+        least greedy basis of a rank-t flat with nullity at least l: a
+        matrix reads entry l of the basis table `least_flats(t)` keeps.  A
+        rank table scans the t-sets, one resumable scan per t kept with the
+        closures (`with_name` copies share it): the running-maximum records
+        (nullity, first mask) it has met, and its position.  An ask reads
+        the first record that reaches l, or scans on from there.  No closure
+        of a t-set has nullity above n - r, so a larger l walks nothing."""
+        r = self.rank()
+        if l > self.n - r or t > r:
             return None
+        if self.rep.matrix is not None:
+            self.least_flats(t)
+            return self._span[1]["bases", t][l]
         scans = self._span[2]
         if t not in scans:
-            mat = self.rep.matrix
-            scans[t] = [], _colex_nullities(mat, t) if mat is not None else self._scan_nullities(t)
+            scans[t] = [], self._scan_nullities(t)
         records, walk = scans[t]
         for nullity, mask in records:
             if nullity >= l:
@@ -387,26 +396,30 @@ class Matroid:
                 if nullity >= l:
                     return mask
         except BaseException:
-            del scans[t]  # an interrupted walk cannot resume
+            del scans[t]  # an interrupted scan cannot resume
             raise
         return None
 
     def least_flats(self, t):
         """best[l], for l = 0 ... n - r: the least mask of a rank-t flat with
         nullity at least l, or None.  One table per t, kept with the flats
-        (`with_name` copies share it).
+        (`with_name` copies share it); a matrix keeps beside it the least
+        greedy basis of such a flat, for `first_independent_set`.
 
         Let C be the coloops, c = |C|.  A coloop lies in no circuit, so M is
         M \\ C plus c free elements, and its rank-t flats are F | S: F a flat
         of M \\ C of rank j, max(0, t - c) <= j <= min(t, r - c), and S any
-        t - j coloops, with nullity(F | S) = nullity(F).  The bits of F and S
-        are disjoint, so their masks add, and deleting C keeps the order of
-        the other elements: for each j, the least F | S with nullity at least
-        l is the least such F plus the t - j lowest coloops.  A matrix walks
-        the flats of its columns outside C (`gf._flats` over the mask E - C,
-        masks of the ground set) to rank min(t, r - c), keeps for each rank j
-        it reached the least flat per nullity, and walks again only for a
-        deeper rank.  A rank table reads `flats_of_rank(t)`, with c = 0."""
+        t - j coloops, with nullity(F | S) = nullity(F).  Every basis of
+        F | S holds S, so its greedy basis is F's plus S.  The bits of F and
+        S are disjoint, so their masks add, and deleting C keeps the order of
+        the other elements: for each j, the least F | S (or greedy basis)
+        with nullity at least l is the least such F (or basis of F) plus the
+        t - j lowest coloops.  A matrix walks the flats and greedy bases of
+        its columns outside C (`gf._flats` over the mask E - C, masks of the
+        ground set) to rank min(t, r - c), keeps for each rank j it reached
+        the least flat and the least basis per nullity, and walks again only
+        for a deeper rank.  A rank table reads `flats_of_rank(t)`, with
+        c = 0."""
         kept = self._span[1]
         best = kept.get(("least", t))
         if best is not None:
@@ -418,30 +431,35 @@ class Matroid:
         if mat is None:
             best = _least_by_nullity(self.flats_of_rank(t), t, top)
         else:
-            part = kept.get("part")  # C and M \ C's least flats by rank
+            part = kept.get("part")  # C, and M \ C's least flats and bases by rank
             if part is None:
                 part = kept["part"] = self.coloops(), []
             coloops, parts = part
             c = coloops.bit_count()
             depth = min(t, r - c)
             if len(parts) <= depth:
-                walked = _flats(mat, depth, self.full_mask ^ coloops)
-                parts[:] = [_least_by_nullity(flats, j, top) for j, flats in enumerate(walked)]
+                walked = zip(*_flats(mat, depth, self.full_mask ^ coloops))
+                parts[:] = [(_least_by_nullity(flats, j, top),
+                             _least_by_nullity(flats, j, top, bases))
+                            for j, (flats, bases) in enumerate(walked)]
             low = [1 << i for i in _bits(coloops)]
-            best = [None] * (top + 1)
+            best, basis = [None] * (top + 1), [None] * (top + 1)
             for j in range(max(0, t - c), depth + 1):
                 extra = sum(low[:t - j])
-                for l, f in enumerate(parts[j]):
-                    if f is not None:
-                        f |= extra
-                        if best[l] is None or f < best[l]:
-                            best[l] = f
+                for table, least in zip((best, basis), parts[j]):
+                    for l, f in enumerate(least):
+                        if f is not None:
+                            f |= extra
+                            if table[l] is None or f < table[l]:
+                                table[l] = f
+            kept["bases", t] = tuple(basis)
         best = kept["least", t] = tuple(best)
         return best
 
     def _scan_nullities(self, t):
-        """The records of `first_independent_set` from a scan of the t-sets."""
-        best = 0
+        """The records of `first_independent_set` from a scan of the t-sets,
+        from nullity 0 up: the first is the first independent t-set."""
+        best = -1
         for mask in _t_subsets(self.n, t):
             if self.r(mask) == t:
                 nullity = self.closure(mask).bit_count() - t
@@ -597,15 +615,11 @@ class Matroid:
         mat = self.rep.matrix
         if mat is not None:
             return Matroid(LinearRep(_linear_minor(mat, sorted(_bits(con)), keep)), labels)
-        rcon = self.r(con)
-        table = bytearray(1 << len(keep))
-        for mask in range(1 << len(keep)):
-            big = con
-            for pos, i in enumerate(keep):
-                if mask >> pos & 1:
-                    big |= 1 << i
-            table[mask] = self.r(big) - rcon
-        return Matroid(RankTableRep(len(keep), table), labels)
+        big, table = [con], self.rep.table  # big[mask]: con plus the kept elements in mask
+        for i in keep:
+            big += [x | 1 << i for x in big]
+        rcon = table[con]
+        return Matroid(RankTableRep(len(keep), bytes(table[x] - rcon for x in big)), labels)
 
     def relabel(self, mapping):
         labels = tuple(str(mapping.get(lab, lab)) for lab in self.labels)

@@ -266,10 +266,20 @@ def _reference_rank(q, cols):
     return rank
 
 
+def _greedy_basis(ranks, flat):
+    """The greedy basis of a flat: its elements in order, each kept that
+    raises the rank."""
+    basis = 0
+    for j in range(flat.bit_length()):
+        if flat >> j & 1 and ranks[basis | 1 << j] > ranks[basis]:
+            basis |= 1 << j
+    return basis
+
+
 def _assert_packed_kernels_match_the_reference(m):
     """rank_of_columns, span_of_columns, _flats (every rank of each walk,
-    order included) and full_rank_table against rank tables from
-    _reference_rank."""
+    order included, and each flat's greedy basis) and full_rank_table
+    against rank tables from _reference_rank."""
     q, n, cols = m.field.q, m.ncols, m.columns
     ranks = [_reference_rank(q, [cols[j] for j in range(n) if mask >> j & 1])
              for mask in range(1 << n)]
@@ -279,7 +289,7 @@ def _assert_packed_kernels_match_the_reference(m):
         assert rank_of_columns(m, mask) == ranks[mask], (m.rows, mask)
         assert span_of_columns(m, mask) == spans[mask], (m.rows, mask)
     assert full_rank_table(from_matrix(m)) == bytes(ranks)
-    by_rank = []
+    by_rank, bases = [], []
     for k in range(ranks[-1] + 1):
         found = {}  # first met as the closure of an independent k-subset
         for subset in itertools.combinations(range(n), k):
@@ -287,8 +297,11 @@ def _assert_packed_kernels_match_the_reference(m):
             if ranks[mask] == k:
                 found.setdefault(spans[mask])
         by_rank.append(tuple(found))
-        assert gf._flats(m, k, (1 << n) - 1) == tuple(by_rank), (m.rows, k)  # every rank j <= k
-    assert gf._flats(m, ranks[-1] + 1, (1 << n) - 1) == (*by_rank, ())  # no flat past the rank
+        bases.append(tuple(_greedy_basis(ranks, f) for f in found))
+        want = tuple(by_rank), tuple(bases)  # every rank j <= k
+        assert gf._flats(m, k, (1 << n) - 1) == want, (m.rows, k)
+    # no flat past the rank
+    assert gf._flats(m, ranks[-1] + 1, (1 << n) - 1) == ((*by_rank, ()), (*bases, ()))
 
 
 @st.composite
@@ -341,6 +354,6 @@ def test_packed_kernels_at_the_edges():
         for m in edges:
             _assert_packed_kernels_match_the_reference(m)
     zero = GFMatrix(7, [[0] * 4 for _ in range(3)])
-    assert gf._flats(zero, 0, 0b1111) == ((0b1111,),)
-    assert gf._flats(zero, 1, 0b1111) == ((0b1111,), ())  # no flat past the rank
+    assert gf._flats(zero, 0, 0b1111) == (((0b1111,),), ((0,),))
+    assert gf._flats(zero, 1, 0b1111) == (((0b1111,), ()), ((0,), ()))  # no flat past the rank
 

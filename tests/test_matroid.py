@@ -222,8 +222,8 @@ def test_flats_of_rank_matches_the_uncached_scan():
         r = m.rank()
         scans = tuple(tuple(_flats_by_scan(m, k)) for k in range(r + 1))
         for k in (0, r):  # the walk's two ends: no prefix, and a full basis
-            assert _flats(m.rep.matrix, k, m.full_mask) == scans[:k + 1], (m, k)
-        assert _flats(m.rep.matrix, r + 1, m.full_mask) == (*scans, ())
+            assert _flats(m.rep.matrix, k, m.full_mask)[0] == scans[:k + 1], (m, k)
+        assert _flats(m.rep.matrix, r + 1, m.full_mask)[0] == (*scans, ())
 
 
 def test_flats_walk_on_scalar_multiples_and_loops():
@@ -244,7 +244,7 @@ def test_flats_walk_on_scalar_multiples_and_loops():
             r = m.rank()
             scans = tuple(tuple(_flats_by_scan(m, k)) for k in range(r + 1))
             for k in range(r + 2):
-                got = _flats(m.rep.matrix, k, m.full_mask)
+                got = _flats(m.rep.matrix, k, m.full_mask)[0]
                 assert got == (scans[:k + 1] if k <= r else (*scans, ())), (m, k)
                 assert all(len(set(flats)) == len(flats) for flats in got), (m, k)
             ranks.add(r)
@@ -270,7 +270,7 @@ def _gfq_matroids(draw):
 def test_flats_and_deciders_agree_on_random_gfq_matrices(m):
     for k in range(m.rank() + 1):  # k = 0 and k = rank included
         assert m.flats_of_rank(k) == _flats_by_scan(m, k)
-    assert _flats(m.rep.matrix, m.rank() + 1, m.full_mask)[-1] == ()
+    assert [part[-1] for part in _flats(m.rep.matrix, m.rank() + 1, m.full_mask)] == [(), ()]
     dual = m.dual()
     for k in range(1, 5):
         for l in range(1, 6 - k):
@@ -394,19 +394,21 @@ def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10)
 
 def _flats_of_submatrix(mat, k, cols):
     """The flats walk of a column mask as a column submatrix: `_flats` over
-    all columns of the submatrix, each mask spread back to mat's columns."""
+    all columns of the submatrix, each flat and basis spread back to mat's
+    columns."""
     keep = [j for j in range(mat.ncols) if cols >> j & 1]
     walked = _flats(mat.select_columns(keep), k, (1 << len(keep)) - 1)
-    return tuple(tuple(sum(1 << keep[i] for i in range(len(keep)) if f >> i & 1) for f in flats)
-                 for flats in walked)
+    return tuple(tuple(tuple(sum(1 << keep[i] for i in range(len(keep)) if f >> i & 1)
+                             for f in flats) for flats in part) for part in walked)
 
 
 def test_flats_of_a_column_mask_match_the_submatrix_walk():
     """GF(2), GF(3), GF(4), GF(5) and GF(7) matrices with loops, coloops (a
     row of their own) and parallel columns, walked over random column
-    masks, the mask without the coloops and the full mask."""
+    masks, the mask without the coloops and the full mask.  Each basis the
+    walk returns is the greedy basis of the flat beside it."""
     rng = random.Random(30)
-    loops_left_out = 0
+    loops_left_out = checked = 0
     for q in (2, 3, 4, 5, 7):
         mul = field(q).mul
         for _ in range(12):
@@ -427,8 +429,15 @@ def test_flats_of_a_column_mask_match_the_submatrix_walk():
                 for k in (0, r // 2, r, r + 1):
                     want = _flats_of_submatrix(mat, k, cols)
                     assert _flats(mat, k, cols) == want, (mat.rows, k, cols)
+                flats, bases = _flats(mat, r, cols)
+                for j in range(r + 1):
+                    assert len(flats[j]) == len(bases[j]) and flats[j], (mat.rows, j, cols)
+                    for flat, basis in zip(flats[j], bases[j]):
+                        assert basis == _greedy_basis(m, flat), (mat.rows, flat, cols)
+                        assert basis.bit_count() == j and basis & ~cols == 0, (mat.rows, basis)
+                        checked += 1
                 loops_left_out += bool(loops & ~cols)
-    assert loops_left_out > 20
+    assert loops_left_out > 20 and checked > 1000
 
 
 def _graph_rank(nverts, edges, mask):
@@ -597,6 +606,28 @@ def test_minor_commutation(p10):
     b = p10.delete(["7"]).contract(["1", "6"])
     assert a.labels == b.labels
     assert all(a.r(m) == b.r(m) for m in range(1 << a.n))
+
+
+def test_rank_table_minors_match_the_matrix_minors_byte_for_byte(p10):
+    """A rank table's minor, read from its dense table, is the table of the
+    matrix's minor, which `rref` contracts: random contract and delete sets
+    (either one empty too) on matrices over five fields, with loops and
+    parallel columns, and on graphs and grafts."""
+    rng = random.Random(31)
+    corpus = [m for m in _span_corpus() if m.rep.matrix is not None] + [p10]
+    for m in corpus:
+        table = as_rank_table(m)
+        for _ in range(4):
+            con, rest = 0, 0
+            for i in range(m.n):
+                pick = rng.randrange(3)
+                con |= (pick == 0) << i
+                rest |= (pick == 1) << i
+            for c, d in ((con, rest), (con, 0), (0, rest), (0, 0)):
+                want = m.minor(contract=c, delete=d)
+                got = table.minor(contract=c, delete=d)
+                assert got.labels == want.labels, (m, c, d)
+                assert got.rep.table == full_rank_table(want), (m, c, d)
 
 
 def test_dual(p10, f7):

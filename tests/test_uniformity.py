@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from matroidkit import catalog
-from matroidkit.gf import GFMatrix, parse_matrix
+from matroidkit import catalog, matroid
+from matroidkit.gf import GFMatrix, _flats, parse_matrix
 from matroidkit.iso import are_isomorphic, has_minor
 from matroidkit.matroid import (
     CIRCUIT_SCAN_CAP,
@@ -318,21 +318,42 @@ def _minor_decider_corpus():
     return corpus
 
 
-def test_minor_decider_gives_a_matrix_and_its_rank_table_the_same_witnesses():
+def test_minor_decider_gives_a_matrix_and_its_rank_table_the_same_witnesses(monkeypatch):
+    """A matrix reads its witnesses from the least greedy bases of one flats
+    walk, a rank table from its scan of the t-sets: they agree.  The minor
+    and flat asks of one t, through a `with_name` copy or the original, run
+    one walk between them."""
+    walked = []
+
+    def wrapped(mat, k, cols):
+        walked.append(k)
+        return _flats(mat, k, cols)
+
+    monkeypatch.setattr(matroid, "_flats", wrapped)
     at_rank = 0  # asks with k = r: the one empty t-set, its closure the loops
     for m in _minor_decider_corpus():
         table = as_rank_table(m)
         want = {(k, l): is_kl_uniform_minor(table, k, l) for k, l in KL_PAIRS}
         assert {(k, l): is_kl_uniform_minor(m, k, l) for k, l in KL_PAIRS} == want, m
         at_rank += sum(not want[k, l][0] for k, l in KL_PAIRS if k == m.rank())
-        # l descending after l ascending, on one copy: the kept records answer
+        # l = 0: the first independent t-set, the least greedy basis of any rank-t flat
+        firsts = [table.first_independent_set(t, 0) for t in range(m.rank() + 1)]
+        assert [m.first_independent_set(t, 0) for t in range(m.rank() + 1)] == firsts, m
+        assert firsts[0] == 0 and all(f.bit_count() == t for t, f in enumerate(firsts)), m
+        # l descending after l ascending, on one copy: the kept tables answer
         fresh = Matroid(m.rep, m.labels)
         again = fresh.with_name("copy")
+        walked.clear()
         for k in range(1, 6):
             ls = list(range(1, 7 - k))
             for l in ls + ls[::-1]:
                 assert is_kl_uniform_minor(again, k, l) == want[k, l], (m, k, l)
-        assert set(fresh._span[2]) == {m.rank() - k for k in range(1, min(5, m.rank()) + 1)}
+                assert is_kl_uniform_minor(fresh, k, l) == want[k, l], (m, k, l)
+                is_kl_uniform_flats(fresh, k, l)
+        assert len(walked) == 1, (m, walked)  # the first ask, t = r - 1, walks the deepest
+        ts = {m.rank() - k for k in range(1, min(5, m.rank()) + 1)}
+        assert {("bases", t) for t in ts} <= fresh._span[1].keys(), m
+        assert fresh._span[2] == {} and table._span[2], m  # only the rank table scans
     assert at_rank
 
 
@@ -443,8 +464,8 @@ def test_classifier_preconditions(f7, p10):
         classify_connected_not3_22(direct_sum(f7, f7))  # disconnected
 
 
-def test_minor_decider_walks_only_the_t_subsets_of_a_large_geometry():
-    # 2^31 masks would never finish; the t-subsets number at most C(31, 3)
+def test_minor_decider_reads_the_flats_walk_of_a_large_geometry():
+    # 2^31 masks would never finish; the walk meets 155 flats at each of ranks 2 and 3
     pg42 = catalog.geometry("PG", 4)
     for k, l in ((2, 5), (3, 2)):
         assert is_kl_uniform_minor(pg42, k, l)[0] == is_kl_uniform_flats(pg42, k, l)[0]
