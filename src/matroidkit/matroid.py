@@ -263,9 +263,8 @@ class Matroid:
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._memo = {}
         self._canon = None  # iso._canonical's data, computed on first use
-        # closures by mask; flats (tuples) by rank and least_flats' tables; a
-        # rank table's scans of the t-sets by t (a matrix reads least_flats)
-        self._span = ({}, {}, {})
+        # closures by mask; flats (tuples) by rank and least_flats' tables
+        self._span = ({}, {})
 
     def __repr__(self):
         tag = self.name or type(self.rep).__name__
@@ -372,33 +371,17 @@ class Matroid:
         the greedy basis of F is the least of them (Gale), so this is the
         least greedy basis of a rank-t flat with nullity at least l: a
         matrix reads entry l of the basis table `least_flats(t)` keeps.  A
-        rank table scans the t-sets, one resumable scan per t kept with the
-        closures (`with_name` copies share it): the running-maximum records
-        (nullity, first mask) it has met, and its position.  An ask reads
-        the first record that reaches l, or scans on from there.  No closure
-        of a t-set has nullity above n - r, so a larger l walks nothing."""
+        rank table scans the t-sets afresh on each ask, up to the first hit;
+        the closures it meets stay kept.  No closure of a t-set has nullity
+        above n - r, so a larger l walks nothing."""
         r = self.rank()
         if l > self.n - r or t > r:
             return None
         if self.rep.matrix is not None:
             self.least_flats(t)
             return self._span[1]["bases", t][l]
-        scans = self._span[2]
-        if t not in scans:
-            scans[t] = [], self._scan_nullities(t)
-        records, walk = scans[t]
-        for nullity, mask in records:
-            if nullity >= l:
-                return mask
-        try:
-            for nullity, mask in walk:
-                records.append((nullity, mask))
-                if nullity >= l:
-                    return mask
-        except BaseException:
-            del scans[t]  # an interrupted scan cannot resume
-            raise
-        return None
+        return next((mask for mask in _t_subsets(self.n, t)
+                     if self.r(mask) == t and self.closure(mask).bit_count() - t >= l), None)
 
     def least_flats(self, t):
         """best[l], for l = 0 ... n - r: the least mask of a rank-t flat with
@@ -456,28 +439,17 @@ class Matroid:
         best = kept["least", t] = tuple(best)
         return best
 
-    def _scan_nullities(self, t):
-        """The records of `first_independent_set` from a scan of the t-sets,
-        from nullity 0 up: the first is the first independent t-set."""
-        best = -1
-        for mask in _t_subsets(self.n, t):
-            if self.r(mask) == t:
-                nullity = self.closure(mask).bit_count() - t
-                if nullity > best:
-                    best = nullity
-                    yield nullity, mask
-
     # ---- circuits
 
     def circuits(self, max_size=None):
         """All minimal dependent sets up to max_size, sorted by (size, mask).
         A binary matrix, graph or graft with corank at most 16 reads the
-        supports of its cycle space, at any n up to 64.  Any other matrix
-        walks its independent sets with each column tagged in a lane of its
-        own (`gf._circuits`) when its rows and columns fit the MAX_DIM lanes
-        of the widest layout; past that, and on a rank table, subsets are
-        scanned.  Without max_size, the walk and the scan are capped at 20
-        elements."""
+        supports of its cycle space, at any n up to 64, up to max_size
+        elements.  Any other matrix walks its independent sets with each
+        column tagged in a lane of its own (`gf._circuits`) when its rows and
+        columns fit the MAX_DIM lanes of the widest layout; past that, and on
+        a rank table, subsets are scanned.  Without max_size, the walk and
+        the scan are capped at 20 elements."""
         mat = self.rep.matrix
         if mat is not None and mat.field.q == 2 and self.n - self.rank() <= 16:
             return self._circuits_from_cycle_space(max_size)
@@ -495,15 +467,21 @@ class Matroid:
         return tuple(sorted(found, key=lambda v: (v.bit_count(), v)))
 
     def _circuits_from_cycle_space(self, max_size):
-        # supports of nonzero cycle-space vectors, kept if inclusion-minimal
+        # supports of nonzero cycle-space vectors, kept if inclusion-minimal.
+        # Null-space row j is nonzero off the pivots only in column j, so a
+        # sum of rows holds the column of each row summed, and a cycle of at
+        # most s elements sums at most s rows: sums[c], the sums of c rows,
+        # are built only up to c = max_size.
         basis = [
             sum(b << i for i, b in enumerate(vec))
             for vec in null_space(self.rep.matrix).rows
         ]
-        vecs = [0]
+        top = len(basis) if max_size is None else min(max_size, len(basis))
+        sums = [[0]] + [[] for _ in range(top)]
         for b in basis:
-            vecs += [v ^ b for v in vecs]
-        cycles = [v for v in vecs if v]
+            for c in range(top, 0, -1):  # from the top down, so b joins a sum once
+                sums[c] += [v ^ b for v in sums[c - 1]]
+        cycles = [v for level in sums[1:] for v in level if v]
         cycles.sort(key=lambda v: (v.bit_count(), v))
         kept = []
         for v in cycles:

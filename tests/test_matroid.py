@@ -541,6 +541,28 @@ def test_circuit_walk_matches_the_scan():
         assert m.circuits(max_size=0) == ()
 
 
+def test_bounded_cycle_space_matches_the_scan():
+    """A binary matrix of corank at most 16 reads its circuits from the sums
+    of at most max_size null-space rows: at every size they are the scan's."""
+    rng = random.Random(32)
+    shapes = [(rng.randint(1, 5), rng.randint(1, 19)) for _ in range(16)] + [(5, 19)]
+    seen = set()
+    for nrows, ncols in shapes:
+        cols = [[rng.randrange(2) for _ in range(nrows)] for _ in range(ncols)]
+        cols += [[0] * nrows, list(cols[rng.randrange(ncols)])]  # a loop and a parallel column
+        rng.shuffle(cols)
+        m = from_matrix(GFMatrix.from_columns(2, cols))
+        r = m.rank()
+        if m.n - r > 16:
+            continue
+        seen.add(m.n)
+        want = _by_size(m._circuits_by_scan(r + 1))  # the scan goes size by size
+        for size in range(r + 2):
+            assert m.circuits(max_size=size) == tuple(
+                c for c in want if c.bit_count() <= size), (m, size)
+    assert 21 in seen
+
+
 def _circuits_by_definition(m, size):
     """Dependent sets of at most size elements whose every one-smaller
     subset is independent, from the rank oracle alone."""

@@ -320,9 +320,10 @@ def _minor_decider_corpus():
 
 def test_minor_decider_gives_a_matrix_and_its_rank_table_the_same_witnesses(monkeypatch):
     """A matrix reads its witnesses from the least greedy bases of one flats
-    walk, a rank table from its scan of the t-sets: they agree.  The minor
-    and flat asks of one t, through a `with_name` copy or the original, run
-    one walk between them."""
+    walk, a rank table from a scan of the t-sets on each ask: they agree.
+    The minor and flat asks of one t, through a `with_name` copy or the
+    original, run one walk between them; the rank table's re-asks scan
+    again and keep nothing but closures."""
     walked = []
 
     def wrapped(mat, k, cols):
@@ -340,7 +341,8 @@ def test_minor_decider_gives_a_matrix_and_its_rank_table_the_same_witnesses(monk
         firsts = [table.first_independent_set(t, 0) for t in range(m.rank() + 1)]
         assert [m.first_independent_set(t, 0) for t in range(m.rank() + 1)] == firsts, m
         assert firsts[0] == 0 and all(f.bit_count() == t for t, f in enumerate(firsts)), m
-        # l descending after l ascending, on one copy: the kept tables answer
+        # l descending after l ascending, on one copy: the kept tables answer,
+        # and the rank table's re-asks scan afresh
         fresh = Matroid(m.rep, m.labels)
         again = fresh.with_name("copy")
         walked.clear()
@@ -349,11 +351,12 @@ def test_minor_decider_gives_a_matrix_and_its_rank_table_the_same_witnesses(monk
             for l in ls + ls[::-1]:
                 assert is_kl_uniform_minor(again, k, l) == want[k, l], (m, k, l)
                 assert is_kl_uniform_minor(fresh, k, l) == want[k, l], (m, k, l)
+                assert is_kl_uniform_minor(table, k, l) == want[k, l], (m, k, l)
                 is_kl_uniform_flats(fresh, k, l)
         assert len(walked) == 1, (m, walked)  # the first ask, t = r - 1, walks the deepest
         ts = {m.rank() - k for k in range(1, min(5, m.rank()) + 1)}
         assert {("bases", t) for t in ts} <= fresh._span[1].keys(), m
-        assert fresh._span[2] == {} and table._span[2], m  # only the rank table scans
+        assert len(table._span) == 2 and table._span[1] == {}, m  # no scan state kept
     assert at_rank
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from matroidkit import catalog
+from matroidkit import catalog, matroid
+from matroidkit.gf import _flats
 from matroidkit.iso import BudgetExhausted, are_isomorphic
 from matroidkit.matroid import MatroidError, is_isomorphism
 from matroidkit.verify import (
@@ -89,6 +90,20 @@ def test_fast_run_all_green(fast_run):
 
 def test_fast_run_details_are_unchanged(fast_run):
     assert [(r.check_id, r.status, r.details) for r in fast_run] == FAST_RUN
+
+
+def test_oracle_agreement_catches_a_walk_that_loses_flats(monkeypatch):
+    """The minor side of oracle-agreement asks a rank table, which scans its
+    t-sets without the flats walk both deciders read on a matrix, so a walk
+    that drops the last flat and basis of every rank from 2 up is caught."""
+
+    def lossy(mat, k, cols):
+        return tuple(tuple(got[:-1] if j >= 2 else got for j, got in enumerate(side))
+                     for side in _flats(mat, k, cols))
+
+    monkeypatch.setattr(matroid, "_flats", lossy)
+    [result] = run_checks(ids=["oracle-agreement"], corpus_size=80)
+    assert result.status == "fail", result.details
 
 
 def test_slow_checks_pass():
