@@ -7,13 +7,14 @@ and Graft (graph plus a vertex set gamma; rank in the incidence matroid
 with gamma's incidence vector adjoined as one extra element), whose GF(2)
 incidence matrix is built once, and RankTable.  They are a detail of this
 module: callers ask a `Matroid`, and build uniform matroids with
-`uniform`.  Their own rank oracles answer `rank`; closures, flats,
-circuits, minors, direct sums, dense rank tables and parallel classes
-(loops are the elements in none) are read from the matrix when there is
-one (`least_flats` walks the columns outside the coloops), series classes
-from its dual's columns, and fundamental circuits (so components and
-coloops) and the 2-separation test that `is_3connected` runs after
-`is_connected` from its one standard form, the `rref` kept on the GFMatrix.
+`uniform`.  Their own rank oracles answer `Matroid.r`, with nothing kept
+per mask; closures, flats, circuits, minors, direct sums, dense rank
+tables and parallel classes (loops are the elements in none) are read
+from the matrix when there is one (`least_flats` walks the columns
+outside the coloops), series classes from its dual's columns, and r(E),
+fundamental circuits (so components and coloops) and the 2-separation
+test that `is_3connected` runs after `is_connected` from its one standard
+form, the `rref` kept on the GFMatrix.
 Each matrix keeps one null space (`gf.null_space`), its dual's matrix:
 the dual of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
 larger table is certified binary), is that matrix.  Every other derived
@@ -245,7 +246,7 @@ class Matroid:
     """Labeled ground set + rank backend.  Subsets are int masks over label
     positions; helpers translate label collections to masks and back."""
 
-    __slots__ = ("labels", "n", "rep", "name", "_pos", "_memo", "_canon", "_span")
+    __slots__ = ("labels", "n", "rep", "name", "_pos", "_canon", "_span")
 
     def __init__(self, rep, labels=None, name=""):
         n = rep.n
@@ -261,10 +262,9 @@ class Matroid:
         self.rep = rep
         self.name = name
         self._pos = {lab: i for i, lab in enumerate(labels)}
-        self._memo = {}
         self._canon = None  # iso._canonical's data, computed on first use
-        # closures by mask; flats (tuples) by rank and least_flats' tables
-        self._span = ({}, {})
+        # flats (tuples) by rank, least_flats' tables and their "part"
+        self._span = {}
 
     def __repr__(self):
         tag = self.name or type(self.rep).__name__
@@ -302,57 +302,50 @@ class Matroid:
     def r(self, mask):
         if isinstance(self.rep, RankTableRep):
             return self.rep.table[mask]
-        memo = self._memo
-        val = memo.get(mask)
-        if val is None:
-            val = self.rep.rank(mask)
-            memo[mask] = val
-        return val
+        return self.rep.rank(mask)
 
     def rank(self, X=None):
-        return self.r(self._as_mask(X))
+        """r(X); r(E) of a matrix is the rank of its kept `rref`."""
+        mask, mat = self._as_mask(X), self.rep.matrix
+        if mat is None or mask != self.full_mask:
+            return self.r(mask)
+        return rref(mat)[1]
 
     def nullity(self, X=None):
         mask = self._as_mask(X)
-        return mask.bit_count() - self.r(mask)
+        return mask.bit_count() - self.rank(mask)
 
     def closure(self, X):
-        """Mask of cl(X), kept per mask.  A matrix spans X directly; a rank
-        table tests r(X + e) = r(X) for each e."""
+        """Mask of cl(X), computed on each ask.  A matrix spans X directly; a
+        rank table tests r(X + e) = r(X) for each e."""
         mask = self._as_mask(X)
-        closures = self._span[0]
-        cl = closures.get(mask)
-        if cl is None:
-            mat = self.rep.matrix
-            if mat is not None:
-                cl = span_of_columns(mat, mask)
-            else:
-                rm = self.r(mask)
-                cl = mask
-                for i in range(self.n):
-                    bit = 1 << i
-                    if not mask & bit and self.r(mask | bit) == rm:
-                        cl |= bit
-            closures[mask] = cl
+        mat = self.rep.matrix
+        if mat is not None:
+            return span_of_columns(mat, mask)
+        rm, cl = self.r(mask), mask
+        for i in range(self.n):
+            bit = 1 << i
+            if not mask & bit and self.r(mask | bit) == rm:
+                cl |= bit
         return cl
 
     def flats_of_rank(self, k):
         """Every flat of rank exactly k, in the order a scan of the k-subsets
         in combination order first meets them as closures of independent
         sets: the combination order of their greedy bases.  A k past the
-        rank (a matrix's read from its columns, not the memo) raises before
-        any walk.  A matrix takes gf's walk over greedy bases, one node per
-        flat: one walk fills every rank up to the highest asked, and a later
-        ask of a lower rank reads its kept list.  A rank table runs that scan
-        once per rank.  Each call gets a new list."""
-        flats = self._span[1]
+        rank raises before any walk.  A matrix takes gf's walk over greedy
+        bases, one node per flat: one walk fills every rank up to the
+        highest asked, and a later ask of a lower rank reads its kept list.
+        A rank table runs that scan once per rank.  Each call gets a new
+        list."""
+        flats = self._span
         out = flats.get(k)
         if out is None:
-            mat, full = self.rep.matrix, self.full_mask
-            if not 0 <= k <= (self.rank() if mat is None else rank_of_columns(mat, full)):
+            if not 0 <= k <= self.rank():
                 raise MatroidError(f"flat rank {k} out of range")
+            mat = self.rep.matrix
             if mat is not None:
-                for j, got in enumerate(_flats(mat, k, full)[0]):
+                for j, got in enumerate(_flats(mat, k, self.full_mask)[0]):
                     flats.setdefault(j, got)
                 out = flats[k]
             else:
@@ -365,21 +358,24 @@ class Matroid:
 
     def first_independent_set(self, t, l):
         """The first independent t-set in colex order (increasing masks,
-        `_t_subsets`) whose closure has nullity at least l, or None.
+        `_t_subsets`) whose closure has nullity at least l, or None; an l
+        of 0 or less asks for the first independent t-set.
 
         The independent t-sets spanning a rank-t flat F are its bases, and
         the greedy basis of F is the least of them (Gale), so this is the
         least greedy basis of a rank-t flat with nullity at least l: a
         matrix reads entry l of the basis table `least_flats(t)` keeps.  A
-        rank table scans the t-sets afresh on each ask, up to the first hit;
-        the closures it meets stay kept.  No closure of a t-set has nullity
-        above n - r, so a larger l walks nothing."""
-        r = self.rank()
+        rank table scans the t-sets afresh on each ask, up to the first hit.
+        No closure of a t-set has nullity above n - r, so a larger l walks
+        nothing."""
+        if t < 0:
+            raise MatroidError(f"independent set size {t} out of range")
+        r, l = self.rank(), max(l, 0)
         if l > self.n - r or t > r:
             return None
         if self.rep.matrix is not None:
             self.least_flats(t)
-            return self._span[1]["bases", t][l]
+            return self._span["bases", t][l]
         return next((mask for mask in _t_subsets(self.n, t)
                      if self.r(mask) == t and self.closure(mask).bit_count() - t >= l), None)
 
@@ -403,7 +399,7 @@ class Matroid:
         the least flat and the least basis per nullity, and walks again only
         for a deeper rank.  A rank table reads `flats_of_rank(t)`, with
         c = 0."""
-        kept = self._span[1]
+        kept = self._span
         best = kept.get(("least", t))
         if best is not None:
             return best
@@ -605,7 +601,6 @@ class Matroid:
 
     def with_name(self, name):
         m = Matroid(self.rep, self.labels, name=name)
-        m._memo = self._memo
         m._canon = self._canon
         m._span = self._span
         return m

@@ -88,11 +88,11 @@ def is_kl_uniform_minor(m: Matroid, k: int, l: int):
         return True, None
     full, cl = m.full_mask, m.closure(mask)
     loops = sum(1 << i for i in islice(_bits(cl ^ mask), l))
-    keep = mask
+    keep = mask  # independent, and each element added raises the rank
     for i in _bits(full ^ cl):
         if keep.bit_count() == t + k:
             break
-        if m.r(keep | 1 << i) > m.r(keep):
+        if m.r(keep | 1 << i) > keep.bit_count():
             keep |= 1 << i
     return False, MinorWitness(mask, full ^ keep ^ loops)
 

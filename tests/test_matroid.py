@@ -287,8 +287,7 @@ def test_flats_cache_hands_out_fresh_lists(p10):
     assert m.flats_of_rank(2) == first == _flats_by_scan(p10, 2)
     named = m.with_name("P10 again")
     assert named.flats_of_rank(2) == first
-    named.closure(0b11)
-    assert m._span is named._span and 0b11 in m._span[0]
+    assert m._span is named._span
 
 
 def test_flats_of_rank_is_the_same_in_any_ask_order():
@@ -306,7 +305,7 @@ def test_flats_of_rank_is_the_same_in_any_ask_order():
             # the top rank asked through a copy fills every rank of the shared cache
             m = from_matrix(mat)
             assert m.with_name("copy").flats_of_rank(r) == want[r]
-            assert sorted(m._span[1]) == list(range(r + 1))
+            assert sorted(m._span) == list(range(r + 1))
             assert [m.flats_of_rank(k) for k in range(r + 1)] == want, mat
 
 
@@ -315,7 +314,7 @@ def test_flats_of_rank_past_the_rank_keeps_nothing(p10, f7):
         r = m.rank()
         with pytest.raises(MatroidError):
             m.flats_of_rank(r + 1)
-        assert m._span[1] == {}
+        assert m._span == {}
         for k in range(r + 1):
             assert m.flats_of_rank(k) == _flats_by_scan(m, k), (m, k)
 
@@ -333,7 +332,7 @@ def test_span_oracles_make_no_rank_calls(monkeypatch, p10):
         for mask in range(0, 1 << m.n, 7):
             m.closure(mask)
     assert calls == []
-    assert from_graph(5, W4_EDGES).rank() == 4 and calls  # the patch is live
+    assert from_graph(5, W4_EDGES).r(0b11) == 2 and calls  # the patch is live
 
 
 def test_linear_flats_make_no_rank_or_closure_calls(monkeypatch, p10):
@@ -350,14 +349,44 @@ def test_linear_flats_make_no_rank_or_closure_calls(monkeypatch, p10):
             assert m.flats_of_rank(k)
         with pytest.raises(MatroidError):
             m.flats_of_rank(r + 1)
-        assert calls == [] and m._memo == {} and m._span[0] == {}
-        assert m.rank() == r and calls  # the patch is live
+        assert calls == []
+        assert m.rank() == r and m.r(0b11) == 2 and calls  # the patch is live
         calls.clear()
     # out of range fails at once, without walking the C(64, 30) independent sets
     rng = random.Random(3)
     wide = from_matrix(GFMatrix(2, [[rng.randrange(2) for _ in range(64)] for _ in range(30)]))
     with pytest.raises(MatroidError):
         wide.flats_of_rank(31)
+
+
+def test_rank_and_closure_asks_keep_nothing():
+    """r, rank, nullity and closure are computed on each ask: thousands of
+    them on PG(4,2) and on a rank table leave no state on the matroid."""
+    rng = random.Random(33)
+    for m in (catalog.geometry("PG", 4), as_rank_table(catalog.geometry("PG", 3))):
+        for _ in range(1000):
+            mask = rng.getrandbits(m.n)
+            cl = m.closure(mask)
+            assert cl & mask == mask and m.r(mask) == m.rank(mask) == m.r(cl), (m, mask)
+            assert m.nullity(mask) == mask.bit_count() - m.r(mask)
+        assert m.rank() == m.r(m.full_mask) and m.closure(m.full_mask) == m.full_mask
+        assert m._span == {}, m
+
+
+def test_first_independent_set_at_the_edges(f7, p10):
+    """An l of 0 or less asks for the first independent t-set in colex
+    order, and a negative t raises, on a matrix and on a rank table alike."""
+    for m in (f7, p10):
+        table = as_rank_table(m)
+        for t in range(m.rank() + 1):
+            want = next(mask for mask in range(1 << m.n)
+                        if mask.bit_count() == t and m.r(mask) == t)
+            for side in (m, table):
+                got = [side.first_independent_set(t, l) for l in (-2, -1, 0)]
+                assert got == [want] * 3, (side, t)
+        for side in (m, table):
+            with pytest.raises(MatroidError):
+                side.first_independent_set(-1, 0)
 
 
 def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10):
@@ -384,7 +413,7 @@ def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10)
     for t in range(r + 1):  # the shallowest first: a walk per deeper part rank
         assert fresh.least_flats(t) == m.least_flats(t)
     assert walked == [(rest, min(t, r - c)) for t in range(r - c + 1)]
-    assert not any(isinstance(key, int) for key in fresh._span[1])  # no flat list kept
+    assert not any(isinstance(key, int) for key in fresh._span)  # no flat list kept
     walked.clear()
     dual = m.dual()  # M*'s one coloop is M's loop
     dual.least_flats(dual.rank() - 1)
@@ -460,20 +489,24 @@ def _graph_rank(nverts, edges, mask):
 K44_EDGES = [(u, v) for u in range(4) for v in range(4, 8)]
 
 
-def test_derived_tables_come_from_the_dense_table_and_leave_the_memo_alone():
+def test_derived_tables_come_from_the_dense_table_without_rank_calls(monkeypatch):
     """dual() and direct_sum() of a 16-edge graph, and of smaller graphs and
     rank tables, against a brute-force rank check: r*(X) = |X| + r(E - X) -
-    r(E), and the sum's rank is r1(X1) + r2(X2) with m1 in the low bits."""
+    r(E), and the sum's rank is r1(X1) + r2(X2) with m1 in the low bits.
+    No derived table asks the graph's rank oracle."""
+    calls = []
+    orig = GraphicRep.rank
+    monkeypatch.setattr(GraphicRep, "rank", lambda rep, mask: calls.append(mask) or orig(rep, mask))
     graph = from_graph(8, K44_EDGES)
     dual = graph.dual()
-    assert len(graph._memo) <= 1
+    assert calls == []
     full = graph.full_mask
     ranks = [_graph_rank(8, K44_EDGES, mask) for mask in range(1 << 16)]
     assert dual.rep.table == bytes(mask.bit_count() + ranks[full ^ mask] - 7
                                    for mask in range(1 << 16))
     graph = from_graph(8, K44_EDGES)
     both = direct_sum(graph, matroid.uniform(0, 1))
-    assert len(graph._memo) <= 1
+    assert calls == []
     assert both.rep.table == bytes(ranks) * 2
     w4, u23 = from_graph(5, W4_EDGES), u_matroid(2, 3)
     w4_rank = [_graph_rank(5, W4_EDGES, mask) for mask in range(1 << 8)].__getitem__
@@ -488,6 +521,8 @@ def test_derived_tables_come_from_the_dense_table_and_leave_the_memo_alone():
     for m1, r1, m2, r2 in ((w4, w4_rank, u23, u23_rank), (u23, u23_rank, w4, w4_rank)):
         want = bytes(r1(mask & m1.full_mask) + r2(mask >> m1.n) for mask in range(1 << 11))
         assert direct_sum(m1, m2).rep.table == want, (m1, m2)
+    assert calls == []
+    assert w4.r(0b11) == 2 and calls  # the patch is live
 
 
 def test_circuits(f7, p9, p10):
@@ -1135,16 +1170,20 @@ def test_full_rank_table_walk_matches_the_rank_oracle():
             assert full_rank_table(m) == want, (q, rows)
 
 
-def test_full_rank_table_leaves_the_memo_alone():
+def test_full_rank_table_makes_no_rank_calls(monkeypatch):
     rng = random.Random(12)
     rows = [[rng.randrange(3) for _ in range(12)] for _ in range(5)]
     m = from_matrix(GFMatrix(field(3), rows))
-    ref = from_matrix(GFMatrix(field(3), rows))
-    assert full_rank_table(m) == bytes(ref.r(mask) for mask in range(1 << 12))
+    want = bytes(m.r(mask) for mask in range(1 << 12))
+    calls = []
+    orig = LinearRep.rank
+    monkeypatch.setattr(LinearRep, "rank", lambda rep, mask: calls.append(mask) or orig(rep, mask))
+    assert full_rank_table(m) == want
     # connectivity of a matrix reads its standard form and makes no rank call
     m.is_connected()
     m.is_3connected()
-    assert m._memo == {}
+    assert calls == []
+    assert m.r(1) == want[1] and calls  # the patch is live
 
 
 def _sampled_certificate_masks(n):

@@ -106,6 +106,22 @@ def test_oracle_agreement_catches_a_walk_that_loses_flats(monkeypatch):
     assert result.status == "fail", result.details
 
 
+def test_oracle_agreement_catches_a_walk_that_records_short_bases(monkeypatch):
+    """A walk that records each basis of rank 1 or more without its highest
+    element keeps every flat, so the verdicts still agree; the matrix's
+    minor witnesses, read from those bases, differ from the rank table's."""
+
+    def short(mat, k, cols):
+        flats, bases = _flats(mat, k, cols)
+        return flats, [tuple(b ^ 1 << b.bit_length() - 1 for b in got) if j else got
+                       for j, got in enumerate(bases)]
+
+    monkeypatch.setattr(matroid, "_flats", short)
+    [result] = run_checks(ids=["oracle-agreement"], corpus_size=80)
+    assert result.status == "fail"
+    assert result.details == "flat and minor deciders agree on 1186/1395 queries"
+
+
 def test_slow_checks_pass():
     # The two checks that once sat behind a slow gate now run by default.
     results = run_checks(ids=["f-values-31", "family-completeness"])
