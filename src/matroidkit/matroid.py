@@ -11,10 +11,10 @@ module: callers ask a `Matroid`, and build uniform matroids with
 per mask; closures, flats, circuits, minors, direct sums, dense rank
 tables and parallel classes (loops are the elements in none) are read
 from the matrix when there is one (`least_flats` walks the columns
-outside the coloops), series classes from its dual's columns, and r(E),
-fundamental circuits (so components and coloops) and the 2-separation
-test that `is_3connected` runs after `is_connected` from its one standard
-form, the `rref` kept on the GFMatrix.
+outside the coloops), series classes from its dual's columns, and a
+Linear matroid's r(E), fundamental circuits (so components and coloops)
+and the 2-separation test that `is_3connected` runs after `is_connected`
+from its one standard form, the `rref` kept on the GFMatrix.
 Each matrix keeps one null space (`gf.null_space`), its dual's matrix:
 the dual of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
 larger table is certified binary), is that matrix.  Every other derived
@@ -133,7 +133,10 @@ class LinearRep:
         return self.matrix.ncols
 
     def rank(self, mask):
-        return rank_of_columns(self.matrix, mask)
+        mat = self.matrix
+        if mask == (1 << mat.ncols) - 1:  # r(E): the kept standard form
+            return rref(mat)[1]
+        return rank_of_columns(mat, mask)
 
 
 class RankTableRep:
@@ -305,15 +308,11 @@ class Matroid:
         return self.rep.rank(mask)
 
     def rank(self, X=None):
-        """r(X); r(E) of a matrix is the rank of its kept `rref`."""
-        mask, mat = self._as_mask(X), self.rep.matrix
-        if mat is None or mask != self.full_mask:
-            return self.r(mask)
-        return rref(mat)[1]
+        return self.r(self._as_mask(X))
 
     def nullity(self, X=None):
         mask = self._as_mask(X)
-        return mask.bit_count() - self.rank(mask)
+        return mask.bit_count() - self.r(mask)
 
     def closure(self, X):
         """Mask of cl(X), computed on each ask.  A matrix spans X directly; a

@@ -101,9 +101,10 @@ class _Cache:
 
 
 def _check_oracle_agreement(cache):
-    # on a matrix both deciders read one flats walk; the minor side asks the
-    # rank table instead, which scans its t-sets without that walk.  A query
-    # is bad if the verdicts differ or the matrix's minor witness does
+    # on a matrix the two deciders read different tables of one flats walk
+    # (least flats, least bases); a rank table scans its t-sets without it.
+    # A query is bad if the matrix's flats verdict or minor witness differs
+    # from the rank table's minor answer.
     bad = 0
     n = 0
     for m in cache.corpus():

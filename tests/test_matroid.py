@@ -349,8 +349,8 @@ def test_linear_flats_make_no_rank_or_closure_calls(monkeypatch, p10):
             assert m.flats_of_rank(k)
         with pytest.raises(MatroidError):
             m.flats_of_rank(r + 1)
-        assert calls == []
-        assert m.rank() == r and m.r(0b11) == 2 and calls  # the patch is live
+        assert set(calls) == {m.full_mask}  # only r(E), for the range check
+        assert m.rank() == r and m.r(0b11) == 2  # the patch is live
         calls.clear()
     # out of range fails at once, without walking the C(64, 30) independent sets
     rng = random.Random(3)
