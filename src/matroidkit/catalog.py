@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .gf import GFMatrix, parse_matrix
+from .gf import MAX_DIM, GFMatrix, parse_matrix
 from .iso import element_orbits, iso_key
 from .matroid import (
     MatroidError,
@@ -86,24 +86,25 @@ def geometry(kind, dim):
     on the vectors with last coordinate 1 (complement of a hyperplane)."""
     if dim < 1:
         raise MatroidError("geometry needs dim >= 1")
-    r = dim + 1
-    if kind == "PG":
-        values = list(range(1, 1 << r))
-    elif kind == "AG":
-        # Row 0 of a column is the high bit, so the last coordinate is bit 0.
-        values = [v for v in range(1, 1 << r) if v & 1]
-    else:
+    if kind not in ("PG", "AG"):
         raise MatroidError(f"unknown geometry kind {kind!r}")
-    if len(values) > 64:
+    # counted before any point is listed: PG has 2^(dim+1) - 1, AG 2^dim;
+    # past dim 6 both exceed MAX_DIM, so the shift is capped at 7
+    d = min(dim, 7)
+    if ((2 << d) - 1 if kind == "PG" else 1 << d) > MAX_DIM:
         raise MatroidError(f"geometry({kind},{dim},2): too many points")
-    return from_matrix(GFMatrix.from_point_values(values, r), name=f"{kind}({dim},2)")
+    # Row 0 of a column is the high bit, so AG's last coordinate is bit 0.
+    values = range(1, 2 << dim, 1 if kind == "PG" else 2)
+    return from_matrix(GFMatrix.from_point_values(values, dim + 1), name=f"{kind}({dim},2)")
 
 
-def spike(r, name=""):
+def spike(r):
     """Binary r-spike Z_r: columns I_r (legs x_i), J_r - I_r (co-legs y_i),
     and the all-ones tip t."""
     if r < 3:
         raise MatroidError("spike(r) needs r >= 3")
+    if 2 * r + 1 > MAX_DIM:
+        raise MatroidError(f"spike({r}): {2 * r + 1} elements exceed the {MAX_DIM} cap")
     cols = [[1 if i == j else 0 for i in range(r)] for j in range(r)]
     cols += [[0 if i == j else 1 for i in range(r)] for j in range(r)]
     cols.append([1] * r)
@@ -112,7 +113,7 @@ def spike(r, name=""):
         + tuple(f"y{j + 1}" for j in range(r))
         + ("t",)
     )
-    return from_matrix(GFMatrix.from_columns(2, cols), labels=labels, name=name or f"Z{r}")
+    return from_matrix(GFMatrix.from_columns(2, cols), labels=labels, name=f"Z{r}")
 
 
 def spike_minus_tip(r):

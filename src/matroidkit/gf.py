@@ -112,7 +112,6 @@ def _fill(m, fld, rows):
     object.__setattr__(m, "nrows", len(rows))
     object.__setattr__(m, "ncols", len(rows[0]) if rows else 0)
     object.__setattr__(m, "_col_bits", None)
-    object.__setattr__(m, "_columns", None)
     object.__setattr__(m, "_rref", None)
     object.__setattr__(m, "_null", None)
 
@@ -120,13 +119,12 @@ def _fill(m, fld, rows):
 class GFMatrix:
     """Immutable r x n matrix over GF(q).
 
-    `rows` is a tuple of row tuples.  The columns are cached as tuples
-    (`columns`) and packed, entry i in lane i of an int (`col_bits`); the
-    reduced row echelon form (`rref`) and the null space (`null_space`) are
-    kept once computed.
+    `rows` is a tuple of row tuples.  The columns are kept only packed,
+    entry i in lane i of an int (`col_bits`); the reduced row echelon form
+    (`rref`) and the null space (`null_space`) are kept once computed.
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits", "_columns", "_rref", "_null")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_col_bits", "_rref", "_null")
 
     def __init__(self, fld: FieldSpec, rows):
         if isinstance(fld, int):
@@ -179,15 +177,6 @@ class GFMatrix:
             object.__setattr__(self, "_col_bits", cached)
         return cached
 
-    @property
-    def columns(self):
-        """Tuple of column tuples."""
-        cached = object.__getattribute__(self, "_columns")
-        if cached is None:
-            cached = tuple(zip(*self.rows))
-            object.__setattr__(self, "_columns", cached)
-        return cached
-
     def point_values(self):
         """GF(2) only: columns as ints read with row 0 as the high bit, the
         point values that from_point_values and subspace_masks take."""
@@ -204,20 +193,12 @@ class GFMatrix:
             self.field, tuple(tuple(row[j] for j in cols) for row in self.rows)
         )
 
-    def stack_row(self, row):
-        return GFMatrix(self.field, self.rows + (tuple(row),))
-
     @staticmethod
-    def from_columns(fld, cols, nrows=None):
-        if isinstance(fld, int):
-            fld = field(fld)
+    def from_columns(fld, cols):
         cols = [tuple(c) for c in cols]
-        if nrows is None:
-            if not cols:
-                raise GFError("from_columns needs nrows for an empty column list")
-            nrows = len(cols[0])
-        rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-        return GFMatrix(fld, rows)
+        if not cols:
+            raise GFError("from_columns needs at least one column")
+        return GFMatrix(fld, (tuple(c[i] for c in cols) for i in range(len(cols[0]))))
 
     @staticmethod
     def from_point_values(values, r):

@@ -87,19 +87,6 @@ def _subsets(n, k):
     return map(sum, itertools.combinations([1 << i for i in range(n)], k))
 
 
-def _t_subsets(n, t):
-    """Masks of the t-subsets of range(n) in increasing order (Gosper's hack).
-    Not _subsets: this colex order fixes is_kl_uniform_minor's witnesses."""
-    mask = (1 << t) - 1
-    while not mask >> n:
-        yield mask
-        if not mask:
-            return
-        low = mask & -mask
-        ripple = mask + low
-        mask = (((ripple ^ mask) >> 2) // low) | ripple
-
-
 def _least_by_nullity(flats, j, top, keys=None):
     """least[l], for l = 0 ... top: the least keys[i] (flats[i] by default)
     over the rank-j masks flats[i] with nullity at least l, or None; top
@@ -356,17 +343,17 @@ class Matroid:
         return list(out)
 
     def first_independent_set(self, t, l):
-        """The first independent t-set in colex order (increasing masks,
-        `_t_subsets`) whose closure has nullity at least l, or None; an l
-        of 0 or less asks for the first independent t-set.
+        """The least independent t-set (as a mask, so the first in colex
+        order) whose closure has nullity at least l, or None; an l of 0 or
+        less asks for the least independent t-set.
 
         The independent t-sets spanning a rank-t flat F are its bases, and
         the greedy basis of F is the least of them (Gale), so this is the
         least greedy basis of a rank-t flat with nullity at least l: a
         matrix reads entry l of the basis table `least_flats(t)` keeps.  A
-        rank table scans the t-sets afresh on each ask, up to the first hit.
-        No closure of a t-set has nullity above n - r, so a larger l walks
-        nothing."""
+        rank table checks the definition instead: it scans every t-set
+        afresh on each ask and keeps the least that qualifies.  No closure
+        of a t-set has nullity above n - r, so a larger l walks nothing."""
         if t < 0:
             raise MatroidError(f"independent set size {t} out of range")
         r, l = self.rank(), max(l, 0)
@@ -375,8 +362,8 @@ class Matroid:
         if self.rep.matrix is not None:
             self.least_flats(t)
             return self._span["bases", t][l]
-        return next((mask for mask in _t_subsets(self.n, t)
-                     if self.r(mask) == t and self.closure(mask).bit_count() - t >= l), None)
+        return min((mask for mask in _subsets(self.n, t)
+                    if self.r(mask) == t and self.closure(mask).bit_count() - t >= l), default=None)
 
     def least_flats(self, t):
         """best[l], for l = 0 ... n - r: the least mask of a rank-t flat with
@@ -616,8 +603,8 @@ class Matroid:
             red, _, pivots = rref(mat)
             basis = sum(1 << p for p in pivots)
             return basis, {
-                e: 1 << e | sum(1 << p for p, x in zip(pivots, col) if x)
-                for e, col in enumerate(red.columns) if not basis >> e & 1
+                e: 1 << e | sum(1 << p for p, row in zip(pivots, red.rows) if row[e])
+                for e in range(self.n) if not basis >> e & 1
             }
         basis = 0
         for i in range(self.n):
@@ -1017,7 +1004,7 @@ def is_binary_affine(m: Matroid):
     if mat is None:
         raise MatroidError("affine test needs a GF(2) matrix, graph or graft")
     by_circuits = all(c.bit_count() % 2 == 0 for c in m.circuits())
-    by_rows = rref(mat)[1] == rref(mat.stack_row((1,) * mat.ncols))[1]
+    by_rows = rref(mat)[1] == rref(GFMatrix(mat.field, mat.rows + ((1,) * mat.ncols,)))[1]
     if by_circuits != by_rows:
         raise MatroidError("internal error: circuit and row-space affine tests disagree")
     return by_rows

@@ -71,13 +71,13 @@ def is_kl_uniform_flats(m: Matroid, k: int, l: int):
 
 
 def is_kl_uniform_minor(m: Matroid, k: int, l: int):
-    """(True, None) or (False, MinorWitness): the first independent set I of
-    size r-k in mask order whose closure has nullity >= l
+    """(True, None) or (False, MinorWitness): the least independent set I
+    of size r-k, as a mask, whose closure has nullity >= l
     (`Matroid.first_independent_set`: on a matrix the least greedy basis
     of such a flat, from the walk the flat decider reads; on a rank table
-    the first hit of a scan of the t-sets, made afresh on each ask), then
-    the minor assembled (contract I; keep k spanning elements and l
-    dependent ones)."""
+    the least qualifying mask of a scan of every t-set, made afresh on each
+    ask), then the minor assembled (contract I; keep k spanning elements
+    and l dependent ones)."""
     _check_kl(k, l)
     r = m.rank()
     if k > r:

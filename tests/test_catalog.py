@@ -146,6 +146,16 @@ def test_resolve_forms():
         catalog.resolve("Q10")
 
 
+def test_resolve_refuses_oversized_geometries_and_spikes_before_building():
+    # counted before a point or column is listed: PG(63,2) listed 2^64 - 1
+    # points (OverflowError), AG(40,2) 2^41 candidates (no end in sight), and
+    # Z1000 built 2001 columns for GFMatrix to refuse (GFError)
+    for text in ("PG(63,2)", "AG(40,2)", "AG(7,2)", "Z1000", "Z32", "Z32-t"):
+        with pytest.raises(MatroidError, match="too many points|exceed the 64 cap"):
+            catalog.resolve(text)
+    assert catalog.resolve("AG(6,2)").n == 64 and catalog.resolve("Z31").n == 63
+
+
 def test_entry_claims_are_checked():
     with pytest.raises(MatroidError):
         catalog.CatalogEntry("bad", {}, catalog.uniform(1, 2), "", rank=2, size=2)

@@ -51,6 +51,9 @@ def test_check_errors(capsys, tmp_path):
     assert code == 2 and "circuit method" in err
     code, _, err = run(capsys, "check", "catalog:NOPE", "--k", "2", "--l", "2")
     assert code == 2 and "cannot resolve" in err
+    for uri in ("catalog:PG(63,2)", "catalog:AG(40,2)", "catalog:Z1000"):
+        code, _, err = run(capsys, "check", uri, "--k", "1", "--l", "1")
+        assert code == 2 and err.startswith("error:"), (uri, err)
     code, _, err = run(capsys, "check", "/nonexistent/path.txt",
                        "--k", "2", "--l", "2")
     assert code == 2

@@ -124,7 +124,7 @@ def test_trusted_matrices_equal_validated_ones():
             for out in built:
                 ref = GFMatrix(q, out.rows)
                 assert out == ref and hash(out) == hash(ref) and out.field is ref.field
-                assert (out.nrows, out.ncols, out.columns) == (ref.nrows, ref.ncols, ref.columns)
+                assert (out.nrows, out.ncols) == (ref.nrows, ref.ncols)
                 assert out.col_bits == ref.col_bits
     with pytest.raises(GFError):
         m.select_columns([0] * (gf.MAX_DIM + 1))
@@ -138,7 +138,7 @@ def _assert_reduced(m):
     assert rank == len(pivots) == rank_of_columns(m, full)
     assert all(not any(row) for row in red.rows[rank:])
     for i, p in enumerate(pivots):
-        assert red.columns[p] == tuple(int(k == i) for k in range(m.nrows))
+        assert tuple(row[p] for row in red.rows) == tuple(int(k == i) for k in range(m.nrows))
         assert all(not red.rows[i][j] for j in range(p))  # the leading entry
         # the pivots are the greedy basis: each is independent of the columns before it
         assert rank_of_columns(m, (1 << p + 1) - 1) == i + 1 > rank_of_columns(m, (1 << p) - 1)
@@ -280,7 +280,7 @@ def _assert_packed_kernels_match_the_reference(m):
     """rank_of_columns, span_of_columns, _flats (every rank of each walk,
     order included, and each flat's greedy basis) and full_rank_table
     against rank tables from _reference_rank."""
-    q, n, cols = m.field.q, m.ncols, m.columns
+    q, n, cols = m.field.q, m.ncols, tuple(zip(*m.rows))
     ranks = [_reference_rank(q, [cols[j] for j in range(n) if mask >> j & 1])
              for mask in range(1 << n)]
     spans = [mask | sum(1 << j for j in range(n) if ranks[mask | 1 << j] == ranks[mask])

@@ -32,6 +32,7 @@ from matroidkit.matroid import (
     binary_three_sum,
     from_graph,
     from_matrix,
+    full_rank_table,
     is_isomorphism,
 )
 from matroidkit.search import census_seeds
@@ -445,7 +446,8 @@ def test_has_minor_budget_counts_skipped_candidates():
     # P10 behind two copies of its element 4 and a loop: the first 1,794
     # candidates, most holding a parallel pair or the loop, are all spent
     p10 = catalog.named("P10").rep.matrix
-    cols = [p10.columns[3], p10.columns[3], (0,) * 5] + list(p10.columns)
+    cols = list(zip(*p10.rows))
+    cols = [cols[3], cols[3], (0,) * 5] + cols
     host, mw4 = from_matrix(GFMatrix.from_columns(2, cols)), catalog.named("MW4")
     assert has_minor(host, mw4, budget=1795) == (16, 4166)
     with pytest.raises(BudgetExhausted):
@@ -706,3 +708,48 @@ def test_empty_and_tiny():
     loop = u_matroid(0, 1)
     assert are_isomorphic(loop, u_matroid(1, 1)) is None
     assert iso_key(loop) != iso_key(u_matroid(1, 1))
+
+
+def _brute_isomorphic(a, b):
+    """Whether some permutation of the elements carries a's rank table onto
+    b's (of equal size); image[mask] is the mask's image, built up mask by mask."""
+    n, ta, tb = a.n, full_rank_table(a), full_rank_table(b)
+    for perm in itertools.permutations([1 << i for i in range(n)]):
+        image = [0]
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image.append(image[mask ^ low] | perm[low.bit_length() - 1])
+            if tb[image[mask]] != ta[mask]:
+                break
+        else:
+            return True
+    return False
+
+
+def test_isomorphism_matches_brute_force_on_gf3_pairs():
+    # seeded GF(3) matrices of 4 to 7 elements (mostly 7, where the circuit
+    # backtrack most often has a wrong choice to undo), each against a copy
+    # with its columns shuffled and scaled and against the previous matrix of
+    # its size and rank; the backtrack is also checked on its own
+    rng = random.Random(7)
+    last, pairs = {}, []
+    for _ in range(80):
+        n = rng.choice((4, 5, 6, 7, 7, 7))
+        r = rng.randint(2, n - 2)
+        mat = GFMatrix(3, [[rng.randrange(3) for _ in range(n)] for _ in range(r)])
+        order, scale = rng.sample(range(n), n), [rng.randint(1, 2) for _ in range(n)]
+        moved = GFMatrix(3, [[row[j] * scale[j] % 3 for j in order] for row in mat.rows])
+        a = from_matrix(mat)
+        pairs.append((a, from_matrix(moved)))
+        key = (n, a.rank())
+        if key in last:
+            pairs.append((last[key], a))
+        last[key] = a
+    generic = 0
+    for a, b in pairs:
+        want = _brute_isomorphic(a, b)
+        assert (are_isomorphic(a, b) is not None) == want, (a.rep.matrix.rows, b.rep.matrix.rows)
+        cert = iso._generic_isomorphism(a, b)
+        assert (cert is not None) == want and (cert is None or is_isomorphism(a, b, cert))
+        generic += cert is not None and binary_representation(a) is None
+    assert generic >= 10

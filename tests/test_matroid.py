@@ -398,7 +398,7 @@ def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10)
 
     monkeypatch.setattr(matroid, "_flats", wrapped)
     # P10 (rank 5) beside two coloops, in rows of their own, and a loop
-    cols = [list(c) + [0, 0] for c in p10.rep.matrix.columns]
+    cols = [list(c) + [0, 0] for c in zip(*p10.rep.matrix.rows)]
     cols[3:3] = [[0] * 5 + [1, 0], [0] * 7]
     cols.append([0] * 6 + [1])
     m = from_matrix(GFMatrix.from_columns(2, cols))
@@ -960,7 +960,7 @@ def test_connectivity_never_enumerates_circuits(monkeypatch):
 def test_3connectivity_past_the_rank_table_cap():
     pg = catalog.geometry("PG", 4)
     assert pg.n == 31 and pg.is_3connected()
-    cols = pg.rep.matrix.columns
+    cols = tuple(zip(*pg.rep.matrix.rows))
     doubled = from_matrix(GFMatrix.from_columns(2, cols + cols[:1]))
     assert doubled.n == 32 and doubled.is_connected() and not doubled.is_3connected()
     # min(r, n - r) = 32 would take 2^32 steps: refused before the loop

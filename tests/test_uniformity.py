@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from matroidkit import catalog, matroid
+from matroidkit import catalog, matroid, uniformity
 from matroidkit.gf import GFMatrix, _flats, parse_matrix
 from matroidkit.iso import are_isomorphic, has_minor
 from matroidkit.matroid import (
@@ -458,6 +458,25 @@ def test_classify_c_iv_parallel_connection_with_u24():
     got = classify_connected_not3_22(m)
     assert got.clause == "C-iv"
     assert got.data[1] == ("q1", "q2", "q3")
+
+
+def test_classify_c_iv_after_rejecting_a_triangle(monkeypatch):
+    # the member above with its elements reordered so that triangles of
+    # M(K4) are tried first: each (triangle, contracted element) tried
+    # before the U(2,4) triangle is rejected
+    w3 = from_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], labels=tuple("abcdef"))
+    joined = parallel_connection(w3, "a", u_matroid(2, 4, labels=("a", "q1", "q2", "q3")), "a")
+    m = joined.delete(joined.mask_of(("a",)))
+    perm, table = (4, 1, 5, 2, 0, 3, 7, 6), matroid.full_rank_table(m)
+    moved = Matroid(RankTableRep(m.n, bytes(table[sum(1 << perm[i] for i in matroid._bits(mask))]
+                                              for mask in range(1 << m.n))),
+                    labels=tuple(m.labels[p] for p in perm))
+    tries = []
+    try_u24 = uniformity._try_u24
+    monkeypatch.setattr(uniformity, "_try_u24", lambda *a: tries.append(try_u24(*a)) or tries[-1])
+    got = classify_connected_not3_22(moved)
+    assert got.clause == "C-iv" and sorted(got.data[1]) == ["q1", "q2", "q3"]
+    assert len(tries) > 1 and tries[-1] == got and not any(tries[:-1])
 
 
 def test_classifier_preconditions(f7, p10):
