@@ -359,68 +359,55 @@ def _verify_bijection(m1, m2, mapping):
 
 
 def _generic_isomorphism(m1, m2):
-    c1 = m1.circuits()
-    c2 = m2.circuits()
-    if len(c1) != len(c2):
-        return None
-    if sorted(c.bit_count() for c in c1) != sorted(c.bit_count() for c in c2):
-        return None
-    top = max((c.bit_count() for c in c1), default=0)
+    """Label bijection m1 -> m2 from circuits alone, or None (m1 and m2 have
+    equal size).  A bijection is an isomorphism iff it maps the circuits of
+    m1 onto those of m2.  Equal degree multisets, counted up to the longest
+    circuit of either side, give equal circuit counts per size, so a
+    bijection that sends each circuit of m1 to one of m2 is onto.  Elements
+    go rarest degree first onto unused ones of equal degree, ascending, and a
+    circuit is checked when its last element is placed, the first step at
+    which it is fully mapped; the map's keys come in placement order."""
+    c1, c2 = m1.circuits(), m2.circuits()
+    top = max((c.bit_count() for c in (*c1, *c2)), default=0)
     d1 = _circuit_degrees(m1.n, c1, top)
     d2 = _circuit_degrees(m2.n, c2, top)
     if sorted(d1) != sorted(d2):
         return None
-    c2set = set(c2)
-    by_elem1 = [[c for c in c1 if c >> i & 1] for i in range(m1.n)]
-    # rarest invariant first for early failure
-    freq = {}
-    for d in d1:
-        freq[d] = freq.get(d, 0) + 1
+    freq = Counter(d1)
     order = sorted(range(m1.n), key=lambda i: (freq[d1[i]], d1[i], i))
-    cands = {i: [j for j in range(m2.n) if d2[j] == d1[i]] for i in order}
-    assign = {}
-    used = 0
+    pos = {i: k for k, i in enumerate(order)}
+    closing = [[] for _ in order]
+    for c in c1:
+        closing[max(pos[i] for i in _bits(c))].append(c)
+    c2set = set(c2)
+    img = [0] * m1.n  # img[i] is the bit of i's image, set on the current path
 
-    def translate_ok(c):
-        out = 0
-        for i in range(m1.n):
-            if c >> i & 1:
-                j = assign.get(i)
-                if j is None:
-                    return True  # not fully mapped yet
-                out |= 1 << j
-        return out in c2set
-
-    def rec(k):
-        nonlocal used
+    def rec(k, used):
         if k == len(order):
             return True
         i = order[k]
-        for j in cands[i]:
-            if used >> j & 1:
+        for j in range(m2.n):
+            if d2[j] != d1[i] or used >> j & 1:
                 continue
-            assign[i] = j
-            used |= 1 << j
-            if all(translate_ok(c) for c in by_elem1[i]):
-                if rec(k + 1):
-                    return True
-            used ^= 1 << j
-            del assign[i]
+            img[i] = 1 << j
+            if (all(sum(img[e] for e in _bits(c)) in c2set for c in closing[k])
+                    and rec(k + 1, used | img[i])):
+                return True
         return False
 
-    if not rec(0):
+    if not rec(0, 0):
         return None
-    return {m1.labels[i]: m2.labels[j] for i, j in assign.items()}
+    return {m1.labels[i]: m2.labels[img[i].bit_length() - 1] for i in order}
 
 
 def are_isomorphic(m1: Matroid, m2: Matroid):
     """Label bijection m1 -> m2 if isomorphic, else None; the one place that
     decides how a pair is tested.  A GF(2)-backed pair with rank or corank at
     most 6 goes to canonical forms (`_binary_iso`).  Any other pair must
-    agree on `fingerprint`; then a pair certified binary with rank or corank
-    at most 6 goes to canonical forms, one binary side against a non-binary
-    one gives None, and the rest (a rank table past CERTIFY_CAP included)
-    take the circuit backtrack."""
+    agree on `fingerprint`; then a pair of rank or corank at most 6 that is
+    certified binary on both sides goes to canonical forms, and the rest (one
+    binary side against a non-binary one, and a rank table past CERTIFY_CAP,
+    included) take the exact circuit backtrack, whose map is verified."""
     r, n = m1.rank(), m1.n
     if (n, r) != (m2.n, m2.rank()):
         return None
@@ -432,14 +419,11 @@ def are_isomorphic(m1: Matroid, m2: Matroid):
     if fingerprint(m1) != fingerprint(m2):
         return None
     try:
-        a, b = binary_representation(m1), binary_representation(m2)
+        binary = small and is_binary(m1) and is_binary(m2)
     except MatroidError:
-        pass  # a rank table past CERTIFY_CAP: the generic path
-    else:
-        if (a is None) != (b is None):
-            return None
-        if a is not None and small:
-            return _binary_iso(m1, m2)
+        binary = False  # a rank table past CERTIFY_CAP: the generic path
+    if binary:
+        return _binary_iso(m1, m2)
     mapping = _generic_isomorphism(m1, m2)
     if mapping is None:
         return None

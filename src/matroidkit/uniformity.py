@@ -222,10 +222,8 @@ def _find_u24_decomposition(m):
 
 
 def _try_u24(m, tri_labels, xl, yl, zl):
+    # {x, y, z} is a circuit, so {x, y} is a parallel pair of M/z
     mz = m.contract(m.mask_of((zl,)))
-    pair = mz.mask_of((xl, yl))
-    if not any(c & pair == pair for c in mz.parallel_classes()):
-        return None
     n = mz.delete(mz.mask_of((xl,)))
     if not n.is_connected():
         return None

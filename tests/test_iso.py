@@ -30,6 +30,7 @@ from matroidkit.matroid import (
     _bits,
     as_rank_table,
     binary_three_sum,
+    direct_sum,
     from_graph,
     from_matrix,
     full_rank_table,
@@ -701,6 +702,41 @@ def test_isomorphism_past_the_certify_cap(monkeypatch):
         cert = are_isomorphic(a, b)
         assert cert is not None and is_isomorphism(a, b, cert)
     assert backtracks == [1, 1]
+
+
+def test_backtrack_separates_a_fingerprint_triple(monkeypatch):
+    # three non-isomorphic forms of the frozen `orderly` output share a
+    # fingerprint; beside a parallel pair they have n = 14 and r = 7, so no
+    # canonical form applies and are_isomorphic asks the circuit backtrack
+    forms = ((1, 2, 4, 7, 8, 11, 16, 19, 32, 35, 61, 62),
+             (1, 2, 4, 7, 8, 11, 16, 19, 32, 37, 56, 61),
+             (1, 2, 4, 7, 8, 11, 16, 21, 32, 41, 49, 62))
+    pair = from_matrix(GFMatrix(2, [[1, 1]]))
+    a, b, c = (direct_sum(from_matrix(GFMatrix.from_point_values(f, 6)), pair) for f in forms)
+    assert (a.n, a.rank()) == (14, 7)
+    assert fingerprint(a) == fingerprint(b) == fingerprint(c)
+    backtracks = []
+    generic = iso._generic_isomorphism
+    monkeypatch.setattr(iso, "_generic_isomorphism",
+                        lambda x, y: backtracks.append(generic(x, y)) or backtracks[-1])
+    assert are_isomorphic(a, b) is None
+    moved = direct_sum(from_matrix(GFMatrix.from_point_values(forms[0][::-1], 6)), pair)
+    cert = are_isomorphic(a, moved)
+    assert cert is not None and is_isomorphism(a, moved, cert)
+    assert backtracks == [None, cert]
+
+
+def test_binary_iso_rejects_a_head_mismatch_before_a_directed_walk(monkeypatch):
+    # two independent elements and a loop against a triangle: the heads
+    # differ, so only m1 is canonized and m2 is turned away before a walk
+    directed = []
+    search = iso._canon_search
+    monkeypatch.setattr(iso, "_canon_search",
+                        lambda *a, **kw: directed.append(kw.get("directed")) or search(*a, **kw))
+    a = from_matrix(GFMatrix(2, [[1, 0, 0], [0, 1, 0]]))
+    b = from_matrix(GFMatrix(2, [[1, 0, 1], [0, 1, 1]]))
+    assert are_isomorphic(a, b) is None
+    assert directed == [None]
 
 
 def test_empty_and_tiny():
