@@ -359,7 +359,7 @@ def _child_step(lanes):
     return clear
 
 
-def _flats(m: GFMatrix, k: int, cols: int):
+def _flats(m: GFMatrix, k: int, cols: int, root: int = 0):
     """(flats, bases): the flats of every rank 0 ... k (at most the rank of
     `cols`, else empty) of the columns in the mask `cols`, and beside each
     its greedy basis.  Entry j of flats is a tuple of the rank-j masks in
@@ -378,7 +378,13 @@ def _flats(m: GFMatrix, k: int, cols: int):
     class: one flat, basis P + e and one child per class whose least element
     is past max(P).  The child step (`_child_step`) is linear, so one
     remainder serves a class: e's becomes zero and joins cl, and the others
-    merge where they meet.  No column outside `cols` is read."""
+    merge where they meet.  No column outside `cols` is read.
+
+    A nonzero `root`, an independent set of columns outside `cols`, makes it
+    the walk of the contraction by root: the child step reduces every
+    column by root's, one root column at a time, before the walk starts,
+    so rank j is rank j of the contracted columns and the loops are the
+    columns of `cols` in span(root)."""
     lanes, packed = m.field.lanes[m.nrows], m._col_bits or m.col_bits
     inner = (1 << lanes[7]) - 1  # the bits of a lane above its lowest
     clear = _child_step(lanes)
@@ -402,9 +408,12 @@ def _flats(m: GFMatrix, k: int, cols: int):
                     walk(clear(rem, rem[i]), masks, cl | mask, basis | low, d + 1)
 
     inside = [j for j in range(m.ncols) if cols >> j & 1]
-    loops = sum(1 << j for j in inside if not packed[j])
+    rem = [packed[j] for j in range(m.ncols) if root >> j & 1] + [packed[j] for j in inside]
+    for _ in range(root.bit_count()):  # contract the first root column left
+        rem = clear(rem, rem[0])[1:]
+    loops = sum(1 << j for j, v in zip(inside, rem) if not v)
     if k:
-        walk([packed[j] for j in inside], [1 << j for j in inside], loops, 0, 0)
+        walk(rem, [1 << j for j in inside], loops, 0, 0)
     return ((loops,), *map(tuple, flats)), ((0,), *map(tuple, bases))
 
 

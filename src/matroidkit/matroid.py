@@ -10,11 +10,11 @@ module: callers ask a `Matroid`, and build uniform matroids with
 `uniform`.  Their own rank oracles answer `Matroid.r`, with nothing kept
 per mask; closures, flats, circuits, minors, direct sums, dense rank
 tables and parallel classes (loops are the elements in none) are read
-from the matrix when there is one (`least_flats` walks the columns
-outside the coloops), series classes from its dual's columns, and a
-Linear matroid's r(E), fundamental circuits (so components and coloops)
-and the 2-separation test that `is_3connected` runs after `is_connected`
-from its one standard form, the `rref` kept on the GFMatrix.
+from the matrix when there is one (`least_flats` walks the
+series-reduced matroid), series classes and coloops from its dual's
+columns, and a Linear matroid's r(E), fundamental circuits (so
+components) and the 2-separation test that `is_3connected` runs after
+`is_connected` from its one standard form, the `rref` kept on the GFMatrix.
 Each matrix keeps one null space (`gf.null_space`), its dual's matrix:
 the dual of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
 larger table is certified binary), is that matrix.  Every other derived
@@ -85,22 +85,6 @@ def _find(parent, x):
 def _subsets(n, k):
     """Masks of the k-subsets of range(n) in combination order."""
     return map(sum, itertools.combinations([1 << i for i in range(n)], k))
-
-
-def _least_by_nullity(flats, j, top, keys=None):
-    """least[l], for l = 0 ... top: the least keys[i] (flats[i] by default)
-    over the rank-j masks flats[i] with nullity at least l, or None; top
-    bounds every nullity."""
-    least = [None] * (top + 1)
-    for f, key in zip(flats, flats if keys is None else keys):
-        v = f.bit_count() - j
-        if least[v] is None or key < least[v]:
-            least[v] = key
-    for l in range(top - 1, -1, -1):  # the least over nullities l, l + 1, ...
-        f = least[l + 1]
-        if f is not None and (least[l] is None or f < least[l]):
-            least[l] = f
-    return least
 
 
 def default_labels(n):
@@ -253,7 +237,7 @@ class Matroid:
         self.name = name
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._canon = None  # iso._canonical's data, computed on first use
-        # flats (tuples) by rank, least_flats' tables and their "part"
+        # flats (tuples) by rank, least_flats' tables ("least") and least sets ("part")
         self._span = {}
 
     def __repr__(self):
@@ -295,6 +279,12 @@ class Matroid:
         return self.rep.rank(mask)
 
     def rank(self, X=None):
+        """r(X); r(E) is read from the length of `least_flats`' list of
+        tables, one per rank, once it is kept."""
+        if X is None:
+            tables = self._span.get("least")
+            if tables is not None:
+                return len(tables) - 1
         return self.r(self._as_mask(X))
 
     def nullity(self, X=None):
@@ -361,65 +351,150 @@ class Matroid:
             return None
         if self.rep.matrix is not None:
             self.least_flats(t)
-            return self._span["bases", t][l]
+            return self._span["least"][t][1][l]
         return min((mask for mask in _subsets(self.n, t)
                     if self.r(mask) == t and self.closure(mask).bit_count() - t >= l), default=None)
 
     def least_flats(self, t):
         """best[l], for l = 0 ... n - r: the least mask of a rank-t flat with
-        nullity at least l, or None.  One table per t, kept with the flats
-        (`with_name` copies share it); a matrix keeps beside it the least
-        greedy basis of such a flat, for `first_independent_set`.
+        nullity at least l, or None.  Kept in a list of tables, one per
+        rank (`with_name` copies share it); a matrix keeps beside each the
+        least greedy basis of such a flat, for `first_independent_set`.  A
+        rank table reads `flats_of_rank(t)`.  A matrix walks the
+        series-reduced matroid, by this argument.
 
-        Let C be the coloops, c = |C|.  A coloop lies in no circuit, so M is
-        M \\ C plus c free elements, and its rank-t flats are F | S: F a flat
-        of M \\ C of rank j, max(0, t - c) <= j <= min(t, r - c), and S any
-        t - j coloops, with nullity(F | S) = nullity(F).  Every basis of
-        F | S holds S, so its greedy basis is F's plus S.  The bits of F and
-        S are disjoint, so their masks add, and deleting C keeps the order of
-        the other elements: for each j, the least F | S (or greedy basis)
-        with nullity at least l is the least such F (or basis of F) plus the
-        t - j lowest coloops.  A matrix walks the flats and greedy bases of
-        its columns outside C (`gf._flats` over the mask E - C, masks of the
-        ground set) to rank min(t, r - c), keeps for each rank j it reached
-        the least flat and the least basis per nullity, and walks again only
-        for a deeper rank.  A rank table reads `flats_of_rank(t)`, with
-        c = 0."""
-        kept = self._span
-        best = kept.get(("least", t))
-        if best is not None:
-            return best
-        r = self.rank()
+        C is the coloops, N = M \\ C, and S_i, of s_i >= 2 elements, are N's
+        series classes: a circuit meets S_i in none or all of it.
+        x_i = max S_i, and D, the union of the S_i - x_i, is independent.
+        r'', cl'' and greedy'' (in element order) are those of N'' = N / D.
+        (a) A flat F of N is Y + D_Y + T in one way: G = cl''(Y) is a flat
+        of N'', Y = G - J for a set J of representatives x_j in G with
+        r''(Y) = r''(G), D_Y is the union of the S_i - x_i with x_i in Y,
+        and T meets only classes whose x_j is not in Y, in at most s_j - 2
+        elements when x_j is in J and s_j - 1 when x_j is outside G.  A
+        class inside F gives its x_i to Y; F's elements in the other
+        classes are T, coloops of M|F.  A circuit through a non-
+        representative of cl''(Y) avoids those classes, so G - Y holds
+        representatives only.  Conversely, a circuit through e outside F
+        holds e's class; if F holds all of S_j but e, such a circuit lies in
+        Y + D_Y + S_j and exists iff x_j is in cl''(Y): hence the caps.
+        (b) T and D - D_Y are coloops of M|(F + D), so
+        r(F) = |D_Y| + r''(G) + |T| and nullity(F) = |Y| - r''(G).
+        (c) greedy(F) = D_Y + greedy''(Y) + T: D_Y's elements precede their
+        x_i, and a circuit through y inside F's elements up to y meets only
+        classes with x_i <= y, which lie in Y + D_Y.  With x_i the minimum
+        this fails.  Dropping an element off greedy''(Y) keeps greedy''(Y).
+        (d) For one (G, J) and rank, the rest of F and of its basis is fixed
+        and disjoint from T, so both least ones take the lowest elements
+        under the caps (greedy on a partition matroid; never x_j).  The
+        coloops are pools of one element with cap 1.
+
+        So `gf._flats` walks E - C - D from span(D) to depth min(t, r''),
+        which covers every rank up to t (every rank, past r'', when there is
+        no class).
+        `_least_sets` keeps the least Y and greedy''(Y) per r''(G),
+        representatives in Y, J and nullity; an ask adds D_Y and the lowest
+        pool elements for its rank.  Valid J are closed under subsets, so
+        they grow one representative at a time, and greedy''(Y) is
+        recomputed only when the one left out was on it; a representative
+        stays in Y only while r''(G) + |D_Y| is within the ranks covered, so
+        no (G, J) is listed whose flats all lie past them.  With no class D
+        is empty and the walk is the one over E - C."""
+        kept, r = self._span, self.rank()
+        tables = kept.get("least")  # entry t: this table and a matrix's basis table
         if not 0 <= t <= r:
             raise MatroidError(f"flat rank {t} out of range")
+        if tables is None:
+            tables = kept["least"] = [None] * (r + 1)
+        elif tables[t] is not None:
+            return tables[t][0]
         top, mat = self.n - r, self.rep.matrix
         if mat is None:
-            best = _least_by_nullity(self.flats_of_rank(t), t, top)
+            least = [(t, (0,), f.bit_count() - t, f, f) for f in self.flats_of_rank(t)]
         else:
-            part = kept.get("part")  # C, and M \ C's least flats and bases by rank
-            if part is None:
-                part = kept["part"] = self.coloops(), []
-            coloops, parts = part
-            c = coloops.bit_count()
-            depth = min(t, r - c)
-            if len(parts) <= depth:
-                walked = zip(*_flats(mat, depth, self.full_mask ^ coloops))
-                parts[:] = [(_least_by_nullity(flats, j, top),
-                             _least_by_nullity(flats, j, top, bases))
-                            for j, (flats, bases) in enumerate(walked)]
-            low = [1 << i for i in _bits(coloops)]
-            best, basis = [None] * (top + 1), [None] * (top + 1)
-            for j in range(max(0, t - c), depth + 1):
-                extra = sum(low[:t - j])
-                for table, least in zip((best, basis), parts[j]):
-                    for l, f in enumerate(least):
-                        if f is not None:
-                            f |= extra
-                            if table[l] is None or f < table[l]:
-                                table[l] = f
-            kept["bases", t] = tuple(basis)
-        best = kept["least", t] = tuple(best)
-        return best
+            part = kept.get("part")  # the deepest rank it covers, and its least sets
+            if part is None or part[0] < t:
+                part = kept["part"] = self._least_sets(t, r)
+            least = part[1]
+        best, basis = [None] * (top + 1), [None] * (top + 1)
+        for rank, extras, v, y, b in least:
+            if 0 <= t - rank < len(extras):
+                y, b = y | extras[t - rank], b | extras[t - rank]
+                if best[v] is None or y < best[v]:
+                    best[v] = y
+                if basis[v] is None or b < basis[v]:
+                    basis[v] = b
+        for l in range(top - 1, -1, -1):  # the least over nullities l, l + 1, ...
+            for table in best, basis:
+                if table[l + 1] is not None and (table[l] is None or table[l + 1] < table[l]):
+                    table[l] = table[l + 1]
+        tables[t] = tuple(best), None if mat is None else tuple(basis)
+        return tables[t][0]
+
+    def _least_sets(self, t, r):
+        """(last, least) for `least_flats`, whose docstring has the argument:
+        every rank up to last is covered, and least holds, for each r''(G),
+        D_Y, J and nullity v reached, (|D_Y| + r''(G), extras, v, Y, B): Y
+        the least such Y and B the least greedy''(Y), extras[i] D_Y plus the
+        i lowest pool elements."""
+        mat = self.rep.matrix
+        classes = self.series_classes()
+        coloops = self.full_mask ^ sum(classes)
+        low = {cls.bit_length() - 1: cls & ~(1 << cls.bit_length() - 1)
+               for cls in classes if cls & cls - 1}  # x_i: S_i - x_i
+        reps, contract = sum(1 << x for x in low), sum(low.values())
+        rr = r - coloops.bit_count() - contract.bit_count()
+        depth = min(t, rr)
+        rest = self.full_mask ^ coloops ^ contract
+        if contract:
+            walked = _flats(mat, depth, rest, contract)
+            lanes, packed, piv, _ = _echelon(mat, contract)
+        else:
+            walked = _flats(mat, depth, rest)
+        last = r if depth == rr and not reps else t  # the ranks these sets cover
+        least = {}  # (r''(G), Y's representatives, J, nullity): [least Y, least greedy''(Y)]
+        for j, (flats, bases) in enumerate(zip(*walked)):
+            for g, basis in zip(flats, bases):
+                variants = [(0, basis, 0)]  # (J, greedy''(G - J), |D_Y| so far)
+                for x in _bits(g & reps):
+                    grown, w = [], low[x].bit_count()
+                    for J, b, dy in variants:
+                        if j + dy + w <= last:  # x stays in Y
+                            grown.append((J, b, dy + w))
+                        if b >> x & 1:
+                            front = piv[:]
+                            b = sum(1 << e for e in _bits(g & ~J & ~(1 << x))
+                                    if _reduce(lanes, front, packed[e]) is not None)
+                        if b.bit_count() == j:  # x joins J
+                            grown.append((J | 1 << x, b, dy))
+                    variants = grown
+                for J, b, _ in variants:
+                    y = g ^ J
+                    key = j, y & reps, J, y.bit_count() - j
+                    got = least.get(key)
+                    if got is None:
+                        least[key] = [y, b]
+                        continue
+                    if y < got[0]:
+                        got[0] = y
+                    if b < got[1]:
+                        got[1] = b
+        pools, out = {}, []
+        for (j, inside, J, v), (y, b) in least.items():
+            extras = pools.get((inside, J))
+            if extras is None:
+                extra, pool = 0, coloops  # D_Y, and the pools of T
+                for x, part in low.items():
+                    if inside >> x & 1:
+                        extra |= part
+                    else:  # cap s - 2 when x is in J, else s - 1
+                        pool |= part & ~(1 << part.bit_length() - 1) if J >> x & 1 else part
+                extras = [extra]
+                for e in _bits(pool):
+                    extras.append(extras[-1] | 1 << e)
+                extras = pools[inside, J] = tuple(extras)
+            out.append((j + extras[0].bit_count(), extras, v, y, b))
+        return last, out
 
     # ---- circuits
 
@@ -493,7 +568,11 @@ class Matroid:
         return self.full_mask ^ sum(self.parallel_classes())
 
     def coloops(self):
-        """The basis elements in no fundamental circuit."""
+        """The elements in no series class: a matrix's zero columns of its
+        kept null space, a rank table's basis elements in no fundamental
+        circuit."""
+        if self.rep.matrix is not None:
+            return self.full_mask ^ sum(self.series_classes())
         basis, circuits = self.fundamental_circuits()
         for c in circuits.values():
             basis &= ~c

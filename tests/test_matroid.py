@@ -421,6 +421,147 @@ def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10)
     assert dual.coloops().bit_count() == 1
 
 
+SERIES_TEXT = """
+2 6 12
+0 0 0 0 0 1 1 0 0 0 1 0
+0 0 0 0 1 0 1 0 1 0 1 1
+0 0 0 0 0 1 1 0 1 0 0 1
+0 0 0 0 1 0 0 1 0 0 1 1
+0 0 0 0 0 0 1 0 1 0 0 1
+1 1 1 1 0 0 1 1 0 0 1 1
+"""
+
+
+def test_least_flats_walk_the_series_reduced_matroid(monkeypatch, p10):
+    """A matrix with series classes {4, 6, 10} and {7, 11}, a coloop (5), a
+    loop (9) and four parallel columns walks E - C - D from span(D), D =
+    {4, 6, 7} (all but the largest of each class), to depth min(t, r''),
+    r'' = r - |C| - |D|, covering the ranks up to t; a cosimple matrix
+    keeps the walk without a root."""
+    walked = []
+
+    def wrapped(mat, k, cols, *root):
+        walked.append((cols, k, *root))
+        return _flats(mat, k, cols, *root)
+
+    monkeypatch.setattr(matroid, "_flats", wrapped)
+    m = from_matrix(parse_matrix(SERIES_TEXT))
+    assert [c for c in m.series_classes() if c & c - 1] == [0b10001010000, 0b100010000000]
+    assert (m.rank(), m.coloops(), m.loops()) == (6, 1 << 5, 1 << 9)
+    d, rr = 1 << 4 | 1 << 6 | 1 << 7, 2
+    rest = m.full_mask ^ 1 << 5 ^ d
+    for t in range(6, -1, -1):  # the deepest first: one walk serves every t
+        m.least_flats(t)
+    assert walked == [(rest, rr, d)]
+    walked.clear()
+    fresh = from_matrix(m.rep.matrix)
+    for t in range(7):  # the shallowest first: a walk per deeper rank
+        assert fresh.least_flats(t) == m.least_flats(t)
+        assert [fresh.first_independent_set(t, l) for l in range(7)] == [
+            m.first_independent_set(t, l) for l in range(7)]
+    assert walked == [(rest, min(t, rr), d) for t in range(7)]
+    walked.clear()
+    cosimple = from_matrix(p10.rep.matrix)
+    cosimple.least_flats(4)
+    assert walked == [(cosimple.full_mask, 4)]
+
+
+def test_least_flats_keep_no_set_past_the_asked_rank():
+    """A theta graph of twelve paths of three edges between two vertices:
+    each path is a series class, and contracting all but its last edge
+    leaves twelve parallel edges, spanned by every nonempty set of them.
+    Asked for rank 2, no set of representatives is kept whose flats have
+    rank above 2, where keeping them all would list 2^12 - 1 of rank 3 to
+    25; the least rank-2 flat is the first two edges of a path."""
+    k = 12
+    edges = [e for i in range(k) for e in ((0, 2 + 2 * i), (2 + 2 * i, 3 + 2 * i), (3 + 2 * i, 1))]
+    m = from_graph(2 + 2 * k, edges)
+    assert (m.n, m.rank(), len(m.series_classes())) == (3 * k, 2 * k + 1, k)
+    assert m.least_flats(2) == (0b11,) + (None,) * (k - 1)  # n - r = k - 1
+    assert m._span["part"][0] == 2 and len(m._span["part"][1]) == 1  # the empty flat
+
+
+def _series_cases(m, flat, classes):
+    """(s - 1 of a class with x outside G, J nonempty, J meeting greedy''(G))
+    for a flat of m, read from its definition (see `Matroid.least_flats`)."""
+    d = sum(c ^ 1 << c.bit_length() - 1 for c in classes)
+    partial = [c for c in classes if flat & c != c]
+    g = m.closure(flat & ~d & ~sum(partial) | d) & ~d
+    j = g & sum(1 << c.bit_length() - 1 for c in partial)
+    basis = d
+    for e in range(m.n):
+        if g >> e & 1 and m.r(basis | 1 << e) > basis.bit_count():
+            basis |= 1 << e
+    short = any((flat & c).bit_count() == c.bit_count() - 1 and not g >> c.bit_length() - 1 & 1
+                for c in partial)
+    return short, bool(j), bool(j & basis)
+
+
+def _series_corpus():
+    """Seeded GF(2), GF(3) and GF(4) matrices of at most 10 columns with
+    parallel columns, loops, coloops and a triangle (rows of their own),
+    and their duals: one side's parallel classes are the other's series
+    classes, and the triangle is a series class that is a circuit."""
+    rng = random.Random(37)
+    corpus = []
+    for i, q in enumerate((2, 3, 4), 1):
+        mul = field(q).mul
+        while len(corpus) < 80 * i:  # 40 matrices and their duals per field
+            nrows, c, tri = rng.randint(1, 4), rng.randint(0, 2), rng.random() < 0.3
+            cols = [[rng.randrange(q) for _ in range(nrows)] for _ in range(rng.randint(2, 5))]
+            cols += [[mul[rng.randrange(1, q)][x] for x in rng.choice(cols)]
+                     for _ in range(rng.randint(1, 3))]
+            cols += [[0] * nrows for _ in range(rng.randint(0, 1))]
+            cols = [col + [0] * (c + 2 * tri) for col in cols]
+            cols += [[0] * (nrows + i) + [1] + [0] * (c + 2 * tri - i - 1) for i in range(c)]
+            if tri:
+                cols += [[0] * (nrows + c) + v for v in ([1, 0], [0, 1], [1, 1])]
+            if len(cols) <= 10:
+                rng.shuffle(cols)
+                m = from_matrix(GFMatrix.from_columns(q, cols))
+                corpus += [m, m.dual()]
+    return corpus
+
+
+def test_least_flats_match_a_subset_scan_on_series_classes():
+    """Every table of `least_flats` and `first_independent_set`, asked in a
+    shuffled order, equals a scan of every subset of the dense rank table
+    and the rank table's own answers; the corpus reaches each case of the
+    argument in `least_flats`' docstring among the answers."""
+    rng = random.Random(38)
+    reached = dict.fromkeys(("short", "in J", "J on greedy", "circuit class", "coloops"), 0)
+    for m in _series_corpus():
+        rt, n, r = full_rank_table(m), m.n, m.rank()
+        table = as_rank_table(m)
+        classes = [c for c in m.series_classes() if c & c - 1]
+        reached["circuit class"] += any(rt[c] == c.bit_count() - 1 for c in classes)
+        reached["coloops"] += bool(classes and m.coloops())
+        want = {t: ([None] * (n - r + 1), [None] * (n - r + 1)) for t in range(r + 1)}
+        for mask in range(1 << n):
+            if all(rt[mask | 1 << e] > rt[mask] for e in range(n) if not mask >> e & 1):
+                basis = 0
+                for e in range(n):
+                    if mask >> e & 1 and rt[basis | 1 << e] > basis.bit_count():
+                        basis |= 1 << e
+                best, bases = want[rt[mask]]
+                for l in range(mask.bit_count() - rt[mask] + 1):
+                    best[l] = mask if best[l] is None else min(best[l], mask)
+                    bases[l] = basis if bases[l] is None else min(bases[l], basis)
+        asks = list(range(r + 1))
+        rng.shuffle(asks)
+        for t in asks:
+            got = m.least_flats(t), [m.first_independent_set(t, l) for l in range(n - r + 1)]
+            assert got == (tuple(want[t][0]), want[t][1]), (m.rep.matrix.rows, t)
+            assert got == (table.least_flats(t),
+                           [table.first_independent_set(t, l) for l in range(n - r + 1)])
+            for flat in {*got[0], *map(m.closure, got[1])} - {None}:
+                short, in_j, on_greedy = _series_cases(m, flat, classes)
+                reached["short"] += short
+                reached["in J"] += in_j
+                reached["J on greedy"] += on_greedy
+    assert min(reached.values()) >= 5, reached
+
+
 def _flats_of_submatrix(mat, k, cols):
     """The flats walk of a column mask as a column submatrix: `_flats` over
     all columns of the submatrix, each flat and basis spread back to mat's
