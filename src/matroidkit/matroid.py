@@ -74,6 +74,17 @@ def _bits(mask):
         mask ^= low
 
 
+def _suffix_least(table, none):
+    """table as a tuple whose entry l is the least of its entries l, l + 1,
+    ..., with `none`, a bound above every entry, read as None."""
+    least = none
+    for l in range(len(table) - 1, -1, -1):
+        if table[l] < least:
+            least = table[l]
+        table[l] = None if least == none else least
+    return tuple(table)
+
+
 def _find(parent, x):
     """Union-find root of x, halving the path on the way."""
     while parent[x] != x:
@@ -237,7 +248,7 @@ class Matroid:
         self.name = name
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._canon = None  # iso._canonical's data, computed on first use
-        # flats (tuples) by rank, least_flats' tables ("least") and least sets ("part")
+        # flats (tuples) by rank, and least_flats' tables ("least")
         self._span = {}
 
     def __repr__(self):
@@ -389,17 +400,18 @@ class Matroid:
         under the caps (greedy on a partition matroid; never x_j).  The
         coloops are pools of one element with cap 1.
 
-        So `gf._flats` walks E - C - D from span(D) to depth min(t, r''),
-        which covers every rank up to t (every rank, past r'', when there is
-        no class).
-        `_least_sets` keeps the least Y and greedy''(Y) per r''(G),
-        representatives in Y, J and nullity; an ask adds D_Y and the lowest
-        pool elements for its rank.  Valid J are closed under subsets, so
-        they grow one representative at a time, and greedy''(Y) is
-        recomputed only when the one left out was on it; a representative
-        stays in Y only while r''(G) + |D_Y| is within the ranks covered, so
-        no (G, J) is listed whose flats all lie past them.  With no class D
-        is empty and the walk is the one over E - C."""
+        So `gf._flats` walks E - C - D from span(D) (root 0 when there is
+        no class) to depth min(t, r''), which covers every rank up to t
+        (every rank, past r'', when there is no class).  One pass over its
+        flats fills the tables of every rank covered: each (G, J) adds D_Y
+        and its i lowest pool elements to Y and to greedy''(Y) at rank
+        r''(G) + |D_Y| + i, for each such rank covered, and a suffix minimum
+        over the nullities ends each rank.  Valid J are closed under
+        subsets, so they grow one representative at a time, and greedy''(Y)
+        is recomputed only when the one left out was on it; a
+        representative stays in Y only while r''(G) + |D_Y| is within the
+        ranks covered, so no (G, J) is listed whose flats all lie past
+        them."""
         kept, r = self._span, self.rank()
         tables = kept.get("least")  # entry t: this table and a matrix's basis table
         if not 0 <= t <= r:
@@ -408,36 +420,13 @@ class Matroid:
             tables = kept["least"] = [None] * (r + 1)
         elif tables[t] is not None:
             return tables[t][0]
-        top, mat = self.n - r, self.rep.matrix
+        top, mat, none = self.n - r, self.rep.matrix, 1 << self.n  # none: above every mask
         if mat is None:
-            least = [(t, (0,), f.bit_count() - t, f, f) for f in self.flats_of_rank(t)]
-        else:
-            part = kept.get("part")  # the deepest rank it covers, and its least sets
-            if part is None or part[0] < t:
-                part = kept["part"] = self._least_sets(t, r)
-            least = part[1]
-        best, basis = [None] * (top + 1), [None] * (top + 1)
-        for rank, extras, v, y, b in least:
-            if 0 <= t - rank < len(extras):
-                y, b = y | extras[t - rank], b | extras[t - rank]
-                if best[v] is None or y < best[v]:
-                    best[v] = y
-                if basis[v] is None or b < basis[v]:
-                    basis[v] = b
-        for l in range(top - 1, -1, -1):  # the least over nullities l, l + 1, ...
-            for table in best, basis:
-                if table[l + 1] is not None and (table[l] is None or table[l + 1] < table[l]):
-                    table[l] = table[l + 1]
-        tables[t] = tuple(best), None if mat is None else tuple(basis)
-        return tables[t][0]
-
-    def _least_sets(self, t, r):
-        """(last, least) for `least_flats`, whose docstring has the argument:
-        every rank up to last is covered, and least holds, for each r''(G),
-        D_Y, J and nullity v reached, (|D_Y| + r''(G), extras, v, Y, B): Y
-        the least such Y and B the least greedy''(Y), extras[i] D_Y plus the
-        i lowest pool elements."""
-        mat = self.rep.matrix
+            best = [none] * (top + 1)
+            for f in sorted(self.flats_of_rank(t), reverse=True):  # the least last
+                best[f.bit_count() - t] = f
+            tables[t] = _suffix_least(best, none), None
+            return tables[t][0]
         classes = self.series_classes()
         coloops = self.full_mask ^ sum(classes)
         low = {cls.bit_length() - 1: cls & ~(1 << cls.bit_length() - 1)
@@ -445,17 +434,15 @@ class Matroid:
         reps, contract = sum(1 << x for x in low), sum(low.values())
         rr = r - coloops.bit_count() - contract.bit_count()
         depth = min(t, rr)
-        rest = self.full_mask ^ coloops ^ contract
-        if contract:
-            walked = _flats(mat, depth, rest, contract)
-            lanes, packed, piv, _ = _echelon(mat, contract)
-        else:
-            walked = _flats(mat, depth, rest)
-        last = r if depth == rr and not reps else t  # the ranks these sets cover
-        least = {}  # (r''(G), Y's representatives, J, nullity): [least Y, least greedy''(Y)]
+        walked = _flats(mat, depth, self.full_mask ^ coloops ^ contract, contract)
+        lanes, packed, piv, _ = _echelon(mat, contract)
+        last = r if depth == rr and not reps else t  # the ranks this walk covers
+        best = [[none] * (top + 1) for _ in range(last + 1)]  # by rank, then nullity
+        basis = [[none] * (top + 1) for _ in range(last + 1)]
+        pools = {}  # (Y's representatives, J): D_Y plus the 0, 1, ... lowest pool elements
         for j, (flats, bases) in enumerate(zip(*walked)):
-            for g, basis in zip(flats, bases):
-                variants = [(0, basis, 0)]  # (J, greedy''(G - J), |D_Y| so far)
+            for g, greedy in zip(flats, bases):
+                variants = [(0, greedy, 0)]  # (J, greedy''(G - J), |D_Y| so far)
                 for x in _bits(g & reps):
                     grown, w = [], low[x].bit_count()
                     for J, b, dy in variants:
@@ -468,33 +455,28 @@ class Matroid:
                         if b.bit_count() == j:  # x joins J
                             grown.append((J | 1 << x, b, dy))
                     variants = grown
-                for J, b, _ in variants:
+                for J, b, dy in variants:
                     y = g ^ J
-                    key = j, y & reps, J, y.bit_count() - j
-                    got = least.get(key)
-                    if got is None:
-                        least[key] = [y, b]
-                        continue
-                    if y < got[0]:
-                        got[0] = y
-                    if b < got[1]:
-                        got[1] = b
-        pools, out = {}, []
-        for (j, inside, J, v), (y, b) in least.items():
-            extras = pools.get((inside, J))
-            if extras is None:
-                extra, pool = 0, coloops  # D_Y, and the pools of T
-                for x, part in low.items():
-                    if inside >> x & 1:
-                        extra |= part
-                    else:  # cap s - 2 when x is in J, else s - 1
-                        pool |= part & ~(1 << part.bit_length() - 1) if J >> x & 1 else part
-                extras = [extra]
-                for e in _bits(pool):
-                    extras.append(extras[-1] | 1 << e)
-                extras = pools[inside, J] = tuple(extras)
-            out.append((j + extras[0].bit_count(), extras, v, y, b))
-        return last, out
+                    v, inside = y.bit_count() - j, y & reps
+                    extras = pools.get((inside, J))
+                    if extras is None:
+                        extra, pool = 0, coloops  # D_Y, and the pools of T
+                        for x, part in low.items():
+                            if inside >> x & 1:
+                                extra |= part
+                            else:  # cap s - 2 when x is in J, else s - 1
+                                pool |= part & ~(1 << part.bit_length() - 1) if J >> x & 1 else part
+                        extras = pools[inside, J] = [extra]
+                        for e in _bits(pool):
+                            extras.append(extras[-1] | 1 << e)
+                    for rank, extra in zip(range(j + dy, last + 1), extras):
+                        if y | extra < best[rank][v]:
+                            best[rank][v] = y | extra
+                        if b | extra < basis[rank][v]:
+                            basis[rank][v] = b | extra
+        for rank in range(last + 1):
+            tables[rank] = _suffix_least(best[rank], none), _suffix_least(basis[rank], none)
+        return tables[t][0]
 
     # ---- circuits
 

@@ -389,19 +389,24 @@ def test_first_independent_set_at_the_edges(f7, p10):
                 side.first_independent_set(-1, 0)
 
 
-def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10):
-    walked = []
-
-    def wrapped(mat, k, cols):
-        walked.append((cols, k))
-        return _flats(mat, k, cols)
-
-    monkeypatch.setattr(matroid, "_flats", wrapped)
-    # P10 (rank 5) beside two coloops, in rows of their own, and a loop
+def _coloop_matrix(p10):
+    """P10 (rank 5) beside two coloops, in rows of their own, and a loop."""
     cols = [list(c) + [0, 0] for c in zip(*p10.rep.matrix.rows)]
     cols[3:3] = [[0] * 5 + [1, 0], [0] * 7]
     cols.append([0] * 6 + [1])
-    m = from_matrix(GFMatrix.from_columns(2, cols))
+    return from_matrix(GFMatrix.from_columns(2, cols))
+
+
+def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10):
+    walked = []
+
+    def wrapped(mat, k, cols, root):
+        assert root == 0  # no series class: nothing is contracted
+        walked.append((cols, k))
+        return _flats(mat, k, cols, root)
+
+    monkeypatch.setattr(matroid, "_flats", wrapped)
+    m = _coloop_matrix(p10)
     n, r, c = 13, 7, 2
     assert (m.n, m.rank(), m.coloops().bit_count()) == (n, r, c)
     rest = m.full_mask ^ m.coloops()  # the columns outside the coloops
@@ -437,12 +442,12 @@ def test_least_flats_walk_the_series_reduced_matroid(monkeypatch, p10):
     loop (9) and four parallel columns walks E - C - D from span(D), D =
     {4, 6, 7} (all but the largest of each class), to depth min(t, r''),
     r'' = r - |C| - |D|, covering the ranks up to t; a cosimple matrix
-    keeps the walk without a root."""
+    walks from root 0."""
     walked = []
 
-    def wrapped(mat, k, cols, *root):
-        walked.append((cols, k, *root))
-        return _flats(mat, k, cols, *root)
+    def wrapped(mat, k, cols, root):
+        walked.append((cols, k, root))
+        return _flats(mat, k, cols, root)
 
     monkeypatch.setattr(matroid, "_flats", wrapped)
     m = from_matrix(parse_matrix(SERIES_TEXT))
@@ -463,22 +468,31 @@ def test_least_flats_walk_the_series_reduced_matroid(monkeypatch, p10):
     walked.clear()
     cosimple = from_matrix(p10.rep.matrix)
     cosimple.least_flats(4)
-    assert walked == [(cosimple.full_mask, 4)]
+    assert walked == [(cosimple.full_mask, 4, 0)]
 
 
-def test_least_flats_keep_no_set_past_the_asked_rank():
+def _theta_graph(k):
+    """k paths of three edges between vertices 0 and 1, path i's edges
+    taken in order from 0."""
+    edges = [e for i in range(k) for e in ((0, 2 + 2 * i), (2 + 2 * i, 3 + 2 * i), (3 + 2 * i, 1))]
+    return from_graph(2 + 2 * k, edges)
+
+
+def test_least_flats_keep_no_set_past_the_asked_rank(monkeypatch):
     """A theta graph of twelve paths of three edges between two vertices:
     each path is a series class, and contracting all but its last edge
     leaves twelve parallel edges, spanned by every nonempty set of them.
-    Asked for rank 2, no set of representatives is kept whose flats have
-    rank above 2, where keeping them all would list 2^12 - 1 of rank 3 to
-    25; the least rank-2 flat is the first two edges of a path."""
+    Asked for rank 2, no set of representatives is listed whose flats have
+    rank above 2, where listing them all would take 2^12 - 1 of rank 3 to
+    25: `_bits` runs 16 times, against 4,111 for a walk that covers every
+    rank; the least rank-2 flat is the first two edges of a path."""
     k = 12
-    edges = [e for i in range(k) for e in ((0, 2 + 2 * i), (2 + 2 * i, 3 + 2 * i), (3 + 2 * i, 1))]
-    m = from_graph(2 + 2 * k, edges)
+    m = _theta_graph(k)
     assert (m.n, m.rank(), len(m.series_classes())) == (3 * k, 2 * k + 1, k)
+    calls, bits = [], matroid._bits
+    monkeypatch.setattr(matroid, "_bits", lambda mask: calls.append(mask) or bits(mask))
     assert m.least_flats(2) == (0b11,) + (None,) * (k - 1)  # n - r = k - 1
-    assert m._span["part"][0] == 2 and len(m._span["part"][1]) == 1  # the empty flat
+    assert 0 < len(calls) <= 4 * k, len(calls)
 
 
 def _series_cases(m, flat, classes):
@@ -560,6 +574,24 @@ def test_least_flats_match_a_subset_scan_on_series_classes():
                 reached["in J"] += in_j
                 reached["J on greedy"] += on_greedy
     assert min(reached.values()) >= 5, reached
+
+
+def test_least_flats_are_the_same_in_any_ask_order(p10):
+    """Deepest-first, shallowest-first and a shuffled order of asks give
+    every table of `least_flats` and `first_independent_set` alike on the
+    series corpus, a matrix with coloops and the theta graph, and keep
+    nothing but the flat lists and the tables."""
+    rng = random.Random(39)
+    for m in _series_corpus() + [_coloop_matrix(p10), _theta_graph(12)]:
+        r, top = m.rank(), m.n - m.rank()
+        got = []
+        for order in (range(r, -1, -1), range(r + 1), rng.sample(range(r + 1), r + 1)):
+            fresh = Matroid(m.rep, m.labels)
+            tables = {t: (fresh.least_flats(t), [fresh.first_independent_set(t, l)
+                                                 for l in range(top + 1)]) for t in order}
+            got.append(sorted(tables.items()))
+            assert {key for key in fresh._span if not isinstance(key, int)} == {"least"}, m
+        assert got[0] == got[1] == got[2], m
 
 
 def _flats_of_submatrix(mat, k, cols):
@@ -852,6 +884,9 @@ def test_direct_sum():
     assert set(both.circuits()) == left | {1 << 7}
     empty = direct_sum(f7, from_matrix(GFMatrix(field(2), ((),))))
     assert all(empty.r(m) == f7.r(m) for m in range(1 << 7))
+    nothing = from_matrix(GFMatrix(field(2), []))  # 0 x 0: the sum keeps one zero row
+    zero = direct_sum(nothing, nothing)
+    assert (zero.n, zero.rank(), zero.rep.matrix.rows) == (0, 0, ((),))
 
 
 def test_parallel_connection():

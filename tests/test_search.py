@@ -326,6 +326,11 @@ def test_coextensions_contract_back():
         assert m.rank() == mw4.rank() + 1
         assert m.labels[-1] == "x"
         assert iso(m.contract(1 << (m.n - 1)), mw4)
+    f7 = catalog.named("F7")  # with an element already named x
+    clash = from_matrix(f7.rep.matrix, labels=("x",) + f7.labels[1:])
+    every = coextensions(clash, lambda m: True)
+    assert len(every) == 4 and {m.labels[-1] for m in every} == {"xx"}
+    assert all(iso(m.contract(1 << 7), clash) for m in every)
 
 
 def test_compute_f_values():
