@@ -522,6 +522,15 @@ def subspace_masks(r: int):
     return {d: tuple(sorted(ms)) for d, ms in out.items()}
 
 
+def _ints(tokens, what, error=GFError):
+    """The tokens of one line of text as ints; `error` names `what` on a
+    token that is not one."""
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise error(f"bad {what}; expected integers") from None
+
+
 def parse_matrix(text: str) -> GFMatrix:
     """Parse the matrix text format: first line `q r n`, then r rows of n
     digits (blank, and so optional, when n = 0).  r = 0 needs n = 0."""
@@ -531,10 +540,7 @@ def parse_matrix(text: str) -> GFMatrix:
     head = lines[0].split()
     if len(head) != 3:
         raise GFError(f"bad header {lines[0]!r}; expected 'q r n'")
-    try:
-        q, r, n = (int(x) for x in head)
-    except ValueError:
-        raise GFError(f"bad header {lines[0]!r}") from None
+    q, r, n = _ints(head, f"header {lines[0]!r}")
     if r == 0 and n:
         raise GFError(f"bad header {lines[0]!r}; {n} columns need at least one row")
     body = lines[1:]
@@ -544,7 +550,7 @@ def parse_matrix(text: str) -> GFMatrix:
         raise GFError(f"expected {r} rows, got {len(body)}")
     rows = []
     for ln in body:
-        row = [int(x) for x in ln.split()]
+        row = _ints(ln.split(), f"row {ln!r}")
         if len(row) != n:
             raise GFError(f"row {ln!r} has {len(row)} entries, expected {n}")
         rows.append(row)

@@ -337,8 +337,7 @@ def fingerprint(m: Matroid):
     """Cheap isomorphism invariant: counts of small flats and circuits plus the
     multiset of per-element small-circuit degrees."""
     r, n = m.rank(), m.n
-    # the top rank first: a matrix's one flats walk then serves the others
-    flat_counts = Counter((k, f.bit_count()) for k in range(min(3, r), -1, -1)
+    flat_counts = Counter((k, f.bit_count()) for k in range(min(3, r) + 1)
                           for f in m.flats_of_rank(k))
     circuits = m.circuits(max_size=6)
     return (

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref, span_of_columns
-from .gf import MAX_DIM, _circuits, _echelon, _flats, _monic, _reduce
+from .gf import MAX_DIM, _circuits, _echelon, _flats, _ints, _monic, _reduce
 
 __all__ = [
     "MatroidError",
@@ -231,7 +231,7 @@ class Matroid:
     """Labeled ground set + rank backend.  Subsets are int masks over label
     positions; helpers translate label collections to masks and back."""
 
-    __slots__ = ("labels", "n", "rep", "name", "_pos", "_canon", "_span")
+    __slots__ = ("labels", "n", "rep", "name", "_pos", "_canon", "_least")
 
     def __init__(self, rep, labels=None, name=""):
         n = rep.n
@@ -248,8 +248,7 @@ class Matroid:
         self.name = name
         self._pos = {lab: i for i, lab in enumerate(labels)}
         self._canon = None  # iso._canonical's data, computed on first use
-        # flats (tuples) by rank, and least_flats' tables ("least")
-        self._span = {}
+        self._least = []  # least_flats' tables, one per rank, filled in place
 
     def __repr__(self):
         tag = self.name or type(self.rep).__name__
@@ -292,10 +291,8 @@ class Matroid:
     def rank(self, X=None):
         """r(X); r(E) is read from the length of `least_flats`' list of
         tables, one per rank, once it is kept."""
-        if X is None:
-            tables = self._span.get("least")
-            if tables is not None:
-                return len(tables) - 1
+        if X is None and self._least:
+            return len(self._least) - 1
         return self.r(self._as_mask(X))
 
     def nullity(self, X=None):
@@ -321,27 +318,18 @@ class Matroid:
         in combination order first meets them as closures of independent
         sets: the combination order of their greedy bases.  A k past the
         rank raises before any walk.  A matrix takes gf's walk over greedy
-        bases, one node per flat: one walk fills every rank up to the
-        highest asked, and a later ask of a lower rank reads its kept list.
-        A rank table runs that scan once per rank.  Each call gets a new
-        list."""
-        flats = self._span
-        out = flats.get(k)
-        if out is None:
-            if not 0 <= k <= self.rank():
-                raise MatroidError(f"flat rank {k} out of range")
-            mat = self.rep.matrix
-            if mat is not None:
-                for j, got in enumerate(_flats(mat, k, self.full_mask)[0]):
-                    flats.setdefault(j, got)
-                out = flats[k]
-            else:
-                found = {}  # insertion-ordered set
-                for mask in _subsets(self.n, k):
-                    if self.r(mask) == k:
-                        found.setdefault(self.closure(mask))
-                out = flats[k] = tuple(found)
-        return list(out)
+        bases, one node per flat, to depth k; a rank table runs that scan.
+        Computed on each ask: nothing is kept."""
+        if not 0 <= k <= self.rank():
+            raise MatroidError(f"flat rank {k} out of range")
+        mat = self.rep.matrix
+        if mat is not None:
+            return list(_flats(mat, k, self.full_mask)[0][k])
+        found = {}  # insertion-ordered set
+        for mask in _subsets(self.n, k):
+            if self.r(mask) == k:
+                found.setdefault(self.closure(mask))
+        return list(found)
 
     def first_independent_set(self, t, l):
         """The least independent t-set (as a mask, so the first in colex
@@ -362,7 +350,7 @@ class Matroid:
             return None
         if self.rep.matrix is not None:
             self.least_flats(t)
-            return self._span["least"][t][1][l]
+            return self._least[t][1][l]
         return min((mask for mask in _subsets(self.n, t)
                     if self.r(mask) == t and self.closure(mask).bit_count() - t >= l), default=None)
 
@@ -412,12 +400,11 @@ class Matroid:
         representative stays in Y only while r''(G) + |D_Y| is within the
         ranks covered, so no (G, J) is listed whose flats all lie past
         them."""
-        kept, r = self._span, self.rank()
-        tables = kept.get("least")  # entry t: this table and a matrix's basis table
+        tables, r = self._least, self.rank()  # entry t: this table and a matrix's basis table
         if not 0 <= t <= r:
             raise MatroidError(f"flat rank {t} out of range")
-        if tables is None:
-            tables = kept["least"] = [None] * (r + 1)
+        if not tables:
+            tables += [None] * (r + 1)
         elif tables[t] is not None:
             return tables[t][0]
         top, mat, none = self.n - r, self.rep.matrix, 1 << self.n  # none: above every mask
@@ -649,7 +636,7 @@ class Matroid:
     def with_name(self, name):
         m = Matroid(self.rep, self.labels, name=name)
         m._canon = self._canon
-        m._span = self._span
+        m._least = self._least
         return m
 
     # ---- connectivity
@@ -1080,11 +1067,11 @@ def parse_graph_text(text):
     if not lines or len(lines[0].split()) != 3 or lines[0].split()[0] != "graph":
         raise MatroidError("expected header 'graph V E'")
     _, vs, es = lines[0].split()
-    nverts, nedges = int(vs), int(es)
+    nverts, nedges = _ints((vs, es), f"header {lines[0]!r}", MatroidError)
     body = lines[1:]
     gamma = None
     if body and body[-1].split()[0] == "gamma":
-        gamma = [int(x) for x in body[-1].split()[1:]]
+        gamma = _ints(body[-1].split()[1:], f"gamma line {body[-1]!r}", MatroidError)
         body = body[:-1]
     if len(body) != nedges:
         raise MatroidError(f"expected {nedges} edge lines, got {len(body)}")
@@ -1093,7 +1080,7 @@ def parse_graph_text(text):
         parts = ln.split()
         if len(parts) != 2:
             raise MatroidError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(tuple(_ints(parts, f"edge line {ln!r}", MatroidError)))
     _GraphRep(nverts, edges, gamma)  # raises on a vertex out of range
     return nverts, edges, gamma
 

@@ -65,6 +65,13 @@ def test_check_errors(capsys, tmp_path):
     negative.write_text("graph -3 0\n")  # loaded as an empty matroid before
     code, _, err = run(capsys, "check", str(negative), "--k", "2", "--l", "2")
     assert code == 2 and "negative vertex count" in err
+    for text, line in (("2 1 2\n1 x\n", "row '1 x'"), ("graph 3 x\n", "header 'graph 3 x'"),
+                       ("graph 3 1\n0 y\n", "edge line '0 y'"),
+                       ("graph 3 1\n0 1\ngamma z\n", "gamma line 'gamma z'")):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)  # a token that is not an int
+        code, _, err = run(capsys, "check", str(bad), "--k", "2", "--l", "2")
+        assert code == 2 and err.startswith(f"error: bad {line}"), (text, err)
 
 
 def test_check_json(capsys):

@@ -19,7 +19,7 @@ from matroidkit.gf import (
     span_of_columns,
     subspace_masks,
 )
-from matroidkit.matroid import from_matrix, full_rank_table
+from matroidkit.matroid import MatroidError, from_matrix, full_rank_table, parse_graph_text
 
 P10_TEXT = """
 2 5 10
@@ -71,6 +71,13 @@ def test_parse_rejects_ragged():
     for text in ("2 2 3\n1 0 1\n1 0", "2 0 3", "2 1 0\n1"):
         with pytest.raises(GFError):
             parse_matrix(text)
+    # a token that is not an int names its line, matrix or graph alike
+    with pytest.raises(GFError, match="bad row '1 x'"):
+        parse_matrix("2 1 2\n1 x")
+    for text, line in (("graph 3 x", "header 'graph 3 x'"), ("graph 3 1\n0 y", "edge line '0 y'"),
+                       ("graph 3 1\n0 1\ngamma z", "gamma line 'gamma z'")):
+        with pytest.raises(MatroidError, match=f"bad {line}"):
+            parse_graph_text(text)
 
 
 def test_rref_and_rank():

@@ -287,7 +287,7 @@ def test_flats_cache_hands_out_fresh_lists(p10):
     assert m.flats_of_rank(2) == first == _flats_by_scan(p10, 2)
     named = m.with_name("P10 again")
     assert named.flats_of_rank(2) == first
-    assert m._span is named._span
+    assert m._least is named._least
 
 
 def test_flats_of_rank_is_the_same_in_any_ask_order():
@@ -302,11 +302,12 @@ def test_flats_of_rank_is_the_same_in_any_ask_order():
             assert [up.flats_of_rank(k) for k in range(r + 1)] == want, mat
             assert [down.flats_of_rank(k) for k in range(r, -1, -1)] == want[::-1], mat
             assert [from_matrix(mat).flats_of_rank(k) for k in range(r + 1)] == want, mat
-            # the top rank asked through a copy fills every rank of the shared cache
+            # no ask keeps a list, through a copy or not, and each gets a new one
             m = from_matrix(mat)
             assert m.with_name("copy").flats_of_rank(r) == want[r]
-            assert sorted(m._span) == list(range(r + 1))
             assert [m.flats_of_rank(k) for k in range(r + 1)] == want, mat
+            assert m.flats_of_rank(r) is not m.flats_of_rank(r)
+            assert up._least == down._least == m._least == [], mat
 
 
 def test_flats_of_rank_past_the_rank_keeps_nothing(p10, f7):
@@ -314,9 +315,11 @@ def test_flats_of_rank_past_the_rank_keeps_nothing(p10, f7):
         r = m.rank()
         with pytest.raises(MatroidError):
             m.flats_of_rank(r + 1)
-        assert m._span == {}
-        for k in range(r + 1):
-            assert m.flats_of_rank(k) == _flats_by_scan(m, k), (m, k)
+        assert m._least == []
+        for k in (*range(r, -1, -1), *range(r + 1)):  # down, then up
+            got = m.flats_of_rank(k)
+            assert got == _flats_by_scan(m, k) and got is not m.flats_of_rank(k), (m, k)
+        assert m._least == [], m
 
 
 def test_span_oracles_make_no_rank_calls(monkeypatch, p10):
@@ -370,7 +373,7 @@ def test_rank_and_closure_asks_keep_nothing():
             assert cl & mask == mask and m.r(mask) == m.rank(mask) == m.r(cl), (m, mask)
             assert m.nullity(mask) == mask.bit_count() - m.r(mask)
         assert m.rank() == m.r(m.full_mask) and m.closure(m.full_mask) == m.full_mask
-        assert m._span == {}, m
+        assert m._least == [], m
 
 
 def test_first_independent_set_at_the_edges(f7, p10):
@@ -418,7 +421,7 @@ def test_least_flats_walk_only_the_columns_outside_the_coloops(monkeypatch, p10)
     for t in range(r + 1):  # the shallowest first: a walk per deeper part rank
         assert fresh.least_flats(t) == m.least_flats(t)
     assert walked == [(rest, min(t, r - c)) for t in range(r - c + 1)]
-    assert not any(isinstance(key, int) for key in fresh._span)  # no flat list kept
+    assert [len(entry) for entry in fresh._least] == [2] * (r + 1)  # the tables only
     walked.clear()
     dual = m.dual()  # M*'s one coloop is M's loop
     dual.least_flats(dual.rank() - 1)
@@ -580,7 +583,7 @@ def test_least_flats_are_the_same_in_any_ask_order(p10):
     """Deepest-first, shallowest-first and a shuffled order of asks give
     every table of `least_flats` and `first_independent_set` alike on the
     series corpus, a matrix with coloops and the theta graph, and keep
-    nothing but the flat lists and the tables."""
+    nothing but the tables."""
     rng = random.Random(39)
     for m in _series_corpus() + [_coloop_matrix(p10), _theta_graph(12)]:
         r, top = m.rank(), m.n - m.rank()
@@ -590,7 +593,7 @@ def test_least_flats_are_the_same_in_any_ask_order(p10):
             tables = {t: (fresh.least_flats(t), [fresh.first_independent_set(t, l)
                                                  for l in range(top + 1)]) for t in order}
             got.append(sorted(tables.items()))
-            assert {key for key in fresh._span if not isinstance(key, int)} == {"least"}, m
+            assert [len(entry) for entry in fresh._least] == [2] * (r + 1), m
         assert got[0] == got[1] == got[2], m
 
 

@@ -204,10 +204,10 @@ def test_flats_decider_walks_nothing_when_l_passes_the_nullity():
     """No flat has nullity above n - r, so a larger l is answered unwalked."""
     free = from_matrix(parse_matrix("2 3 3\n1 0 0\n0 1 0\n0 0 1\n"))
     assert is_kl_uniform_flats(free, 1, 1) == (True, None)
-    assert free._span == {}
+    assert free._least == []
     p10 = from_matrix(parse_matrix(P10_TEXT))
-    assert is_kl_uniform_flats(p10, 2, 6) == (True, None) and p10._span == {}
-    assert is_kl_uniform_flats(p10, 2, 5) == (True, None) and p10._span
+    assert is_kl_uniform_flats(p10, 2, 6) == (True, None) and p10._least == []
+    assert is_kl_uniform_flats(p10, 2, 5) == (True, None) and p10._least
 
 
 def _least_failing_flat(m, k, l):
@@ -355,8 +355,8 @@ def test_minor_decider_gives_a_matrix_and_its_rank_table_the_same_witnesses(monk
                 is_kl_uniform_flats(fresh, k, l)
         assert len(walked) == 1, (m, walked)  # the first ask, t = r - 1, walks the deepest
         ts = {m.rank() - k for k in range(1, min(5, m.rank()) + 1)}
-        assert all(fresh._span["least"][t][1] for t in ts), m  # the basis tables
-        assert table._span == {}, m  # no scan state kept
+        assert all(fresh._least[t][1] for t in ts), m  # the basis tables
+        assert table._least == [], m  # no scan state kept
     assert at_rank
 
 

@@ -3,12 +3,15 @@ re-checking, corpus determinism, and a full run."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from matroidkit import catalog, matroid
+from matroidkit import catalog, matroid, verify
 from matroidkit.gf import _flats
 from matroidkit.iso import BudgetExhausted, are_isomorphic
 from matroidkit.matroid import MatroidError, is_isomorphism
+from matroidkit.uniformity import is_kl_uniform_flats
 from matroidkit.verify import (
     CHECK_IDS,
     CheckResult,
@@ -120,6 +123,66 @@ def test_oracle_agreement_catches_a_walk_that_records_short_bases(monkeypatch):
     [result] = run_checks(ids=["oracle-agreement"], corpus_size=80)
     assert result.status == "fail"
     assert result.details == "flat and minor deciders agree on 1214/1395 queries"
+
+
+def test_duality_monotonicity_catches_a_wrong_flip(monkeypatch):
+    """A decider that negates every second answer, the dual side of each
+    flip, keeps the primal verdicts and so every monotonicity step."""
+    calls = itertools.count()
+
+    def flipping(m, k, l):
+        verdict, witness = is_kl_uniform_flats(m, k, l)
+        return (not verdict if next(calls) % 2 else verdict), witness
+
+    monkeypatch.setattr(verify, "is_kl_uniform_flats", flipping)
+    [result] = run_checks(ids=["duality-monotonicity"], corpus_size=0)
+    assert result.status == "fail"
+    assert result.details == "195 duality flips and 260 monotonicity steps, 195 violations"
+
+
+def test_duality_monotonicity_catches_a_step_down(monkeypatch):
+    """A decider that calls every matroid (1,1)-uniform agrees with itself
+    under duality, since (1,1) is its own flip, but fails a step up to
+    (2,1) or (1,2)."""
+
+    def generous(m, k, l):
+        return (True, None) if (k, l) == (1, 1) else is_kl_uniform_flats(m, k, l)
+
+    monkeypatch.setattr(verify, "is_kl_uniform_flats", generous)
+    [result] = run_checks(ids=["duality-monotonicity"], corpus_size=0)
+    assert result.status == "fail"
+    assert result.details == "195 duality flips and 260 monotonicity steps, 18 violations"
+
+
+def test_family_soundness_catches_a_3_connected_member(monkeypatch):
+    fano = [e for e in catalog.entries() if e.name == "F7"]
+    family = catalog.cor33_family
+    monkeypatch.setattr(catalog, "cor33_family", lambda: family() + fano)
+    [result] = run_checks(ids=["family-soundness"])
+    assert result.status == "fail"
+    assert "394 members all uniform and not 3-connected (violations: ['F7'])" in result.details
+
+
+def test_family_completeness_catches_missing_members_in_both_scans(monkeypatch):
+    """A family built to 8 elements misses the 9-element matroids: those of
+    rank at most 6 in the orderly scan, and those of rank 7 or more in the
+    scan of rank-2 duals."""
+    family = catalog.cor33_family
+    monkeypatch.setattr(catalog, "cor33_family", lambda max_n=10: family(8))
+    [result] = run_checks(ids=["family-completeness"])
+    assert result.status == "fail"
+    assert "missing from family: [((" in result.details  # the orderly scan's first
+    assert "('dual', " in result.details
+
+
+def test_library_error_marks_failed(monkeypatch):
+    def broken(cache):
+        raise MatroidError("bad input")
+
+    monkeypatch.setattr(verify, "_CHECKS", (("tiny", "always raises", broken),))
+    monkeypatch.setattr(verify, "CHECK_IDS", ("tiny",))
+    (r,) = verify.run_checks()
+    assert (r.status, r.details) == ("fail", "error: bad input")
 
 
 def test_slow_checks_pass():
