@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from contextvars import ContextVar
 
-from .gf import GFMatrix, null_space, rref
+from .gf import GFMatrix, _flats, null_space, rref
 from .matroid import Matroid, MatroidError, _bits, _gf2_matrix, _joined_classes, _subsets
 from .matroid import binary_representation, is_binary, is_isomorphism
 
@@ -484,33 +484,40 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
     candidates' order, hence the first witness, as it is.  With a simple
     target a candidate is skipped before it is built when its kept set holds
     a loop of m/C or two elements of one parallel class of m/C (read once
-    per C); with a cosimple target a built candidate that is not cosimple is
-    skipped.  The rest are decided by `are_isomorphic(target, candidate)`:
-    on a binary pair it canonizes the target once, keeps the form on it, and
-    walks each candidate straight to that form.  Every candidate counts
-    against the budget, skipped or not.  Raises BudgetExhausted, and
-    MatroidError for a budget below 1."""
+    per C: a matrix reads them from its columns with C's cleared,
+    `_contracted_classes`, and builds m/C only once a candidate passes; a
+    rank table reads those of m/C); with a cosimple target a built
+    candidate that is not cosimple is skipped.  The rest are decided by
+    `are_isomorphic(target, candidate)`: on a binary pair it canonizes the
+    target once, keeps the form on it, and walks each candidate straight
+    to that form.  Every candidate counts against the budget, skipped or
+    not.  Raises BudgetExhausted, and MatroidError for a budget below 1."""
     if budget < 1:
         raise MatroidError("budget must be positive")
     dr = m.rank() - target.rank()
     if dr < 0 or m.n < target.n:
         return None
     simple, cosimple = target.is_simple(), target.is_cosimple()
-    spent = 0
+    mat, spent = m.rep.matrix, 0
     for cmask in _subsets(m.n, dr):
         if m.r(cmask) != dr:
             continue
-        mc = m.contract(cmask)
+        mc = None if mat is not None else m.contract(cmask)
         if simple:
-            classes = mc.parallel_classes()
-            loops = mc.full_mask ^ sum(classes)
+            if mc is None:
+                loops, classes = _contracted_classes(mat, cmask)
+            else:
+                classes = mc.parallel_classes()
+                loops = mc.full_mask ^ sum(classes)
             classes = [c for c in classes if c & c - 1]
-        for kmask in _subsets(mc.n, target.n):
+        for kmask in _subsets(m.n - dr, target.n):
             spent += 1
             if spent > budget:
                 raise BudgetExhausted(f"minor search exceeded {budget} candidates")
             if simple and (kmask & loops or any((h := kmask & c) & h - 1 for c in classes)):
                 continue
+            if mc is None:
+                mc = m.contract(cmask)
             restr = mc.delete(mc.full_mask ^ kmask)
             if restr.rank() != target.rank():
                 continue
@@ -520,6 +527,21 @@ def has_minor(m: Matroid, target: Matroid, budget=DEFAULT_MINOR_BUDGET):
                 dmask = m.full_mask ^ cmask ^ m.mask_of(restr.labels)
                 return cmask, dmask
     return None
+
+
+def _contracted_classes(mat, cmask):
+    """(loops, parallel classes) of the contraction of mat's columns by the
+    independent set cmask, as masks over the columns left, renumbered in
+    order (those of m/C): the rank-0 and rank-1 flats of the walk from root
+    cmask (`gf._flats`), whose child step clears cmask's columns, so no
+    contracted matrix is built."""
+    left = [e for e in range(mat.ncols) if not cmask >> e & 1]
+    (loops,), ones = _flats(mat, 1, ((1 << mat.ncols) - 1) ^ cmask, cmask)[0]
+
+    def renumber(x):
+        return sum(1 << i for i, e in enumerate(left) if x >> e & 1)
+
+    return renumber(loops), sorted(renumber(f ^ loops) for f in ones)
 
 
 # ---- orbits

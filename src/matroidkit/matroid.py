@@ -12,13 +12,15 @@ per mask; closures, flats, circuits, minors, direct sums, dense rank
 tables and parallel classes (loops are the elements in none) are read
 from the matrix when there is one (`least_flats` walks the
 series-reduced matroid), series classes and coloops from its dual's
-columns, and a Linear matroid's r(E), fundamental circuits (so
-components) and the 2-separation test that `is_3connected` runs after
-`is_connected` from its one standard form, the `rref` kept on the GFMatrix.
-Each matrix keeps one null space (`gf.null_space`), its dual's matrix:
-the dual of a Linear matroid, and of a graph or graft past CERTIFY_CAP (no
-larger table is certified binary), is that matrix.  Every other derived
-rank table (duals, sums, certificates) is read from `full_rank_table`.
+columns (a dual's from its primal's), and a Linear matroid's r(E),
+fundamental circuits (so components) and the 2-separation test that
+`is_3connected` runs after `is_connected` from its one standard form, the
+`rref` kept on the GFMatrix.  Each matrix keeps one null space
+(`gf.null_space`), its dual's matrix: the dual of a Linear matroid, and
+of a graph or graft past CERTIFY_CAP (no larger table is certified
+binary), is that matrix, and keeps the matrix it came from as its primal.
+Every other derived rank table (duals, sums, certificates) is read from
+`full_rank_table`.
 A rank table's GF(2) matrix, when it has one, is `binary_representation`;
 `Matroid.export_text` is the one text form.
 """
@@ -103,12 +105,15 @@ def default_labels(n):
 
 
 class LinearRep:
-    """Columns of a GF(q) matrix; element i = column i."""
+    """Columns of a GF(q) matrix; element i = column i.  A dual's rep keeps
+    `primal`, the matrix whose null space it is (`Matroid.dual`), so r(E)
+    is n less the primal's rank, read from its kept `rref`."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "primal")
 
-    def __init__(self, matrix: GFMatrix):
+    def __init__(self, matrix: GFMatrix, primal=None):
         self.matrix = matrix
+        self.primal = primal
 
     @property
     def n(self):
@@ -116,8 +121,8 @@ class LinearRep:
 
     def rank(self, mask):
         mat = self.matrix
-        if mask == (1 << mat.ncols) - 1:  # r(E): the kept standard form
-            return rref(mat)[1]
+        if mask == (1 << mat.ncols) - 1:  # r(E): a kept standard form
+            return rref(mat)[1] if self.primal is None else mat.ncols - rref(self.primal)[1]
         return rank_of_columns(mat, mask)
 
 
@@ -560,11 +565,12 @@ class Matroid:
 
     def series_classes(self):
         """The dual's parallel classes: a matrix groups the columns of its
-        dual matrix, a rank table asks its dual."""
+        dual matrix, which for a dual is its primal (so its coloops are the
+        primal's loops), and a rank table asks its dual."""
         mat = self.rep.matrix
         if mat is None:
             return self.dual().parallel_classes()
-        return _column_classes(null_space(mat))
+        return _column_classes(getattr(self.rep, "primal", None) or null_space(mat))
 
     def is_simple(self):
         """No loops and no parallel pair: every element is its own class."""
@@ -596,11 +602,13 @@ class Matroid:
     # ---- duality
 
     def dual(self):
-        """A matrix's kept null space, or a table r*(X) = |X| + r(E - X) -
-        r(E) read from `full_rank_table` reversed."""
+        """A matrix's kept null space, which keeps the matrix as its primal,
+        or a table r*(X) = |X| + r(E - X) - r(E) read from `full_rank_table`
+        reversed.  The dual's flats are still walked over its own columns,
+        so they stay a check on the flats of the primal."""
         rep, n = self.rep, self.n
         if rep.matrix is not None and (isinstance(rep, LinearRep) or n > CERTIFY_CAP):
-            return Matroid(LinearRep(null_space(rep.matrix)), self.labels)
+            return Matroid(LinearRep(null_space(rep.matrix), rep.matrix), self.labels)
         rest = full_rank_table(self)[::-1]  # rest[mask] = r(E - mask)
         table = bytes(mask.bit_count() + x - rest[0] for mask, x in enumerate(rest))
         return Matroid(RankTableRep(n, table), self.labels)

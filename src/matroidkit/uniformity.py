@@ -10,8 +10,9 @@ nullity less than l.  For k above the rank the condition is vacuous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
+from .gf import _echelon, _reduce
 from .matroid import Matroid, MatroidError, _bits, _fresh_labels, is_isomorphism
 from .matroid import CIRCUIT_SCAN_CAP, parallel_connection, uniform
 
@@ -77,7 +78,10 @@ def is_kl_uniform_minor(m: Matroid, k: int, l: int):
     of such a flat, from the walk the flat decider reads; on a rank table
     the least qualifying mask of a scan of every t-set, made afresh on each
     ask), then the minor assembled (contract I; keep k spanning elements
-    and l dependent ones)."""
+    and l dependent ones): the first l elements of cl(I) - I, and I
+    extended greedily to a basis.  A matrix reads both from one echelon
+    of I, each element outside I reduced against it, and, while the basis
+    grows, against a copy that takes the extension; a rank table asks r()."""
     _check_kl(k, l)
     r = m.rank()
     if k > r:
@@ -86,15 +90,29 @@ def is_kl_uniform_minor(m: Matroid, k: int, l: int):
     mask = m.first_independent_set(t, l)
     if mask is None:
         return True, None
-    full, cl = m.full_mask, m.closure(mask)
-    loops = sum(1 << i for i in islice(_bits(cl ^ mask), l))
-    keep = mask  # independent, and each element added raises the rank
-    for i in _bits(full ^ cl):
-        if keep.bit_count() == t + k:
-            break
-        if m.r(keep | 1 << i) > keep.bit_count():
+    mat, loops, keep = m.rep.matrix, 0, mask  # keep: independent, grown greedily
+    if mat is not None:
+        lanes, cols, piv, _ = _echelon(mat, mask)
+        grow = piv[:]
+
+        def spans(i):
+            return _reduce(lanes, piv, cols[i], insert=False) is None
+
+        def extends(i):
+            return _reduce(lanes, grow, cols[i]) is not None
+    else:
+        def spans(i):
+            return m.r(mask | 1 << i) == t
+
+        def extends(i):
+            return m.r(keep | 1 << i) > keep.bit_count()
+    for i in _bits(m.full_mask ^ mask):
+        if spans(i):
+            if loops.bit_count() < l:
+                loops |= 1 << i
+        elif keep.bit_count() < r and extends(i):
             keep |= 1 << i
-    return False, MinorWitness(mask, full ^ keep ^ loops)
+    return False, MinorWitness(mask, m.full_mask ^ keep ^ loops)
 
 
 def is_22_uniform_circuits(m: Matroid):

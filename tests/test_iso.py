@@ -455,6 +455,46 @@ def test_has_minor_budget_counts_skipped_candidates():
         has_minor(host, mw4, budget=1794)
 
 
+def test_has_minor_reads_the_classes_of_each_contraction():
+    # the loops and parallel classes has_minor reads for m/C from m's
+    # columns, with C's cleared, are those of m.contract(C); the first
+    # witness is the one the rank table of m finds, which builds each m/C
+    rng = random.Random(60)
+    hosts = _random_hosts(rng, 2, 5, (3, 4), (6, 8)) + _random_hosts(rng, 3, 5, (3, 4), (6, 8))
+    hosts += [catalog.named("MK5e"), catalog.named("R10")]  # a graph and a graft
+    f7 = [col + (0,) for col in zip(*catalog.named("F7").rep.matrix.rows)]
+    hosts.append(from_matrix(GFMatrix.from_columns(2, [(1, 1, 0, 1)] + f7 + [(0, 0, 0, 1)])))
+    seen = 0
+    for m in hosts:
+        for size in (1, 2):
+            for combo in itertools.combinations(range(m.n), size):
+                c = sum(1 << i for i in combo)
+                if m.r(c) == size:
+                    mc = m.contract(c)
+                    got = iso._contracted_classes(m.rep.matrix, c)
+                    assert got == (mc.loops(), mc.parallel_classes()), (m, combo)
+                    seen += any(cls & cls - 1 for cls in got[1]) and got[0] != 0
+    assert seen >= 20
+    found = 0
+    for target in (u_matroid(2, 4), catalog.named("F7"), catalog.named("MW4")):
+        for m in hosts:
+            if m.n >= target.n and m.rank() >= target.rank():
+                got = has_minor(m, target)
+                assert got == has_minor(as_rank_table(m), target), (m, target)
+                found += got is not None
+    assert found >= 5
+
+
+def test_binary_iso_compares_two_kept_keys(monkeypatch):
+    # both sides keep a canonical form (equal n and r, different keys), so
+    # the pair is refused on the second side's key, with no directed walk
+    a = from_matrix(GFMatrix(2, [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]]))
+    b = from_matrix(GFMatrix(2, [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 1, 0], [0, 0, 1, 0, 0, 0]]))
+    assert (a.n, a.rank()) == (b.n, b.rank()) and iso_key(a) != iso_key(b)
+    monkeypatch.setattr(iso, "_canon_search", lambda *a, **kw: pytest.fail("searched"))
+    assert are_isomorphic(a, b) is None and are_isomorphic(b, a) is None
+
+
 def test_element_orbits(f7, z4):
     assert element_orbits(f7) == [tuple("1234567")]
     assert element_orbits(z4) == [

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidkit import catalog, matroid
-from matroidkit.gf import GFMatrix, _flats, field, null_space, parse_matrix, rank_of_columns
+from matroidkit.gf import GFError, GFMatrix, _flats, field, null_space, parse_matrix
+from matroidkit.gf import point_to_vector, rank_of_columns, subspace_masks
 from matroidkit.matroid import (
     GraftRep,
     GraphicRep,
@@ -1218,6 +1219,53 @@ def test_graph_rank_calls_do_not_scale_with_the_vertex_header():
         assert peak < 1 << 20, peak
 
 
+def test_bad_inputs_are_refused_before_any_large_build():
+    # one row per input check of gf and matroid; each raises its own error
+    # type with a peak of traced memory far below what the refused build
+    # would take (a 2^26-entry table is 64 MB)
+    f7 = catalog.named("F7")
+    wide, u13, u14 = from_graph(2, [(0, 1)] * 26), matroid.uniform(2, 13), matroid.uniform(2, 14)
+    cases = [
+        (GFError, "exceeds the 64 cap", lambda: GFMatrix(2, [[0] * 65])),
+        (GFError, "ragged", lambda: GFMatrix(2, [[0, 1], [0]])),
+        (GFError, "not in GF", lambda: GFMatrix(3, [[3]])),
+        (GFError, "GF\\(2\\) notion", lambda: GFMatrix(3, [[1]]).point_values()),
+        (GFError, "at least one column", lambda: GFMatrix.from_columns(field(2), [])),
+        (GFError, "out of range", lambda: rank_of_columns(GFMatrix(2, [[1, 0]]), 4)),
+        (GFError, "out of range", lambda: point_to_vector(8, 3)),
+        (GFError, "1 <= r <= 6", lambda: subspace_masks(7)),
+        (GFError, "empty matrix text", lambda: parse_matrix("")),
+        (GFError, "bad header", lambda: parse_matrix("2 3\n")),
+        (GFError, "expected 2 rows, got 1", lambda: parse_matrix("2 2 2\n1 0\n")),
+        (MatroidError, "capped at n <= 25", lambda: RankTableRep(26, b"")),
+        (MatroidError, "2\\^n", lambda: RankTableRep(2, b"\0\0\0")),
+        (MatroidError, "gamma vertex", lambda: graft_matroid(2, [(0, 1)], (5,))),
+        (MatroidError, "64 elements", lambda: from_graph(2, [(0, 1)] * 65)),
+        (MatroidError, "distinct", lambda: from_matrix(GFMatrix(2, [[1, 0]]), ("a", "a"))),
+        (MatroidError, "too many elements", lambda: matroid.uniform(3, 21)),
+        (MatroidError, "capped at n <= 25", lambda: full_rank_table(wide)),
+        (MatroidError, "direct sum too large", lambda: direct_sum(u13, wide.delete(1))),
+        (MatroidError, "parallel connection too large",
+         lambda: parallel_connection(u13, "1", u14, "1")),
+        (MatroidError, "at least 7",
+         lambda: binary_three_sum(f7, f7.delete(0b1111000), ("1", "2", "3"))),
+        (MatroidError, "triangle of both",
+         lambda: binary_three_sum(f7, f7.relabel({"4": "a", "5": "b", "6": "c", "7": "d"}),
+                                  ("1", "2", "3"))),
+        (MatroidError, "expected 2 edge lines", lambda: parse_graph_text("graph 3 2\n0 1\n")),
+        (MatroidError, "bad edge line", lambda: parse_graph_text("graph 3 1\n0 1 2\n")),
+    ]
+    for error, message, call in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18, (message, peak)
+
+
 def test_graph_to_linear_builds_its_matrix_once():
     w4 = catalog.named("MW4")
     assert w4.rep.matrix is w4.with_name("again").rep.matrix
@@ -1331,6 +1379,41 @@ def test_dual_past_the_table_cap_goes_through_the_matrix():
     assert (circuit.n, circuit.rank(), circuit.dual().rank()) == (31, 30, 1)
     assert circuit.series_classes() == [circuit.full_mask]
     assert circuit.cosi().n == 1 and circuit.reduced().n == 0
+
+
+def test_a_dual_reads_its_primal_as_its_rank_table_agrees():
+    # r(M*) = n - r(M), M*'s series classes are M's parallel classes and its
+    # coloops M's loops: a matrix dual reads them off its primal, with no
+    # reduction and no null space of its own matrix; the rank table of M,
+    # dualized through its table, is the independent side
+    rng = random.Random(41)
+    matrices = []
+    for q in (2, 3, 4, 5, 7):
+        mul = field(q).mul
+        for _ in range(3):
+            r, n = rng.randint(1, 4), rng.randint(1, 7)
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+            c = rng.randrange(1, q)  # a zero column, and column 0 again times c
+            matrices.append(GFMatrix(q, [row + [0, mul[c][row[0]]] for row in rows]))
+        matrices.append(GFMatrix(q, [[int(i == j) for j in range(3)] for i in range(3)]))
+        matrices.append(GFMatrix(q, [[0, 0, 0]]))
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    # 17 edges: a parallel class of four, one of three, a loop and a bridge
+    graph = from_graph(6, k5 + [(0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (3, 3), (4, 5)])
+    assert graph.n > matroid.CERTIFY_CAP
+
+    def reads(d):
+        return d.rank(), d.series_classes(), d.coloops()
+
+    for m in [from_matrix(mat) for mat in matrices] + [graph]:
+        table = as_rank_table(m)
+        dual, table_dual = m.dual(), table.dual()
+        assert dual.rep.primal is m.rep.matrix
+        assert reads(dual) == reads(table_dual), m
+        assert dual.rep.matrix._rref is None and dual.rep.matrix._null is None, m
+        assert reads(dual.dual()) == reads(table_dual.dual()), m
+        assert dual.coloops() == m.loops()
+    assert [from_matrix(mat).dual().rank() for mat in matrices[3::5]] == [0] * 5
 
 
 def test_full_rank_table_routes_agree():
