@@ -12,9 +12,10 @@ sum s that reached p (bit 3 of s + (8 - p) set).  One echelon kernel
 carry remainders modulo the span of the node down one child step
 (`_child_step`): the flats of a column mask and their greedy bases, every
 rank up to the one asked (`_flats`, one node per flat, one remainder per
-class of columns), and the circuits of a matrix (`_circuits`), one
-remainder per column.  GF(4) is not a
-prime field; its tables are built from w^2 = w + 1, elements encoded 0, 1,
+class of columns), and the circuits of a matrix (`_circuits`, one
+remainder per later column, with one tag lane per depth below its
+entries, so the layouts run to 2 MAX_DIM lanes).  GF(4) is not a prime
+field; its tables are built from w^2 = w + 1, elements encoded 0, 1,
 2 = w, 3 = w + 1.
 """
 
@@ -59,7 +60,7 @@ class FieldSpec:
     mul: tuple
     neg: tuple
     inv: tuple
-    lanes: tuple  # lanes[r]: the packed-column layout of r rows (`_lane_layouts`)
+    lanes: tuple  # lanes[r]: the packed layout of r lanes, up to 2 MAX_DIM (`_lane_layouts`)
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
@@ -92,18 +93,20 @@ def field(q: int) -> FieldSpec:
 
 
 def _lane_layouts(q, neg, inv):
-    """Per row count r, (p, fold, eights, lo, pk, heads, lead, shift, lane,
-    size, inv) for columns of r entries: p is 0 in characteristic 2; fold,
-    eights, pk and lo hold 8 - p, 8, p and (GF(4)) 1 in every lane, of 2**shift
-    bits and mask `lane`; an echelon basis has `size` slots, heads[b] the first
-    of the lane a column of bit length b tops; lead[x] = -1/x, inv[x] = 1/x."""
+    """Per lane count r up to 2 MAX_DIM (a column's entries, and below them
+    the circuit walk's tag lanes), (p, fold, eights, lo, pk, heads, lead,
+    shift, lane, size, inv) for packed columns of r lanes: p is 0 in
+    characteristic 2; fold, eights, pk and lo hold 8 - p, 8, p and (GF(4)) 1
+    in every lane, of 2**shift bits and mask `lane`; an echelon basis has
+    `size` slots, heads[b] the first of the lane a column of bit length b
+    tops; lead[x] = -1/x, inv[x] = 1/x."""
     shift, p = (q > 2) + q % 2, q % 2 and q
     lane = (1 << (1 << shift)) - 1
-    heads = tuple(((b - 1) >> shift << shift) + 1 for b in range((MAX_DIM << shift) + 1))
+    heads = tuple(((b - 1) >> shift << shift) + 1 for b in range((2 * MAX_DIM << shift) + 1))
     lead = tuple(neg[a] for a in inv)
     return tuple((p, (8 - p) * ones, 8 * ones, ones if q == 4 else 0, p * ones, heads, lead,
                   shift, lane, (r << shift) + 1, inv)
-                 for r in range(MAX_DIM + 1) for ones in (((1 << (r << shift)) - 1) // lane,))
+                 for r in range(2 * MAX_DIM + 1) for ones in (((1 << (r << shift)) - 1) // lane,))
 
 
 def _fill(m, fld, rows):
@@ -420,35 +423,37 @@ def _flats(m: GFMatrix, k: int, cols: int, root: int = 0):
 def _circuits(m: GFMatrix, size: int):
     """Masks of the circuits of at most `size` columns of m, in no order.
 
-    Column j is tagged with a 1 in lane j of n low lanes, below its own
-    entries, so a tagged column has n + nrows lanes: at most MAX_DIM, the
-    widest layout (`Matroid.circuits` scans subsets past that).  One
-    depth-first walk over the independent sets P in combination order
-    carries every tagged column's remainder modulo span(P) (`_child_step`,
-    whose pivots lie in the matrix lanes); its tag lanes record the
-    combination of P it subtracts.
-    A later column e whose matrix lanes reduce to zero lies in span(P), and
-    the support of its tag lanes is the one circuit in P + e.  Every circuit
-    C is met as P + max(C) with P = C - max(C), independent and of at most
-    size - 1 elements, so the walk goes that deep and no deeper.  A circuit's
-    tag is its one linear dependency scaled to 1 at max(C), so equal tags
-    are one circuit, and each circuit is read once from the set of tags."""
-    n, lanes = m.ncols, m.field.lanes[m.nrows + m.ncols]
+    One depth-first walk over the independent sets P in combination order
+    carries the remainder modulo span(P) of each column past max(P)
+    (`_child_step`, whose pivots lie in the matrix lanes).  Below a
+    column's entries lie one tag lane per depth: the column added at depth
+    d gets a 1 in tag lane d before it clears the others, so the tag lanes
+    of a remainder hold the combination of P it adds.  A column e whose
+    matrix lanes reduce to zero lies in span(P), and its nonzero tag lanes
+    mark the one circuit in P + e, which is P + e itself iff all |P| of them
+    are nonzero.  So every circuit C is read once, at P = C - max(C),
+    independent, of at most size - 1 elements and short of n: the walk goes
+    that deep and no deeper, and at most MAX_DIM rows and MAX_DIM - 1 tag
+    lanes fit the widest layout."""
+    depth = min(size, m.ncols) - 1  # the tag lanes: the largest P
+    if depth < 0:
+        return []
+    lanes = m.field.lanes[m.nrows + depth]
     sh, lane, clear = lanes[7], lanes[8], _child_step(lanes)
-    low = n << sh  # the bits of the tag lanes
-    tags = set()
+    low = depth << sh  # the bits of the tag lanes
+    found = []
 
-    def walk(rem, start, d):
-        for e in range(start, n):
-            u = rem[e]
+    def walk(rem, start, basis, d):  # rem[i]: the remainder of column start + i
+        for i, u in enumerate(rem):
             if not u >> low:
-                tags.add(u)
-            elif d + 1 < size and e + 1 < n:  # P + e and a later column fit in size
-                walk(clear(rem, u), e + 1, d + 1)
+                if all(u >> (t << sh) & lane for t in range(d)):
+                    found.append(basis | 1 << start + i)
+            elif d < depth and i + 1 < len(rem):  # P + e and a later column fit in size
+                walk(clear(rem[i + 1:], u | 1 << (d << sh)), start + i + 1,
+                     basis | 1 << start + i, d + 1)
 
-    if size > 0:
-        walk([c << low | 1 << (j << sh) for j, c in enumerate(m._col_bits or m.col_bits)], 0, 0)
-    return [sum(1 << j for j in range(n) if u >> (j << sh) & lane) for u in tags]
+    walk([c << low for c in m._col_bits or m.col_bits], 0, 0, 0)
+    return found
 
 
 def null_space(m: GFMatrix):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import GFMatrix, field, format_matrix, null_space, rank_of_columns, rref, span_of_columns
-from .gf import MAX_DIM, _circuits, _echelon, _flats, _ints, _monic, _reduce
+from .gf import _circuits, _echelon, _flats, _ints, _monic, _reduce
 
 __all__ = [
     "MatroidError",
@@ -476,11 +476,10 @@ class Matroid:
         """All minimal dependent sets up to max_size, sorted by (size, mask).
         A binary matrix, graph or graft with corank at most 16 reads the
         supports of its cycle space, at any n up to 64, up to max_size
-        elements.  Any other matrix walks its independent sets with each
-        column tagged in a lane of its own (`gf._circuits`) when its rows and
-        columns fit the MAX_DIM lanes of the widest layout; past that, and on
-        a rank table, subsets are scanned.  Without max_size, the walk and
-        the scan are capped at 20 elements."""
+        elements.  Any other matrix walks its independent sets, the column
+        added at depth d tagged in lane d (`gf._circuits`), and a rank table
+        scans subsets.  Without max_size, the walk and the scan are capped
+        at 20 elements."""
         mat = self.rep.matrix
         if mat is not None and mat.field.q == 2 and self.n - self.rank() <= 16:
             return self._circuits_from_cycle_space(max_size)
@@ -491,10 +490,7 @@ class Matroid:
             raise MatroidError(
                 f"full circuit scan capped at n <= {CIRCUIT_SCAN_CAP}; pass max_size"
             )
-        if mat is not None and mat.nrows + self.n <= MAX_DIM:
-            found = _circuits(mat, top)
-        else:
-            found = self._circuits_by_scan(top)
+        found = _circuits(mat, top) if mat is not None else self._circuits_by_scan(top)
         return tuple(sorted(found, key=lambda v: (v.bit_count(), v)))
 
     def _circuits_from_cycle_space(self, max_size):

@@ -392,9 +392,7 @@ def compute_f(k, l, r_max=5):
         vals = [m.n - m.rank() for m in report.representatives]
     else:
         vals = [m.rank() for m in report.representatives]
-    if not vals:
-        raise MatroidError(f"no simple cosimple ({k},{l})-uniform matroids found")
-    return max(vals)
+    return max(vals)  # the empty matroid, simple, cosimple and uniform, is always one
 
 
 # ---- single-element extension / coextension searches

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidkit import catalog, matroid
+from matroidkit import catalog, cli, matroid, search
 from matroidkit.gf import GFError, GFMatrix, _flats, field, null_space, parse_matrix
 from matroidkit.gf import point_to_vector, rank_of_columns, subspace_masks
 from matroidkit.matroid import (
@@ -30,9 +30,13 @@ from matroidkit.matroid import (
     parallel_connection,
     parse_graph_text,
 )
-from matroidkit.iso import are_isomorphic
+from matroidkit.iso import NotBinary, are_isomorphic, binary_canonical_form, iso_key
 from matroidkit.search import _minor_closure_3connected, census_seeds
-from matroidkit.uniformity import is_kl_uniform_flats, is_kl_uniform_minor
+from matroidkit.uniformity import (
+    classify_connected_not3_22,
+    is_kl_uniform_flats,
+    is_kl_uniform_minor,
+)
 from matroidkit.verify import random_linear_corpus
 
 P10_TEXT = """
@@ -783,13 +787,27 @@ def _circuits_by_definition(m, size):
                                              if mask >> i & 1))
 
 
-def test_circuits_at_the_lane_edge():
-    # a tagged column has n + nrows lanes: 64 walks, and 72 and 128 take the scan
+def test_circuits_at_the_lane_edge(monkeypatch):
+    # every matrix walks: a remainder has nrows lanes and one tag lane per
+    # depth, size - 1 of them, so 8 rows take 10 lanes, 62 rows of rank 60
+    # at size 3 fill 64, and 64 rows at size 2 take 65 of the wider layouts;
+    # the subset scan is left to rank tables
+    scan = Matroid._circuits_by_scan
+
+    def tables_only(self, top):
+        if self.rep.matrix is not None:
+            pytest.fail("a matrix took the subset scan")
+        return scan(self, top)
+
+    monkeypatch.setattr(Matroid, "_circuits_by_scan", tables_only)
     rng = random.Random(64)
-    for ncols, nrows, size in ((56, 8, 3), (64, 8, 3), (64, 64, 2)):
+    for ncols, nrows, size in ((56, 8, 3), (64, 8, 3), (64, 64, 2), (64, 62, 3)):
         cols = [[rng.randrange(3) for _ in range(nrows)] for _ in range(ncols - 4)]
         cols += [[0] * nrows, [0] * nrows, cols[5], [2 * x % 3 for x in cols[9]]]
+        if nrows == 62:  # rows 60 and 61 repeat rows 0 and 1: rank 60
+            cols = [c[:60] + c[:2] for c in cols]
         m = from_matrix(GFMatrix.from_columns(3, cols))
+        assert nrows != 62 or m.rank() == 60
         got = m.circuits(max_size=size)
         assert got == _circuits_by_definition(m, size), (ncols, nrows)
         n = ncols
@@ -1220,11 +1238,21 @@ def test_graph_rank_calls_do_not_scale_with_the_vertex_header():
 
 
 def test_bad_inputs_are_refused_before_any_large_build():
-    # one row per input check of gf and matroid; each raises its own error
-    # type with a peak of traced memory far below what the refused build
-    # would take (a 2^26-entry table is 64 MB)
+    # one row per input check of gf, matroid, catalog, iso, search, cli and
+    # uniformity; each raises its own error type with a peak of traced
+    # memory far below what the refused build would take (a 2^26-entry
+    # table is 64 MB)
     f7 = catalog.named("F7")
     wide, u13, u14 = from_graph(2, [(0, 1)] * 26), matroid.uniform(2, 13), matroid.uniform(2, 14)
+    eye = [[int(i == j) for j in range(7)] for i in range(7)]
+    free6 = from_matrix(GFMatrix(2, [row[:6] for row in eye[:6]]))
+    free7 = from_matrix(GFMatrix(2, eye))
+    free7_doubled = from_matrix(GFMatrix(2, [row + row for row in eye]))  # rank and corank 7
+    u12, u24 = matroid.uniform(1, 2), matroid.uniform(2, 4)
+    loop_and_coloop = from_matrix(GFMatrix(2, [[1, 0]]))
+    # a 6-cycle with two edges doubled: connected, not 3-connected, and the
+    # doubled path 0-1-2 with 2-3 is a rank-3 flat of nullity 2
+    c6 = from_graph(6, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
     cases = [
         (GFError, "exceeds the 64 cap", lambda: GFMatrix(2, [[0] * 65])),
         (GFError, "ragged", lambda: GFMatrix(2, [[0, 1], [0]])),
@@ -1254,6 +1282,30 @@ def test_bad_inputs_are_refused_before_any_large_build():
                                   ("1", "2", "3"))),
         (MatroidError, "expected 2 edge lines", lambda: parse_graph_text("graph 3 2\n0 1\n")),
         (MatroidError, "bad edge line", lambda: parse_graph_text("graph 3 1\n0 1 2\n")),
+        (MatroidError, "geometry needs dim >= 1", lambda: catalog.geometry("PG", 0)),
+        (MatroidError, "bad: size 2 != claimed 3",
+         lambda: catalog.CatalogEntry("bad", {}, u12, "", rank=1, size=3)),
+        (MatroidError, "bad: cosimplicity claim failed",
+         lambda: catalog.CatalogEntry("bad", {}, u12, "", rank=1, size=2, cosimple=True)),
+        (MatroidError, "bad: expected a transitive automorphism group",
+         lambda: catalog._require_transitive("bad", loop_and_coloop)),
+        (NotBinary, "canonical form needs a binary matroid", lambda: binary_canonical_form(u24)),
+        (MatroidError, "defined for simple matroids",
+         lambda: binary_canonical_form(from_matrix(GFMatrix(2, [[1, 1]])))),
+        (MatroidError, "canonical form capped at rank 6", lambda: binary_canonical_form(free7)),
+        (MatroidError, "iso_key needs rank or corank at most 6", lambda: iso_key(free7_doubled)),
+        (NotBinary, "canonical form needs a binary matroid", lambda: iso_key(u24)),
+        (MatroidError, "max_size must be nonnegative",
+         lambda: search.SearchConfig(r=3, k=2, l=2, max_size=-1)),
+        (MatroidError, "subspace check supports rank <= 6",
+         lambda: search.kl_uniform_points(free7, 2, 2)),
+        (MatroidError, "extension search supports rank <= 6",
+         lambda: search.extensions(free7, (2, 2))),
+        (MatroidError, "coextension search supports rank <= 5",
+         lambda: search.coextensions(free6, (2, 2))),
+        (MatroidError, "unknown method 'bogus'", lambda: cli._run_method(u24, 2, 2, "bogus")),
+        (MatroidError, "classifier expects a \\(2,2\\)-uniform matroid",
+         lambda: classify_connected_not3_22(c6)),
     ]
     for error, message, call in cases:
         tracemalloc.start()
